@@ -17,6 +17,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -287,18 +288,48 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheUpdate measures Cache.Update at several resident entry
+// counts. The resident-N cases refresh each resident binding in turn, the
+// shape of a host's cache under a LAN's broadcast fan-out; the miss case
+// offers unsolicited replies for absent addresses to a full
+// solicited-only cache, so every update probes, misses, and is rejected.
 func BenchmarkCacheUpdate(b *testing.B) {
-	s := sim.NewScheduler(1)
-	c := stack.NewCache(s, stack.PolicyNaive, time.Minute)
-	p := arppkt.NewReply(
-		ethaddr.MustParseMAC("02:42:ac:00:00:01"),
-		ethaddr.MustParseIPv4("10.0.0.1"),
-		ethaddr.MustParseMAC("02:42:ac:00:00:02"),
-		ethaddr.MustParseIPv4("10.0.0.2"))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Update(p, false)
+	gateway := ethaddr.MustParseMAC("02:42:ac:ff:ff:fe")
+	gatewayIP := ethaddr.MustParseIPv4("10.255.255.254")
+	replies := func(n, offset int) []*arppkt.Packet {
+		ps := make([]*arppkt.Packet, n)
+		for i := range ps {
+			k := i + offset
+			ip := ethaddr.IPv4{10, byte(k >> 16), byte(k >> 8), byte(k)}
+			mac := ethaddr.MAC{0x02, 0x42, 0xac, byte(k >> 16), byte(k >> 8), byte(k)}
+			ps[i] = arppkt.NewReply(mac, ip, gateway, gatewayIP)
+		}
+		return ps
 	}
+	run := func(b *testing.B, c *stack.Cache, ps []*arppkt.Packet) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Update(ps[i%len(ps)], false)
+		}
+	}
+	for _, n := range []int{8, 128, 1024} {
+		b.Run(fmt.Sprintf("resident-%d", n), func(b *testing.B) {
+			c := stack.NewCache(sim.NewScheduler(1), stack.PolicyNaive, time.Hour)
+			ps := replies(n, 1)
+			for _, p := range ps {
+				c.Update(p, false)
+			}
+			run(b, c, ps)
+		})
+	}
+	b.Run("miss-1024", func(b *testing.B) {
+		c := stack.NewCache(sim.NewScheduler(1), stack.PolicySolicitedOnly, time.Hour)
+		for _, p := range replies(1024, 1) {
+			c.Update(p, true)
+		}
+		run(b, c, replies(1024, 1<<20))
+	})
 }
 
 func BenchmarkSchedulerThroughput(b *testing.B) {

@@ -6,13 +6,16 @@ import (
 
 	"repro/internal/arppkt"
 	"repro/internal/ethaddr"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// Allocation gates for the cache hot path (PR 7). Every ARP packet a host
-// receives ends in Cache.Update, so both the steady-state refresh and the
-// insert of a previously seen key must be allocation-free. (First-ever
-// inserts may grow the map; that cost is amortized and not gated.)
+// Allocation gates for the cache and resolver hot path. Every ARP packet a
+// host receives ends in Cache.Update, so the steady-state refresh, lookups
+// of resident entries, and the re-insert of a deleted key must all be
+// allocation-free, as must ProcessARP's solicited check against in-flight
+// resolutions. (First-ever inserts may grow the slot array and its index;
+// that cost is amortized and not gated.)
 
 func TestCacheRefreshAllocFree(t *testing.T) {
 	s := sim.NewScheduler(1)
@@ -32,22 +35,69 @@ func TestCacheRefreshAllocFree(t *testing.T) {
 	}
 }
 
+// residentCache returns a cache holding n live entries and a reply
+// refreshing each of them.
+func residentCache(n int) (*Cache, []*arppkt.Packet) {
+	c := NewCache(sim.NewScheduler(1), PolicyNaive, time.Minute)
+	ps := make([]*arppkt.Packet, n)
+	for i := range ps {
+		ps[i] = arppkt.NewReply(poolMAC(uint8(i)), poolIP(i), poolMAC(7), poolIP(poolSize-1))
+		c.Update(ps[i], true)
+	}
+	return c, ps
+}
+
+// TestCacheInsertAllocFree deletes and re-inserts keys of a 128-entry
+// cache: the swap-remove, the index's backward shift, and the append into
+// the freed slot must all reuse storage.
 func TestCacheInsertAllocFree(t *testing.T) {
-	s := sim.NewScheduler(1)
-	c := NewCache(s, PolicyNaive, time.Minute)
-	p := arppkt.NewReply(
-		ethaddr.MAC{0x02, 0, 0, 0, 0, 1}, ethaddr.MustParseIPv4("10.0.0.1"),
-		ethaddr.MAC{0x02, 0, 0, 0, 0, 2}, ethaddr.MustParseIPv4("10.0.0.2"),
-	)
-	ip, _ := p.Binding()
-	c.Update(p, true) // size the map bucket once
+	c, ps := residentCache(128)
+	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
+		p := ps[i%len(ps)]
+		i += 37 // visit keys all over the slot array
+		ip, _ := p.Binding()
 		c.Delete(ip)
 		if kind := c.Update(p, true); kind != EventCreated {
 			t.Fatalf("kind = %v, want create", kind)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("cache insert: %v allocs/op, want 0", allocs)
+		t.Fatalf("cache delete+insert: %v allocs/op, want 0", allocs)
+	}
+}
+
+func TestCacheResidentUpdateLookupAllocFree(t *testing.T) {
+	c, ps := residentCache(256)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		p := ps[i%len(ps)]
+		i++
+		if kind := c.Update(p, true); kind != EventRefreshed {
+			t.Fatalf("kind = %v, want refresh", kind)
+		}
+		if _, ok := c.Lookup(p.SenderIP); !ok {
+			t.Fatalf("lookup of resident %s missed", p.SenderIP)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("resident update+lookup: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestProcessARPWithPendingAllocFree: an inbound broadcast request for a
+// third party, processed while the host has resolutions in flight, probes
+// the pending index and refreshes the cache without allocating.
+func TestProcessARPWithPendingAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	h := NewHost(s, "h", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{192, 168, 0, 1})
+	for i := 0; i < 16; i++ {
+		h.Resolve(poolIP(poolSpread+i), nil) // colliding keys: long probes
+	}
+	p := arppkt.NewRequest(poolMAC(3), poolIP(3), poolIP(4))
+	h.ProcessARP(p)
+	allocs := testing.AllocsPerRun(1000, func() { h.ProcessARP(p) })
+	if allocs != 0 {
+		t.Fatalf("ProcessARP with %d resolutions pending: %v allocs/op, want 0", len(h.pendings), allocs)
 	}
 }

@@ -143,16 +143,19 @@ type cacheSlot struct {
 	e  Entry
 }
 
-// Cache is a policy-guarded ARP cache. Bindings live in a flat slice
-// scanned linearly: a LAN host resolves at most a few dozen peers, and at
-// that size a 4-byte linear probe beats map hashing on the Update/Lookup
-// hot path while keeping iteration allocation-free. Slot order is an
+// Cache is a policy-guarded ARP cache. Bindings live in a dense slice —
+// appended on insert, swap-removed on Delete, compacted on Flush — that
+// Len, Snapshot, and Flush iterate allocation-free, and an ipIndex beside it
+// finds a binding's slot in one probe. Every broadcast ARP frame reaches
+// every host's Update, so the lookup must not grow with the entry count: a
+// 128-host mesh holds ~130 bindings per host. Slot order is an
 // implementation artifact and never observable (Snapshot returns a map).
 type Cache struct {
 	sched   *sim.Scheduler
 	policy  Policy
 	ttl     time.Duration
 	slots   []cacheSlot
+	index   ipIndex // IP → position in slots
 	onEvent func(Event)
 	rec     *causal.Recorder // causal tracing; nil (no-op) when disabled
 
@@ -171,30 +174,36 @@ func NewCache(s *sim.Scheduler, policy Policy, ttl time.Duration) *Cache {
 	return newCache(s, policy, ttl, 8)
 }
 
-// newCache creates a cache with the slot array pre-sized for capacity
-// entries (a full-mesh LAN would otherwise grow it through repeated
-// doublings; see WithCacheCapacity).
+// newCache creates a cache with the slot array and its index pre-sized for
+// capacity entries (a full-mesh LAN would otherwise grow both through
+// repeated doublings; see WithCacheCapacity).
 func newCache(s *sim.Scheduler, policy Policy, ttl time.Duration, capacity int) *Cache {
 	if capacity < 8 {
 		capacity = 8
 	}
-	return &Cache{
+	c := &Cache{
 		sched:  s,
 		policy: policy,
 		ttl:    ttl,
 		slots:  make([]cacheSlot, 0, capacity),
 		rec:    causal.Of(s),
 	}
+	c.index.init(capacity)
+	return c
 }
 
 // slot returns the binding for ip, or nil when absent.
 func (c *Cache) slot(ip ethaddr.IPv4) *cacheSlot {
-	for i := range c.slots {
-		if c.slots[i].ip == ip {
-			return &c.slots[i]
-		}
+	if i := c.index.get(ip); i >= 0 {
+		return &c.slots[i]
 	}
 	return nil
+}
+
+// insert appends a binding for an ip known to be absent.
+func (c *Cache) insert(ip ethaddr.IPv4, e Entry) {
+	c.index.set(ip, len(c.slots))
+	c.slots = append(c.slots, cacheSlot{ip: ip, e: e})
 }
 
 // put stores e under ip, reusing the existing slot when present.
@@ -203,7 +212,7 @@ func (c *Cache) put(ip ethaddr.IPv4, e Entry) {
 		s.e = e
 		return
 	}
-	c.slots = append(c.slots, cacheSlot{ip: ip, e: e})
+	c.insert(ip, e)
 }
 
 // OnEvent installs an observer invoked for every mutation attempt. The
@@ -283,21 +292,25 @@ func (c *Cache) SetStatic(ip ethaddr.IPv4, mac ethaddr.MAC) {
 
 // Delete removes a binding (administrative action).
 func (c *Cache) Delete(ip ethaddr.IPv4) {
-	for i := range c.slots {
-		if c.slots[i].ip == ip {
-			last := len(c.slots) - 1
-			c.slots[i] = c.slots[last]
-			c.slots = c.slots[:last]
-			return
-		}
+	i := c.index.del(ip)
+	if i < 0 {
+		return
 	}
+	last := len(c.slots) - 1
+	if i != last {
+		c.slots[i] = c.slots[last]
+		c.index.set(c.slots[i].ip, i)
+	}
+	c.slots = c.slots[:last]
 }
 
 // Flush removes all dynamic bindings, keeping static ones.
 func (c *Cache) Flush() {
+	c.index.clear()
 	kept := c.slots[:0]
 	for i := range c.slots {
 		if c.slots[i].e.Static {
+			c.index.set(c.slots[i].ip, len(kept))
 			kept = append(kept, c.slots[i])
 		}
 	}
@@ -368,7 +381,7 @@ func (c *Cache) Update(p *arppkt.Packet, solicited bool) EventKind {
 		if prior != nil {
 			prior.e = e // reclaim the expired slot
 		} else {
-			c.slots = append(c.slots, cacheSlot{ip: ip, e: e})
+			c.insert(ip, e)
 		}
 		c.mCreated.Inc()
 		c.emit(EventCreated, ip, ethaddr.MAC{}, mac, p.Op, solicited)

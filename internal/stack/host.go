@@ -75,9 +75,10 @@ func WithCacheTTL(d time.Duration) Option {
 	return func(h *Host) { h.cacheTTL = d }
 }
 
-// WithCacheCapacity pre-sizes the ARP cache for the expected number of
-// peers. Purely an allocation hint: a full-mesh LAN otherwise grows each
-// host's cache through repeated slot-array doublings.
+// WithCacheCapacity pre-sizes the ARP cache — its slot array and the IP
+// index beside it — for the expected number of peers. Purely an allocation
+// hint: a full-mesh LAN otherwise grows each host's cache through repeated
+// doublings of both.
 func WithCacheCapacity(n int) Option {
 	return func(h *Host) { h.cacheCap = n }
 }
@@ -133,7 +134,8 @@ type Host struct {
 	announce        bool
 	echoResponder   bool
 
-	pendings       map[ethaddr.IPv4]*pending
+	pendings       []*pending // in-flight resolutions in start order; nil = finished
+	pendingIndex   ipIndex    // IP → position in pendings
 	arpHook        ARPHook
 	onARP          func(*arppkt.Packet, *frame.Frame) // passive observer
 	onIPv4         func(*ipv4pkt.Packet, *frame.Frame)
@@ -172,7 +174,6 @@ func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, op
 		resolveRetries:  3,
 		resolveInterval: time.Second,
 		echoResponder:   true,
-		pendings:        make(map[ethaddr.IPv4]*pending),
 		udpPorts:        make(map[uint16]func(ethaddr.IPv4, uint16, []byte)),
 		onEcho:          make(map[uint16]func(uint16, ethaddr.IPv4, ethaddr.MAC)),
 		extra:           make(map[frame.EtherType]func(*frame.Frame)),
@@ -181,6 +182,7 @@ func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, op
 		opt(h)
 	}
 	h.cache = newCache(s, h.policy, h.cacheTTL, h.cacheCap)
+	h.pendingIndex.init(0)
 	nic.SetHandler(h.handleFrame)
 	return h
 }
@@ -251,15 +253,20 @@ func (h *Host) Start() {
 
 // Restart models the host coming back from a power cycle: the ARP cache is
 // wiped (kernel caches do not survive a reboot), every in-flight resolution
-// is abandoned, and the host re-announces its binding. Fault plans use this
-// as the host-churn hook; bring the NIC down and up around it to model the
-// offline window itself.
+// is abandoned (in start order, so the abandoned spans reach the tracer in
+// the same order every run), and the host re-announces its binding. Fault
+// plans use this as the host-churn hook; bring the NIC down and up around it
+// to model the offline window itself.
 func (h *Host) Restart() {
-	for ip, pd := range h.pendings {
-		pd.timer.Stop()
-		pd.span.Finish("abandoned")
-		delete(h.pendings, ip)
+	for _, pd := range h.pendings {
+		if pd != nil {
+			pd.timer.Stop()
+			pd.span.Finish("abandoned")
+		}
 	}
+	clear(h.pendings)
+	h.pendings = h.pendings[:0]
+	h.pendingIndex.clear()
 	h.cache.Flush()
 	h.events.Warnf("stack", "%s: restarted (cache wiped)", h.name)
 	h.SendGratuitous()
@@ -362,15 +369,48 @@ func (h *Host) transmitIPv4(dstMAC ethaddr.MAC, dst ethaddr.IPv4, proto ipv4pkt.
 
 // ensurePending starts a resolution cycle for ip if none is running.
 func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
-	if pd, ok := h.pendings[ip]; ok {
-		return pd
+	if i := h.pendingIndex.get(ip); i >= 0 {
+		return h.pendings[i]
 	}
 	pd := &pending{host: h, ip: ip, startedAt: h.sched.Now()}
 	if h.tracer != nil { // don't render ip for a no-op tracer
 		pd.span = h.tracer.Start("resolve", ip.String())
 	}
-	h.pendings[ip] = pd
+	h.pendingIndex.set(ip, len(h.pendings))
+	h.pendings = append(h.pendings, pd)
 	h.sendRequest(ip, pd)
+	return pd
+}
+
+// removePending drops the resolution for ip and returns it, or nil when
+// none is in flight. Its slot becomes a nil hole, so later resolutions keep
+// their positions and the slice its start order. Trailing holes are trimmed
+// at once (an empty slice then means nothing is in flight), and the slice
+// is compacted once holes outnumber live resolutions, so removal costs
+// amortized O(1) however many resolutions a host has open.
+func (h *Host) removePending(ip ethaddr.IPv4) *pending {
+	i := h.pendingIndex.del(ip)
+	if i < 0 {
+		return nil
+	}
+	pd := h.pendings[i]
+	h.pendings[i] = nil
+	n := len(h.pendings)
+	for n > 0 && h.pendings[n-1] == nil {
+		n--
+	}
+	h.pendings = h.pendings[:n]
+	if 2*h.pendingIndex.n < n {
+		live := h.pendings[:0]
+		for _, q := range h.pendings {
+			if q != nil {
+				h.pendingIndex.set(q.ip, len(live))
+				live = append(live, q)
+			}
+		}
+		clear(h.pendings[len(live):])
+		h.pendings = live
+	}
 	return pd
 }
 
@@ -383,7 +423,7 @@ func (h *Host) sendRequest(ip ethaddr.IPv4, pd *pending) {
 
 // failResolution drops the queue and notifies waiters of failure.
 func (h *Host) failResolution(ip ethaddr.IPv4, pd *pending) {
-	delete(h.pendings, ip)
+	h.removePending(ip)
 	h.stats.ResolveFail++
 	h.stats.QueuedDropped += uint64(len(pd.queue))
 	h.mResolveFail.Inc()
@@ -399,11 +439,10 @@ func (h *Host) failResolution(ip ethaddr.IPv4, pd *pending) {
 
 // completeResolution flushes the queue and notifies waiters of success.
 func (h *Host) completeResolution(ip ethaddr.IPv4, mac ethaddr.MAC) {
-	pd, ok := h.pendings[ip]
-	if !ok {
+	pd := h.removePending(ip)
+	if pd == nil {
 		return
 	}
-	delete(h.pendings, ip)
 	pd.timer.Stop()
 	h.stats.ResolveOK++
 	h.mResolveOK.Inc()
@@ -475,8 +514,8 @@ func (h *Host) handleARP(f *frame.Frame) {
 // have verified.
 func (h *Host) ProcessARP(p *arppkt.Packet) {
 	solicited := false
-	if len(h.pendings) > 0 { // skip the hash when nothing is being resolved
-		_, solicited = h.pendings[p.SenderIP]
+	if len(h.pendings) > 0 { // skip the probe when nothing is being resolved
+		solicited = h.pendingIndex.get(p.SenderIP) >= 0
 	}
 
 	// A foreign station asserting our own address is an address conflict

@@ -4,9 +4,10 @@
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
 # once, the hot-path allocation gates (encode/decode, cache, CAM, unicast
-# transit must stay at 0 allocs/op), and an experiment-registry completeness
-# leg (a small-trial pass of every experiment, diffed against the arpbench
-# -list catalogue). Any failure stops the run with a non-zero exit.
+# transit must stay at 0 allocs/op), a 10-second run of the ARP cache's
+# differential fuzz target, and an experiment-registry completeness leg (a
+# small-trial pass of every experiment, diffed against the arpbench -list
+# catalogue). Any failure stops the run with a non-zero exit.
 #
 #   ./scripts/check.sh          # the full gate
 #   make check                  # same, via the Makefile
@@ -57,10 +58,22 @@ if [ "$allocs" != "0" ]; then
 	exit 1
 fi
 
-echo "==> frame hot path allocation gates (encode/decode, cache, CAM, unicast transit, replay steady state, campus bytes/host)"
-go test -run 'AllocFree$' -count=1 -v \
-	./internal/frame ./internal/arppkt ./internal/stack ./internal/netsim ./internal/replay ./internal/labnet |
-	grep -E '^(--- |ok|FAIL)' || { echo "allocation gates failed" >&2; exit 1; }
+echo "==> frame hot path allocation gates (encode/decode, cache, resolver, CAM, unicast transit, replay steady state, campus bytes/host)"
+# Capture first, then filter: piping straight into grep would take grep's
+# exit status, and grep succeeds on the "--- FAIL" lines themselves.
+if ! gates=$(go test -run 'AllocFree$' -count=1 -v \
+	./internal/frame ./internal/arppkt ./internal/stack ./internal/netsim ./internal/replay ./internal/labnet 2>&1); then
+	echo "$gates" >&2
+	echo "allocation gates failed" >&2
+	exit 1
+fi
+echo "$gates" | grep -E '^(--- |ok|FAIL)'
+
+echo "==> ARP cache differential fuzz (FuzzCacheOps, 10s)"
+# Arbitrary op streams (updates, expiry, Delete, Flush, SetStatic over an
+# address pool with colliding keys) against a plain-map model; the seed
+# corpus is internal/stack/testdata/fuzz/FuzzCacheOps.
+go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime=10s ./internal/stack
 
 echo "==> experiment registry completeness (-list vs a -trials 1 pass of every experiment)"
 tmpdir=$(mktemp -d)
