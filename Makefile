@@ -14,8 +14,9 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the same package list as check.sh's race leg.
 race:
-	$(GO) test -race ./internal/eval ./internal/integration ./internal/schemes/registry ./internal/telemetry/causal ./internal/ops
+	./scripts/race.sh
 
 vet:
 	$(GO) vet ./...

@@ -2,9 +2,11 @@ package integration
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/ethaddr"
 	"repro/internal/labnet"
 	"repro/internal/schemes"
 	"repro/internal/schemes/registry"
@@ -131,11 +133,126 @@ func TestMITMSpanTreeReachesAlert(t *testing.T) {
 	}
 }
 
+// TestVerifySpansAreDetachedLeaves pins the rule for lifecycle spans: each
+// verification session opens a "scheme/verify" span that is a detached leaf
+// under the inspection that raised it. Probes, timers and alerts therefore
+// keep "scheme/inspect" as their cause, so detection-latency attribution
+// (Table 10) cannot move, and every finished session is one span whose
+// outcome matches the scheme's counters.
+func TestVerifySpansAreDetachedLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		scheme  string
+		counter string
+		// outcomes maps a verify span's outcome attr to the counter's.
+		outcomes map[string]string
+	}{
+		{registry.NameActiveProbe, "scheme_verifications_total",
+			map[string]string{"confirmed": "confirmed", "cleared": "cleared"}},
+		{registry.NameMiddleware, "scheme_quarantines_total",
+			map[string]string{"commit": "committed", "reject": "rejected"}},
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			reg, rec, _ := tracedMITM(t, tc.scheme)
+			if rec.Dropped() != 0 {
+				t.Fatalf("span ring evicted %d spans; counts below would be partial", rec.Dropped())
+			}
+			verifies := rec.Find(func(sp causal.Span) bool { return sp.Kind == "scheme" && sp.Name == "verify" })
+			if len(verifies) == 0 {
+				t.Fatal("no verify spans recorded")
+			}
+			finished := map[string]uint64{}
+			for _, v := range verifies {
+				if kids := rec.ChildrenOf(v.ID); len(kids) != 0 {
+					t.Fatalf("verify span %d has children %+v", v.ID, kids)
+				}
+				parent, ok := rec.Span(v.Parent)
+				if !ok || parent.Kind != "scheme" || parent.Name != "inspect" {
+					t.Fatalf("verify span %d parent = %+v, want scheme/inspect", v.ID, parent)
+				}
+				if v.Attr("scheme") != tc.scheme || v.Attr("target") == "" {
+					t.Fatalf("verify span attrs = %+v", v.Attrs)
+				}
+				probes := 0
+				for _, d := range rec.Descendants(parent.ID) {
+					if d.Kind == "tx" && d.Attr("dst") == ethaddr.BroadcastMAC.String() {
+						probes++
+					}
+				}
+				if probes == 0 {
+					t.Fatalf("no probe tx span under the inspection %d that opened verify %d", parent.ID, v.ID)
+				}
+				finished[v.Attr("outcome")]++
+			}
+			for outcome, counterOutcome := range tc.outcomes {
+				want := reg.CounterValue(tc.counter,
+					telemetry.L("scheme", tc.scheme), telemetry.L("outcome", counterOutcome))
+				if finished[outcome] != want {
+					t.Fatalf("%d verify spans with outcome %s, counter %s{outcome=%s} = %d",
+						finished[outcome], outcome, tc.counter, counterOutcome, want)
+				}
+			}
+
+			alerts := rec.Find(func(sp causal.Span) bool {
+				return sp.Kind == "alert" && sp.Attr("scheme") == tc.scheme
+			})
+			if len(alerts) == 0 {
+				t.Fatal("no alert spans recorded")
+			}
+			for _, al := range alerts {
+				inspected := false
+				for _, sp := range rec.PathToRoot(al.ID) {
+					if sp.Name == "verify" {
+						t.Fatalf("alert %d chains through verify span %d", al.ID, sp.ID)
+					}
+					inspected = inspected || (sp.Kind == "scheme" && sp.Name == "inspect")
+				}
+				if !inspected {
+					t.Fatalf("alert %d has no scheme/inspect ancestor", al.ID)
+				}
+			}
+		})
+	}
+}
+
+// TestResolveSpansMatchResolutionCounters: with tracing on, every finished
+// resolution is exactly one "stack/resolve" leaf span, and the spans per
+// outcome agree with stack_resolutions_total.
+func TestResolveSpansMatchResolutionCounters(t *testing.T) {
+	reg, rec, _ := tracedMITM(t, registry.NameMiddleware)
+	if rec.Dropped() != 0 {
+		t.Fatalf("span ring evicted %d spans; counts below would be partial", rec.Dropped())
+	}
+	finished := map[string]uint64{}
+	for _, sp := range rec.Find(func(sp causal.Span) bool { return sp.Kind == "stack" && sp.Name == "resolve" }) {
+		if kids := rec.ChildrenOf(sp.ID); len(kids) != 0 {
+			t.Fatalf("resolve span %d has children %+v", sp.ID, kids)
+		}
+		if sp.Attr("host") == "" || sp.Attr("target") == "" || sp.Attr("tries") == "" {
+			t.Fatalf("resolve span attrs = %+v", sp.Attrs)
+		}
+		finished[sp.Attr("outcome")]++
+	}
+	// The counters label outcomes ok/fail; the spans commit/fail.
+	spanOutcome := map[string]string{"ok": "commit", "fail": "fail"}
+	counted := map[string]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "stack_resolutions_total" && c.Value > 0 {
+			counted[spanOutcome[c.Labels["outcome"]]] += c.Value
+		}
+	}
+	if finished["commit"] == 0 {
+		t.Fatalf("no committed resolutions traced: spans %v", finished)
+	}
+	if !reflect.DeepEqual(finished, counted) {
+		t.Fatalf("resolve spans per outcome %v, counters %v", finished, counted)
+	}
+}
+
 // TestTracingDoesNotPerturbSimulation pins the observer-effect guarantee:
-// the same seed and scenario produce identical alerts with tracing on and
-// off — tracing adds spans, never behaviour.
+// the same seed and scenario produce identical alerts and identical counters
+// with tracing on and off — tracing adds spans, never behaviour.
 func TestTracingDoesNotPerturbSimulation(t *testing.T) {
-	run := func(tracing bool) []schemes.Alert {
+	run := func(tracing bool) ([]schemes.Alert, []telemetry.CounterPoint) {
 		reg := telemetry.New()
 		l := labnet.New(labnet.Config{
 			Seed: 11, Hosts: 4, WithAttacker: true, WithMonitor: true,
@@ -155,9 +272,10 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		if err := l.Run(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return sink.Alerts()
+		return sink.Alerts(), reg.Snapshot().Counters
 	}
-	off, on := run(false), run(true)
+	off, offCounters := run(false)
+	on, onCounters := run(true)
 	if len(off) != len(on) {
 		t.Fatalf("alert counts differ: off=%d on=%d", len(off), len(on))
 	}
@@ -165,5 +283,8 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		if off[i] != on[i] {
 			t.Fatalf("alert %d differs:\noff: %+v\non:  %+v", i, off[i], on[i])
 		}
+	}
+	if !reflect.DeepEqual(offCounters, onCounters) {
+		t.Fatalf("counter snapshots differ:\noff: %+v\non:  %+v", offCounters, onCounters)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/causal"
 )
 
 // Option configures the Prober.
@@ -60,8 +61,11 @@ type session struct {
 	oldMAC     ethaddr.MAC
 	startedAt  time.Duration
 	repliers   map[ethaddr.MAC]bool
-	span       *telemetry.Span
+	span       *causal.ActiveSpan // nil (no-op) when tracing is off
 }
+
+// finish closes the session's span with its outcome.
+func (s *session) finish(outcome string) { s.span.Attr("outcome", outcome).Finish() }
 
 // Prober is the active-verification appliance. It observes mirrored traffic
 // like a passive monitor, but owns a host of its own for sending probes and
@@ -78,9 +82,9 @@ type Prober struct {
 	lastRequest map[ethaddr.IPv4]time.Duration // targetIP → when last requested
 	sessions    map[ethaddr.IPv4]*session
 	stats       Stats
+	rec         *causal.Recorder
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer      *telemetry.Tracer
 	mProbes     *telemetry.Counter
 	mSuspicions *telemetry.Counter
 	mConfirmed  *telemetry.Counter
@@ -101,6 +105,7 @@ func New(s *sim.Scheduler, sink *schemes.Sink, host *stack.Host, opts ...Option)
 		bindings:      make(map[ethaddr.IPv4]ethaddr.MAC),
 		lastRequest:   make(map[ethaddr.IPv4]time.Duration),
 		sessions:      make(map[ethaddr.IPv4]*session),
+		rec:           causal.Of(s),
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -115,12 +120,11 @@ func (p *Prober) Name() string { return "active-probe" }
 // Stats returns a copy of the prober counters.
 func (p *Prober) Stats() Stats { return p.stats }
 
-// Instrument attaches the prober to a telemetry registry: probes sent,
-// verification sessions by outcome, and a "verify" span per session so the
-// probe window's contribution to detection latency is visible.
+// Instrument attaches the prober to a telemetry registry: probes sent and
+// verification sessions by outcome. (Each session's "scheme/verify" span,
+// which shows the probe window, comes from the scheduler's causal recorder.)
 func (p *Prober) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("scheme", p.Name())
-	p.tracer = reg.Tracer()
 	p.mProbes = reg.Counter("scheme_probes_sent_total", label)
 	p.mSuspicions = reg.Counter("scheme_verifications_total", label, telemetry.L("outcome", "started"))
 	p.mConfirmed = reg.Counter("scheme_verifications_total", label, telemetry.L("outcome", "confirmed"))
@@ -189,8 +193,11 @@ func (p *Prober) verify(ip ethaddr.IPv4, claimed, old ethaddr.MAC, detail string
 		startedAt:  p.sched.Now(),
 		repliers:   make(map[ethaddr.MAC]bool),
 	}
-	if p.tracer != nil { // don't render ip for a no-op tracer
-		sess.span = p.tracer.Start("verify", ip.String())
+	if p.rec != nil { // don't render ip when tracing is off
+		// A detached leaf: probes, timers and the alert stay under the
+		// inspection that raised the suspicion.
+		sess.span = p.rec.Begin("scheme", "verify").Attr("scheme", p.Name()).Attr("target", ip.String())
+		sess.span.Detach()
 	}
 	p.sessions[ip] = sess
 	p.sendProbe(ip)
@@ -202,9 +209,6 @@ func (p *Prober) verify(ip ethaddr.IPv4, claimed, old ethaddr.MAC, detail string
 func (p *Prober) sendProbe(ip ethaddr.IPv4) {
 	p.stats.Probes++
 	p.mProbes.Inc()
-	if sess, ok := p.sessions[ip]; ok {
-		sess.span.Phase("probe")
-	}
 	probe := arppkt.NewProbe(p.host.MAC(), ip)
 	p.host.SendFrame(p.host.NewARPFrame(probe, ethaddr.BroadcastMAC))
 }
@@ -238,7 +242,7 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 	case len(sess.repliers) > 1:
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
+		sess.finish("confirmed")
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertConflict,
 			IP: ip, OldMAC: sess.oldMAC, NewMAC: sess.claimedMAC,
@@ -254,13 +258,13 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 			// binding itself: benign (covers DHCP reassignment cleanly).
 			p.stats.Cleared++
 			p.mCleared.Inc()
-			sess.span.Finish("cleared")
+			sess.finish("cleared")
 			p.bindings[ip] = answer
 			return
 		}
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
+		sess.finish("confirmed")
 		p.bindings[ip] = answer // trust the prover, restore truth
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertVerifyFailed,
@@ -272,7 +276,7 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 		// binding for an absent host looks exactly like this.
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
+		sess.finish("confirmed")
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertVerifyFailed,
 			IP: ip, OldMAC: sess.oldMAC, NewMAC: sess.claimedMAC,

@@ -50,8 +50,11 @@ type Stats struct {
 type session struct {
 	packet   *arppkt.Packet
 	repliers map[ethaddr.MAC]bool
-	span     *telemetry.Span
+	span     *causal.ActiveSpan // nil (no-op) when tracing is off
 }
+
+// finish closes the session's span with its outcome.
+func (s *session) finish(outcome string) { s.span.Attr("outcome", outcome).Finish() }
 
 // Guard is the per-host middleware. Install exactly one per protected host.
 type Guard struct {
@@ -64,7 +67,6 @@ type Guard struct {
 	rec      *causal.Recorder
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer       *telemetry.Tracer
 	mProbes      *telemetry.Counter
 	mQuarantined *telemetry.Counter
 	mCommitted   *telemetry.Counter
@@ -94,13 +96,12 @@ func (g *Guard) Name() string { return "middleware" }
 // Stats returns a copy of the counters.
 func (g *Guard) Stats() Stats { return g.stats }
 
-// Instrument attaches the guard to a telemetry registry. Each quarantine
-// opens a "verify" span (phases mark probes, the outcome is commit/reject),
-// so the verification delay the scheme imposes shows up alongside the
-// resolver's own latency histogram.
+// Instrument attaches the guard to a telemetry registry: probes sent and
+// quarantines by outcome. (Each quarantine's "scheme/verify" span, which
+// shows the verification delay the scheme imposes, comes from the
+// scheduler's causal recorder.)
 func (g *Guard) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("scheme", g.Name())
-	g.tracer = reg.Tracer()
 	g.mProbes = reg.Counter("scheme_probes_sent_total", label)
 	g.mQuarantined = reg.Counter("scheme_quarantines_total", label, telemetry.L("outcome", "opened"))
 	g.mCommitted = reg.Counter("scheme_quarantines_total", label, telemetry.L("outcome", "committed"))
@@ -182,8 +183,11 @@ func (g *Guard) quarantine(p *arppkt.Packet) {
 		packet:   p,
 		repliers: make(map[ethaddr.MAC]bool),
 	}
-	if g.tracer != nil { // don't render ip for a no-op tracer
-		sess.span = g.tracer.Start("verify", ip.String())
+	if g.rec != nil { // don't render ip when tracing is off
+		// A detached leaf: probes, timers and the alert stay under the
+		// inspection that opened the quarantine.
+		sess.span = g.rec.Begin("scheme", "verify").Attr("scheme", g.Name()).Attr("target", ip.String())
+		sess.span.Detach()
 	}
 	g.sessions[ip] = sess
 	// Probe immediately and then every retry interval until the window
@@ -208,9 +212,6 @@ func (g *Guard) quarantine(p *arppkt.Packet) {
 func (g *Guard) sendProbe(ip ethaddr.IPv4) {
 	g.stats.Probes++
 	g.mProbes.Inc()
-	if sess, ok := g.sessions[ip]; ok {
-		sess.span.Phase("probe")
-	}
 	probe := arppkt.NewProbe(g.host.MAC(), ip)
 	g.host.SendFrame(g.host.NewARPFrame(probe, ethaddr.BroadcastMAC))
 }
@@ -227,13 +228,13 @@ func (g *Guard) conclude(ip ethaddr.IPv4) {
 	if len(sess.repliers) == 1 && sess.repliers[claimed] {
 		g.stats.Committed++
 		g.mCommitted.Inc()
-		sess.span.Finish("commit")
+		sess.finish("commit")
 		g.host.ProcessARP(sess.packet)
 		return
 	}
 	g.stats.Rejected++
 	g.mRejected.Inc()
-	sess.span.Finish("reject")
+	sess.finish("reject")
 	detail := "probe unanswered"
 	if len(sess.repliers) > 1 {
 		detail = "conflicting probe answers"

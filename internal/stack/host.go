@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/arppkt"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/causal"
 )
 
 // Stats counts per-host protocol activity.
@@ -35,7 +37,13 @@ type pending struct {
 	timer     sim.Timer
 	waiters   []func(ethaddr.MAC, bool)
 	startedAt time.Duration
-	span      *telemetry.Span // nil (no-op) when the host is uninstrumented
+	span      *causal.ActiveSpan // nil (no-op) when tracing is off
+}
+
+// finish closes the resolution's span with its outcome and the number of
+// requests it sent.
+func (pd *pending) finish(outcome string, tries int) {
+	pd.span.Attr("outcome", outcome).Attr("tries", strconv.Itoa(tries)).Finish()
 }
 
 // Run fires one resolution retry; implements sim.Task for the retry timer.
@@ -121,6 +129,7 @@ func WithAddressDefense(minInterval time.Duration) Option {
 type Host struct {
 	name  string
 	sched *sim.Scheduler
+	rec   *causal.Recorder // causal tracing; nil (no-op) when disabled
 	nic   *netsim.NIC
 	ip    ethaddr.IPv4
 	cache *Cache
@@ -151,7 +160,6 @@ type Host struct {
 	started        bool
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer       *telemetry.Tracer
 	events       *telemetry.EventLog
 	mResolveOK   *telemetry.Counter
 	mResolveFail *telemetry.Counter
@@ -166,6 +174,7 @@ func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, op
 	h := &Host{
 		name:            name,
 		sched:           s,
+		rec:             causal.Of(s),
 		nic:             nic,
 		ip:              ip,
 		arena:           arppkt.ArenaOf(s),
@@ -209,14 +218,13 @@ func (h *Host) Cache() *Cache { return h.cache }
 func (h *Host) Stats() Stats { return h.stats }
 
 // Instrument attaches the host stack to a telemetry registry: cache
-// hit/miss and mutation counters, resolver retry/outcome counters, the
-// resolution-latency histogram, and a "resolve" span per resolution
-// lifecycle (request emitted → reply received → cache commit or failure).
-// All metrics carry a host label so multi-host runs stay attributable.
+// hit/miss and mutation counters, resolver retry/outcome counters, and the
+// resolution-latency histogram. All metrics carry a host label so
+// multi-host runs stay attributable. (Per-resolution "stack/resolve" spans
+// come from the scheduler's causal recorder, not the registry.)
 func (h *Host) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("host", h.name)
 	h.cache.Instrument(reg, label)
-	h.tracer = reg.Tracer()
 	h.events = reg.Events()
 	h.mResolveOK = reg.Counter("stack_resolutions_total", label, telemetry.L("outcome", "ok"))
 	h.mResolveFail = reg.Counter("stack_resolutions_total", label, telemetry.L("outcome", "fail"))
@@ -253,7 +261,7 @@ func (h *Host) Start() {
 
 // Restart models the host coming back from a power cycle: the ARP cache is
 // wiped (kernel caches do not survive a reboot), every in-flight resolution
-// is abandoned (in start order, so the abandoned spans reach the tracer in
+// is abandoned (in start order, so the abandoned spans reach the recorder in
 // the same order every run), and the host re-announces its binding. Fault
 // plans use this as the host-churn hook; bring the NIC down and up around it
 // to model the offline window itself.
@@ -261,7 +269,7 @@ func (h *Host) Restart() {
 	for _, pd := range h.pendings {
 		if pd != nil {
 			pd.timer.Stop()
-			pd.span.Finish("abandoned")
+			pd.finish("abandoned", pd.retries+1)
 		}
 	}
 	clear(h.pendings)
@@ -373,8 +381,11 @@ func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
 		return h.pendings[i]
 	}
 	pd := &pending{host: h, ip: ip, startedAt: h.sched.Now()}
-	if h.tracer != nil { // don't render ip for a no-op tracer
-		pd.span = h.tracer.Start("resolve", ip.String())
+	if h.rec != nil { // don't render ip when tracing is off
+		// A detached leaf under the caller's cause: the requests and their
+		// replies stay in whatever trace prompted the resolution.
+		pd.span = h.rec.Begin("stack", "resolve").Attr("host", h.name).Attr("target", ip.String())
+		pd.span.Detach()
 	}
 	h.pendingIndex.set(ip, len(h.pendings))
 	h.pendings = append(h.pendings, pd)
@@ -416,7 +427,6 @@ func (h *Host) removePending(ip ethaddr.IPv4) *pending {
 
 // sendRequest emits one who-has and arms the retry timer.
 func (h *Host) sendRequest(ip ethaddr.IPv4, pd *pending) {
-	pd.span.Phase("request")
 	h.sendARP(arppkt.NewRequest(h.MAC(), h.ip, ip), ethaddr.BroadcastMAC)
 	pd.timer = h.sched.AfterTask(h.resolveInterval, pd)
 }
@@ -427,7 +437,8 @@ func (h *Host) failResolution(ip ethaddr.IPv4, pd *pending) {
 	h.stats.ResolveFail++
 	h.stats.QueuedDropped += uint64(len(pd.queue))
 	h.mResolveFail.Inc()
-	pd.span.Finish("fail")
+	// The final retry expired without sending: retries counts every try.
+	pd.finish("fail", pd.retries)
 	if h.events != nil { // don't box Warnf args for a no-op log
 		h.events.Warnf("stack", "%s: resolution of %s failed after %d tries, %d queued packets dropped",
 			h.name, ip, pd.retries, len(pd.queue))
@@ -447,8 +458,7 @@ func (h *Host) completeResolution(ip ethaddr.IPv4, mac ethaddr.MAC) {
 	h.stats.ResolveOK++
 	h.mResolveOK.Inc()
 	h.mResolveLat.ObserveDuration(h.sched.Now() - pd.startedAt)
-	pd.span.Phase("reply")
-	pd.span.Finish("commit")
+	pd.finish("commit", pd.retries+1)
 	for _, q := range pd.queue {
 		h.transmitIPv4(mac, ip, q.proto, q.payload)
 	}

@@ -7,16 +7,30 @@ import (
 	"repro/internal/arppkt"
 	"repro/internal/ethaddr"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/causal"
 )
+
+// traceTestLAN attaches a causal recorder to l's scheduler; hosts added
+// afterwards record a "stack/resolve" span per resolution.
+func traceTestLAN(l *lan) *causal.Recorder {
+	rec := causal.New(l.s, 0)
+	l.s.SetTraceRecorder(rec)
+	return rec
+}
+
+// resolveSpans returns the finished "stack/resolve" spans, oldest first.
+func resolveSpans(rec *causal.Recorder) []causal.Span {
+	return rec.Find(func(sp causal.Span) bool { return sp.Kind == "stack" && sp.Name == "resolve" })
+}
 
 func TestHostInstrumentResolutionMetrics(t *testing.T) {
 	l := newTestLAN(1)
 	reg := telemetry.New()
 	l.s.Instrument(reg)
+	rec := traceTestLAN(l)
 	a := l.addHost("a", "02:42:ac:00:00:01", "10.0.0.1")
 	b := l.addHost("b", "02:42:ac:00:00:02", "10.0.0.2")
 	a.Instrument(reg)
-	_ = b
 
 	a.Resolve(b.IP(), nil)
 	if err := l.s.Run(); err != nil {
@@ -35,23 +49,20 @@ func TestHostInstrumentResolutionMetrics(t *testing.T) {
 		t.Fatalf("latency sum = %v, want a small positive virtual latency", h.Sum())
 	}
 
-	// The resolve span completed with a commit outcome and both phases.
-	snap := reg.Snapshot()
-	var found bool
-	for _, sp := range snap.Spans {
-		if sp.Name == "resolve" && sp.Outcome == "commit" && sp.Count == 1 {
-			found = true
-		}
+	// Exactly one resolve span, committed on the first request, spanning
+	// the same virtual interval the latency histogram observed. (b's reply
+	// resolves nothing on b's side: b learned a from the request.)
+	spans := resolveSpans(rec)
+	if len(spans) != 1 {
+		t.Fatalf("resolve spans = %+v, want 1", spans)
 	}
-	if !found {
-		t.Fatalf("no resolve/commit span summary: %+v", snap.Spans)
+	sp := spans[0]
+	if sp.Attr("host") != "a" || sp.Attr("target") != b.IP().String() ||
+		sp.Attr("outcome") != "commit" || sp.Attr("tries") != "1" {
+		t.Fatalf("resolve span attrs = %+v", sp.Attrs)
 	}
-	recs := reg.Tracer().Completed()
-	if len(recs) != 1 || len(recs[0].Phases) != 2 {
-		t.Fatalf("span records = %+v", recs)
-	}
-	if recs[0].Phases[0].Name != "request" || recs[0].Phases[1].Name != "reply" {
-		t.Fatalf("phases = %+v", recs[0].Phases)
+	if sp.Duration().Seconds() != h.Sum() {
+		t.Fatalf("span duration %v, histogram observed %vs", sp.Duration(), h.Sum())
 	}
 }
 
@@ -59,6 +70,7 @@ func TestHostInstrumentFailureAndRetries(t *testing.T) {
 	l := newTestLAN(1)
 	reg := telemetry.New()
 	l.s.Instrument(reg)
+	rec := traceTestLAN(l)
 	a := l.addHost("a", "02:42:ac:00:00:01", "10.0.0.1",
 		WithResolveRetry(3, 100*time.Millisecond))
 	a.Instrument(reg)
@@ -75,18 +87,17 @@ func TestHostInstrumentFailureAndRetries(t *testing.T) {
 	if got := reg.Counter("stack_resolve_retries_total", host).Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2 (3 tries = initial + 2 retries)", got)
 	}
-	// The failure produced a span with outcome "fail" and a warn event.
-	snap := reg.Snapshot()
-	var failSpan bool
-	for _, sp := range snap.Spans {
-		if sp.Name == "resolve" && sp.Outcome == "fail" {
-			failSpan = true
-		}
+	// The failure produced one span with outcome "fail" after all three
+	// tries, and a warn event.
+	spans := resolveSpans(rec)
+	if len(spans) != 1 {
+		t.Fatalf("resolve spans = %+v, want 1", spans)
 	}
-	if !failSpan {
-		t.Fatalf("no resolve/fail span: %+v", snap.Spans)
+	if sp := spans[0]; sp.Attr("target") != "10.0.0.99" || sp.Attr("outcome") != "fail" ||
+		sp.Attr("tries") != "3" || sp.Duration() != 300*time.Millisecond {
+		t.Fatalf("resolve span = %+v", sp)
 	}
-	if snap.Events.Warn == 0 {
+	if reg.Snapshot().Events.Warn == 0 {
 		t.Fatal("resolution failure should log a warn event")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ethaddr"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Resolver op kinds.
@@ -162,22 +161,19 @@ func TestRestartAbandonsResolutionsInStartOrder(t *testing.T) {
 	targets := []string{"10.0.0.7", "10.0.0.3", "10.0.0.5"}
 	for run := 0; run < 20; run++ {
 		l := newTestLAN(1)
-		reg := telemetry.New()
-		l.s.Instrument(reg)
+		rec := traceTestLAN(l)
 		a := l.addHost("a", "02:42:ac:00:00:01", "10.0.0.1")
-		a.Instrument(reg)
 		for _, ip := range targets {
 			a.Resolve(ethaddr.MustParseIPv4(ip), nil)
 		}
 		a.Restart()
-		recs := reg.Tracer().Completed()
-		if len(recs) != len(targets) {
-			t.Fatalf("run %d: %d completed spans, want %d", run, len(recs), len(targets))
+		spans := resolveSpans(rec)
+		if len(spans) != len(targets) {
+			t.Fatalf("run %d: %d resolve spans, want %d", run, len(spans), len(targets))
 		}
-		for i, rec := range recs {
-			if rec.Name != "resolve" || rec.Outcome != "abandoned" || rec.Target != targets[i] {
-				t.Fatalf("run %d: span %d = %s/%s %s, want resolve/abandoned %s",
-					run, i, rec.Name, rec.Outcome, rec.Target, targets[i])
+		for i, sp := range spans {
+			if sp.Attr("outcome") != "abandoned" || sp.Attr("target") != targets[i] || sp.Attr("tries") != "1" {
+				t.Fatalf("run %d: span %d = %+v, want abandoned %s after 1 try", run, i, sp.Attrs, targets[i])
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Package telemetry is the framework's unified observability layer: a
 // zero-dependency metrics registry (counters, gauges, histograms keyed by
-// component labels), a span tracer for ARP-resolution lifecycles, and a
-// structured event log with severity levels and bounded ring retention.
+// component labels), a structured event log with severity levels and
+// bounded ring retention, and (optionally) the causal span recorder of
+// package causal, which every span in the framework goes through.
 //
 // The design constraint is the single-threaded deterministic simulator:
 // every instrument is a plain pointer whose methods are nil-safe no-ops, so
@@ -153,8 +154,8 @@ type entry[T any] struct {
 	m      T
 }
 
-// Registry holds every instrument of one simulation plus its span tracer
-// and event log. The zero value is not usable; construct with New. All
+// Registry holds every instrument of one simulation plus its event log and
+// causal recorder. The zero value is not usable; construct with New. All
 // methods are nil-safe: a nil *Registry hands out nil instruments, so
 // instrumentation can be wired unconditionally.
 type Registry struct {
@@ -162,7 +163,6 @@ type Registry struct {
 	counters   map[string]*entry[*Counter]
 	gauges     map[string]*entry[*Gauge]
 	histograms map[string]*entry[*Histogram]
-	tracer     *Tracer
 	events     *EventLog
 	causal     *causal.Recorder
 }
@@ -175,26 +175,16 @@ func New() *Registry {
 		histograms: make(map[string]*entry[*Histogram]),
 	}
 	r.now = func() time.Duration { return 0 }
-	clock := func() time.Duration { return r.now() }
-	r.tracer = newTracer(clock, 4096)
-	r.events = newEventLog(clock, 4096)
+	r.events = newEventLog(func() time.Duration { return r.now() }, 4096)
 	return r
 }
 
-// SetNow installs the virtual clock consulted by spans and events; pass
+// SetNow installs the virtual clock that stamps events; pass
 // sim.Scheduler.Now. sim.Scheduler.Instrument does this automatically.
 func (r *Registry) SetNow(fn func() time.Duration) {
 	if r != nil && fn != nil {
 		r.now = fn
 	}
-}
-
-// Tracer returns the registry's span tracer (nil for a nil Registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // Events returns the registry's event log (nil for a nil Registry).
@@ -394,7 +384,6 @@ type Snapshot struct {
 	Counters   []CounterPoint   `json:"counters"`
 	Gauges     []GaugePoint     `json:"gauges"`
 	Histograms []HistogramPoint `json:"histograms"`
-	Spans      []SpanSummary    `json:"spans,omitempty"`
 	Events     EventStats       `json:"events"`
 }
 
@@ -443,7 +432,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Buckets: buckets, Sum: h.sum, Count: h.count,
 		})
 	}
-	snap.Spans = r.tracer.Summaries()
 	snap.Events = r.events.Stats()
 	return snap
 }

@@ -189,13 +189,10 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
-	sp := r.Tracer().Start("resolve", "10.0.0.1")
-	sp.Phase("request")
-	sp.Finish("commit")
 	r.Events().Log(SevInfo, "test", "ignored")
 	r.Events().Infof("test", "ignored %d", 1)
-	if got := r.Tracer().Completed(); got != nil {
-		t.Fatalf("nil tracer completed = %v", got)
+	if rec := r.EnableCausal(nil, 0); rec != nil || r.Causal() != nil {
+		t.Fatalf("nil registry handed out a causal recorder: %v", rec)
 	}
 	if got := r.Events().Events(); got != nil {
 		t.Fatalf("nil event log events = %v", got)
@@ -255,19 +252,44 @@ func TestSnapshotDeterministicOrderAndJSON(t *testing.T) {
 	}
 }
 
+// clockCtx is a causal.Context over an adjustable virtual clock.
+type clockCtx struct {
+	now   time.Duration
+	cause uint64
+}
+
+func (c *clockCtx) Now() time.Duration { return c.now }
+func (c *clockCtx) Cause() uint64      { return c.cause }
+func (c *clockCtx) SetCause(id uint64) (prev uint64) {
+	prev, c.cause = c.cause, id
+	return prev
+}
+
+// TestSetNowFeedsSpansAndEvents: events are stamped by the SetNow clock,
+// and a finished causal span is mirrored into the event log at that time.
 func TestSetNowFeedsSpansAndEvents(t *testing.T) {
 	r := New()
-	var now time.Duration
-	r.SetNow(func() time.Duration { return now })
-	sp := r.Tracer().Start("resolve", "ip")
-	now = 3 * time.Second
-	sp.Finish("commit")
-	recs := r.Tracer().Completed()
-	if len(recs) != 1 || recs[0].Duration() != 3*time.Second {
-		t.Fatalf("span duration = %+v", recs)
+	ctx := &clockCtx{}
+	r.SetNow(ctx.Now)
+	rec := r.EnableCausal(ctx, 0)
+	if r.Causal() != rec {
+		t.Fatal("Causal() does not return the enabled recorder")
+	}
+	sp := rec.Begin("stack", "resolve")
+	ctx.now = 3 * time.Second
+	sp.End()
+	spans := rec.Spans()
+	if len(spans) != 1 || spans[0].Duration() != 3*time.Second {
+		t.Fatalf("span duration = %+v", spans)
 	}
 	r.Events().Log(SevInfo, "c", "m")
-	if evs := r.Events().Events(); len(evs) != 1 || evs[0].At != 3*time.Second {
-		t.Fatalf("event timestamp = %+v", evs)
+	evs := r.Events().Events()
+	if len(evs) != 2 || evs[0].Component != "causal" || evs[0].Message != "stack/resolve" {
+		t.Fatalf("span not mirrored into the event log: %+v", evs)
+	}
+	for _, ev := range evs {
+		if ev.At != 3*time.Second {
+			t.Fatalf("event timestamp = %+v", ev)
+		}
 	}
 }

@@ -3,11 +3,14 @@
 #
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
-# once, the hot-path allocation gates (encode/decode, cache, CAM, unicast
-# transit must stay at 0 allocs/op), a 10-second run of the ARP cache's
-# differential fuzz target, and an experiment-registry completeness leg (a
-# small-trial pass of every experiment, diffed against the arpbench -list
-# catalogue). Any failure stops the run with a non-zero exit.
+# once (scripts/race.sh, also `make race`), the hot-path allocation gates
+# (encode/decode, cache, CAM, unicast transit must stay at 0 allocs/op), a
+# 10-second run of the ARP cache's differential fuzz target, an
+# experiment-registry completeness leg (a small-trial pass of every
+# experiment, diffed against the arpbench -list catalogue), and an
+# evaluation golden leg (a -trials 10 pass diffed against the committed
+# evaluation_output.txt with the host-timed Table 4 and Figure 3 masked).
+# Any failure stops the run with a non-zero exit.
 #
 #   ./scripts/check.sh          # the full gate
 #   make check                  # same, via the Makefile
@@ -32,17 +35,7 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/eval ./internal/integration ./internal/faults ./internal/schemes/registry ./internal/telemetry/causal ./internal/ops ./internal/trace ./internal/replay ./internal/sim ./internal/labnet ./internal/scenario"
-# internal/replay under -race covers the golden MITM replay at shard widths
-# 1/2/8 — the byte-identical-at-any-width determinism contract — with the
-# sharded reader/worker/merger pipeline actually racing. internal/sim,
-# internal/labnet, and internal/scenario put the sharded campus engine's
-# worker pool under the detector the same way: figure9, figure10 (the
-# faulted per-deployment sweep), the campus MITM scenario, and the
-# faulted+stacked campus scenario all assert byte-identical output at
-# shard widths 1/2/8, with trunk partitions and router flushes armed
-# across shard boundaries.
-go test -race ./internal/eval ./internal/integration ./internal/faults ./internal/schemes/registry ./internal/telemetry/causal ./internal/ops ./internal/trace ./internal/replay ./internal/sim ./internal/labnet ./internal/scenario
+./scripts/race.sh
 
 echo "==> bench smoke (sequential vs parallel Table 3, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkTable3(Sequential|Parallel)$' -benchtime=1x .
@@ -86,6 +79,22 @@ grep -E '^(Table|Figure) [0-9]+b?:' "$tmpdir/full.txt" |
 	awk '{ id = tolower($1) $2; sub(/:$/, "", id); print id }' | sort >"$tmpdir/rendered"
 if ! diff -u "$tmpdir/listed" "$tmpdir/rendered"; then
 	echo "arpbench -list catalogue and rendered artifacts disagree" >&2
+	exit 1
+fi
+
+echo "==> evaluation golden (-trials 10 vs evaluation_output.txt, host-timed Table 4 / Figure 3 masked)"
+# Table 4 and Figure 3 embed host CPU timings and real ECDSA signature
+# lengths; every other artifact, Table 10 included, must regenerate byte for
+# byte. Masking keeps each artifact header and drops its body up to the next
+# artifact header.
+mask_host_timed() {
+	awk '/^(Table|Figure) [0-9]+b?:/ { skip = /^(Table 4|Figure 3):/; print; next } !skip' "$1"
+}
+"$tmpdir/arpbench" -trials 10 -cache >"$tmpdir/eval.txt"
+mask_host_timed evaluation_output.txt >"$tmpdir/eval.want"
+mask_host_timed "$tmpdir/eval.txt" >"$tmpdir/eval.got"
+if ! diff -u "$tmpdir/eval.want" "$tmpdir/eval.got"; then
+	echo "regenerated evaluation output drifted from evaluation_output.txt (make regen after a deliberate change)" >&2
 	exit 1
 fi
 
