@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
 	"repro/internal/stats"
 )
@@ -46,93 +45,6 @@ func figure10FaultPlan() *faults.Plan {
 	}}
 }
 
-// figure10TrialConfig parameterizes one faulted-campus trial.
-type figure10TrialConfig struct {
-	scheme  string         // single-scheme deployments
-	stack   registry.Stack // non-empty: deploy the stack instead
-	size    int
-	seed    int64
-	workers int
-	horizon time.Duration
-}
-
-// figure10TrialResult is one trial's outcome.
-type figure10TrialResult struct {
-	hosts    int
-	detected bool
-	latency  time.Duration
-	faults   uint64 // fault events the plan demonstrably injected
-}
-
-// runFigure10Trial assembles a campus sized for cfg.size hosts, installs
-// the deployment on every LAN, arms the standard LAN-0 gateway MITM, arms
-// the fault plan, and reports first-detection latency under adversity.
-func runFigure10Trial(cfg figure10TrialConfig) figure10TrialResult {
-	lans, perLAN := labnet.SizeCampus(cfg.size)
-	fanout := perLAN / 256
-	if fanout < 4 {
-		fanout = 4
-	}
-	campusCfg := labnet.CampusConfig{
-		Seed:             cfg.seed,
-		LANs:             lans,
-		HostsPerLAN:      perLAN,
-		Workers:          cfg.workers,
-		BackgroundFanout: fanout,
-		WithAttacker:     true,
-	}
-	if len(cfg.stack.Schemes) > 0 {
-		opts, err := registry.StackHostOptions(cfg.stack)
-		if err != nil {
-			panic(fmt.Sprintf("eval: stack host options: %v", err)) // a bug, not a result
-		}
-		campusCfg.HostOptions = opts
-	}
-	c := labnet.NewCampus(campusCfg)
-	defer c.Recycle()
-	if len(cfg.stack.Schemes) > 0 {
-		if _, err := c.DeployStack(cfg.stack); err != nil {
-			panic(fmt.Sprintf("eval: campus deploy stack: %v", err)) // a bug, not a result
-		}
-	} else if _, err := c.Deploy(cfg.scheme, detectionParams[cfg.scheme]); err != nil {
-		panic(fmt.Sprintf("eval: campus deploy %s: %v", cfg.scheme, err)) // a bug, not a result
-	}
-
-	lan0 := c.LANs[0]
-	atk, victim := lan0.Attacker, lan0.Victim()
-	gwIP, gwMAC := lan0.Router.IP(), lan0.Router.MAC()
-	// The same phase randomization as Figure 9's trials; the attack lands
-	// inside the impairment window and just before the backbone partition.
-	attackAt := 10*time.Second + time.Duration(lan0.Sched.Rand().Int63n(int64(5*time.Second)))
-	lan0.Sched.At(attackAt, func() {
-		atk.PoisonPeriodically(2*time.Second, victim.MAC(), victim.IP(), gwMAC, gwIP)
-		atk.RelayBetween(victim.MAC(), victim.IP(), gwMAC, gwIP)
-	})
-
-	// Same ordering contract as the scenario engine: faults arm after
-	// scheme deployment and attack arming.
-	ctl, err := faults.Apply(figure10FaultPlan(), c.FaultEnv())
-	if err != nil {
-		panic(fmt.Sprintf("eval: figure 10 fault plan rejected: %v", err)) // a bug, not a result
-	}
-
-	_ = c.Run(cfg.horizon)
-
-	res := figure10TrialResult{hosts: c.TotalHosts(), faults: ctl.Stats().Total()}
-	for _, a := range c.MergedAlerts() {
-		if a.LAN == 0 && (a.IP == gwIP || a.IP == victim.IP()) && a.At >= attackAt {
-			res.detected = true
-			res.latency = a.At - attackAt
-			break
-		}
-	}
-	if !res.detected {
-		// Censored at the observation bound, like every latency experiment.
-		res.latency = cfg.horizon - attackAt
-	}
-	return res
-}
-
 // Figure10FaultedCampus sweeps the campus population from hundreds to a
 // million stations and plots, per deployment, the median detection latency
 // under a fixed adversity script: a lossy access segment, a backbone
@@ -151,13 +63,14 @@ func Figure10FaultedCampus(sizes []int, trialsPerPoint, workers int, horizon tim
 		YFmt:   "%.1f",
 	}
 	deployments := figure10Deployments()
-	var cfgs []figure10TrialConfig
+	var cfgs []campusTrialConfig
 	for _, d := range deployments {
 		for _, size := range sizes {
 			for seed := int64(1); seed <= int64(trialsPerPoint); seed++ {
-				cfgs = append(cfgs, figure10TrialConfig{
+				cfgs = append(cfgs, campusTrialConfig{
 					scheme:  d.scheme,
 					stack:   d.stack,
+					faulted: true,
 					size:    size,
 					seed:    seed + 12000, // distinct seed space from Figure 9
 					workers: workers,
@@ -167,7 +80,7 @@ func Figure10FaultedCampus(sizes []int, trialsPerPoint, workers int, horizon tim
 		}
 	}
 	scope := Scope{Experiment: "figure10", Params: fmt.Sprintf("horizon=%v", horizon)}
-	results := CachedMap(scope, cfgs, runFigure10Trial)
+	results := CachedMap(scope, cfgs, runCampusTrial)
 	cell := 0
 	for _, d := range deployments {
 		for _, size := range sizes {

@@ -36,8 +36,8 @@ func TestFigure10RendersAllDeployments(t *testing.T) {
 // the per-LAN deployment still catches the LAN-0 MITM from inside the
 // isolated segment.
 func TestFigure10TrialSurvivesTheFaultPlan(t *testing.T) {
-	res := runFigure10Trial(figure10TrialConfig{
-		scheme: "arpwatch", size: 500, seed: 1, workers: 1, horizon: 30 * time.Second,
+	res := runCampusTrial(campusTrialConfig{
+		scheme: "arpwatch", faulted: true, size: 500, seed: 1, workers: 1, horizon: 30 * time.Second,
 	})
 	if res.faults == 0 {
 		t.Fatal("fault plan injected nothing")
@@ -56,8 +56,8 @@ func TestFigure10TrialSurvivesTheFaultPlan(t *testing.T) {
 // TestFigure10StackDeploysAtScale: the defense-in-depth deployment — with
 // its construction-time members — assembles and detects on a campus too.
 func TestFigure10StackDeploysAtScale(t *testing.T) {
-	res := runFigure10Trial(figure10TrialConfig{
-		stack: table9Stacks()[0], size: 500, seed: 1, workers: 1, horizon: 30 * time.Second,
+	res := runCampusTrial(campusTrialConfig{
+		stack: table9Stacks()[0], faulted: true, size: 500, seed: 1, workers: 1, horizon: 30 * time.Second,
 	})
 	if !res.detected {
 		t.Fatal("stacked campus MITM went undetected")

@@ -4,16 +4,22 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
 	"repro/internal/stats"
 )
 
 // campusTrialConfig parameterizes one campus-scale trial: a routed
-// multi-LAN topology with `size` total stations, a router↔victim MITM in
-// LAN 0, and arpwatch deployed per-LAN (the paper's per-LAN-cost vantage,
-// the one that stays deployable at campus scale).
+// multi-LAN topology with `size` total stations, one deployment on every
+// LAN — a detection scheme with its detectionParams overrides, or a stack —
+// and a router↔victim MITM in LAN 0, optionally under figure10FaultPlan.
+// The config stays free of pointers and funcs: CachedMap keys cells by its
+// %+v rendering.
 type campusTrialConfig struct {
+	scheme  string         // single-scheme deployments
+	stack   registry.Stack // non-empty: deploy the stack instead
+	faulted bool           // arm figure10FaultPlan
 	size    int
 	seed    int64
 	workers int
@@ -26,18 +32,20 @@ type campusTrialResult struct {
 	detected bool
 	latency  time.Duration
 	frames   uint64 // frames the whole fabric carried to the horizon
+	faults   uint64 // fault events the plan demonstrably injected
 }
 
-// runCampusTrial assembles a campus sized for cfg.size hosts, deploys
-// arpwatch on every LAN, runs the standard gateway MITM inside LAN 0, and
-// reports the correlated first-detection latency plus fabric throughput.
+// runCampusTrial assembles a campus sized for cfg.size hosts, installs the
+// deployment on every LAN, arms the standard LAN-0 gateway MITM and, when
+// faulted, the fault plan, and reports the correlated first-detection
+// latency plus fabric throughput.
 func runCampusTrial(cfg campusTrialConfig) campusTrialResult {
 	lans, perLAN := labnet.SizeCampus(cfg.size)
 	fanout := perLAN / 256
 	if fanout < 4 {
 		fanout = 4
 	}
-	c := labnet.NewCampus(labnet.CampusConfig{
+	campusCfg := labnet.CampusConfig{
 		Seed:        cfg.seed,
 		LANs:        lans,
 		HostsPerLAN: perLAN,
@@ -46,26 +54,57 @@ func runCampusTrial(cfg campusTrialConfig) campusTrialResult {
 		// measures the fabric actually working at that scale.
 		BackgroundFanout: fanout,
 		WithAttacker:     true,
-	})
+	}
+	stacked := len(cfg.stack.Schemes) > 0
+	if stacked {
+		opts, err := registry.StackHostOptions(cfg.stack)
+		if err != nil {
+			panic(fmt.Sprintf("eval: stack host options: %v", err)) // a bug, not a result
+		}
+		campusCfg.HostOptions = opts
+	}
+	c := labnet.NewCampus(campusCfg)
 	defer c.Recycle()
-	if _, err := c.Deploy(registry.NameArpwatch, registry.P{"seedGateway": false}); err != nil {
-		panic(fmt.Sprintf("eval: campus deploy arpwatch: %v", err)) // a bug, not a result
+	for _, site := range c.Sites() {
+		var err error
+		if stacked {
+			_, err = registry.DeployStack(site.Env(), cfg.stack)
+		} else {
+			_, err = registry.Deploy(site.Env(), cfg.scheme, detectionParams[cfg.scheme])
+		}
+		if err != nil {
+			panic(fmt.Sprintf("eval: campus deploy on lan %d: %v", site.Index, err)) // a bug, not a result
+		}
 	}
 
 	lan0 := c.LANs[0]
 	atk, victim := lan0.Attacker, lan0.Victim()
 	gwIP, gwMAC := lan0.Router.IP(), lan0.Router.MAC()
 	// Same phase randomization as the flat-LAN trials: the attack lands at
-	// a seeded random offset within a 5s window.
+	// a seeded random offset within a 5s window — under faults, inside the
+	// impairment window and just before the backbone partition.
 	attackAt := 10*time.Second + time.Duration(lan0.Sched.Rand().Int63n(int64(5*time.Second)))
 	lan0.Sched.At(attackAt, func() {
 		atk.PoisonPeriodically(2*time.Second, victim.MAC(), victim.IP(), gwMAC, gwIP)
 		atk.RelayBetween(victim.MAC(), victim.IP(), gwMAC, gwIP)
 	})
 
+	// Same ordering contract as the scenario engine: faults arm after
+	// scheme deployment and attack arming.
+	var ctl *faults.Controller
+	if cfg.faulted {
+		var err error
+		if ctl, err = faults.Apply(figure10FaultPlan(), c.FaultEnv()); err != nil {
+			panic(fmt.Sprintf("eval: figure 10 fault plan rejected: %v", err)) // a bug, not a result
+		}
+	}
+
 	_ = c.Run(cfg.horizon)
 
 	res := campusTrialResult{hosts: c.TotalHosts(), frames: c.Frames()}
+	if ctl != nil {
+		res.faults = ctl.Stats().Total()
+	}
 	for _, a := range c.MergedAlerts() {
 		if a.LAN == 0 && (a.IP == gwIP || a.IP == victim.IP()) && a.At >= attackAt {
 			res.detected = true
@@ -101,6 +140,7 @@ func Figure9CampusScaling(sizes []int, trialsPerPoint, workers int, horizon time
 	for _, size := range sizes {
 		for seed := int64(1); seed <= int64(trialsPerPoint); seed++ {
 			cfgs = append(cfgs, campusTrialConfig{
+				scheme:  registry.NameArpwatch,
 				size:    size,
 				seed:    seed + 11000, // distinct seed space from the flat-LAN trials
 				workers: workers,

@@ -32,7 +32,7 @@ func TestFigure9RendersAllSizes(t *testing.T) {
 // TestFigure9DetectsTheMITM: the per-LAN arpwatch deployment actually
 // catches the LAN-0 MITM rather than reporting censored horizons.
 func TestFigure9DetectsTheMITM(t *testing.T) {
-	res := runCampusTrial(campusTrialConfig{size: 500, seed: 1, workers: 1, horizon: 20 * time.Second})
+	res := runCampusTrial(campusTrialConfig{scheme: "arpwatch", size: 500, seed: 1, workers: 1, horizon: 20 * time.Second})
 	if !res.detected {
 		t.Fatal("campus MITM went undetected")
 	}
@@ -71,7 +71,7 @@ func TestFigure9MillionHostBudget(t *testing.T) {
 		t.Skip("million-host point skipped in -short")
 	}
 	start := time.Now()
-	res := runCampusTrial(campusTrialConfig{size: 1_000_000, seed: 1, workers: 0, horizon: 30 * time.Second})
+	res := runCampusTrial(campusTrialConfig{scheme: "arpwatch", size: 1_000_000, seed: 1, workers: 0, horizon: 30 * time.Second})
 	elapsed := time.Since(start)
 	if res.hosts < 1_000_000 {
 		t.Fatalf("campus undersized: %d hosts", res.hosts)

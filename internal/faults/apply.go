@@ -12,25 +12,16 @@ import (
 
 // Env is the set of simulation objects a plan may target, assembled by the
 // caller (labnet.LAN.FaultEnv or labnet.Campus.FaultEnv for the standard
-// workbenches). Slices are index-addressed from fault events: Links[i] is
-// link target i, Hosts[i] is host target i. Only a scheduler is mandatory;
-// an event targeting an absent object is an Apply-time error, never a
-// silent no-op.
+// workbenches). Only a scheduler and one site are mandatory; an event
+// targeting an absent object is an Apply-time error, never a silent no-op.
 //
-// A flat LAN fills the top-level fields and leaves Sites empty; it is then
-// treated as the single-site topology "lan 0", which is why a plan saying
-// "lan:0/link:3" behaves byte-identically to one saying "link": 3. A routed
-// topology fills Sites (one entry per LAN, each with its own shard
-// scheduler) and Trunks instead.
+// Every topology is a list of sites: a flat LAN is the single site "lan 0",
+// which is why a plan saying "lan:0/link:3" behaves byte-identically to one
+// saying "link": 3, and a routed campus is one site per LAN (each with its
+// own shard scheduler) plus the trunks between them.
 type Env struct {
+	// Sched arms the topology-wide events (dhcp-outage).
 	Sched *sim.Scheduler
-	// Links are the fault-targetable attachments, in a caller-defined,
-	// deterministic order.
-	Links []*netsim.Link
-	// Switch receives cam-flush events.
-	Switch *netsim.Switch
-	// Hosts receive host-churn events.
-	Hosts []*stack.Host
 	// DHCP servers all go dark together during a dhcp-outage window.
 	DHCP []*dhcp.Server
 	// Registry, when non-nil, receives per-fault-type injection counters
@@ -39,23 +30,26 @@ type Env struct {
 	// events landing on site 0's time domain touch it.
 	Registry *telemetry.Registry
 
-	// Sites, when non-empty, exposes a routed topology segment by segment;
-	// the flat Links/Switch/Hosts fields above are then ignored. Every
-	// event callback for a site's objects is armed on that site's own
-	// scheduler, so injection stays race-free and byte-identical at any
-	// shard-worker width.
+	// Sites exposes the topology segment by segment. Every event callback
+	// for a site's objects is armed on that site's own scheduler, so
+	// injection stays race-free and byte-identical at any shard-worker
+	// width. Bare indices ("link": 3, "host": 4) address site 0.
 	Sites []SiteEnv
 	// Trunks are the backbone edges, targets for trunk-partition.
 	Trunks []TrunkEnv
 }
 
-// SiteEnv is one segment's targetable view inside a routed topology.
+// SiteEnv is one segment's targetable view.
 type SiteEnv struct {
 	// Sched is the shard that owns this segment's time domain.
-	Sched  *sim.Scheduler
-	Links  []*netsim.Link
+	Sched *sim.Scheduler
+	// Links are the fault-targetable attachments, in a caller-defined,
+	// deterministic order: Links[i] is link target i.
+	Links []*netsim.Link
+	// Switch receives cam-flush events.
 	Switch *netsim.Switch
-	Hosts  []*stack.Host
+	// Hosts receive host-churn events: Hosts[i] is host target i.
+	Hosts []*stack.Host
 	// Router is the segment's edge router, the router-flush target; nil on
 	// flat topologies.
 	Router *netsim.RouterIface
@@ -205,15 +199,6 @@ func (c *Controller) chainFor(t siteLink) *chain {
 	return ch
 }
 
-// resolveSites returns the targetable site list: Env.Sites verbatim, or the
-// flat fields wrapped as the implicit single site 0.
-func resolveSites(env Env) []SiteEnv {
-	if len(env.Sites) > 0 {
-		return env.Sites
-	}
-	return []SiteEnv{{Sched: env.Sched, Links: env.Links, Switch: env.Switch, Hosts: env.Hosts}}
-}
-
 // Apply validates the plan against env and arms every event on the
 // owning site's scheduler. It returns the controller that tracks what the
 // plan injects. Apply itself draws no randomness and schedules only
@@ -222,17 +207,19 @@ func Apply(p *Plan, env Env) (*Controller, error) {
 	if env.Sched == nil {
 		return nil, fmt.Errorf("faults: environment has no scheduler")
 	}
-	sites := resolveSites(env)
-	for i, s := range sites {
+	if len(env.Sites) == 0 {
+		return nil, fmt.Errorf("faults: environment has no sites")
+	}
+	for i, s := range env.Sites {
 		if s.Sched == nil {
 			return nil, fmt.Errorf("faults: site %d has no scheduler", i)
 		}
 	}
 	ctl := &Controller{
 		env:     env,
-		sites:   sites,
+		sites:   env.Sites,
 		chains:  make(map[siteLink]*chain),
-		stats:   make([]Stats, len(sites)),
+		stats:   make([]Stats, len(env.Sites)),
 		mByType: make(map[string]*telemetry.Counter),
 	}
 	if env.Registry != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/ipv4pkt"
 	"repro/internal/netsim"
 	"repro/internal/schemes"
-	"repro/internal/schemes/registry"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
@@ -254,12 +253,6 @@ func (c *Campus) TotalHosts() int {
 // Run drains the campus to the horizon across all shards.
 func (c *Campus) Run(horizon time.Duration) error { return c.Sharded.RunUntil(horizon) }
 
-// Attacker returns the attacker's LAN (nil station without WithAttacker).
-func (c *Campus) Attacker() *CampusLAN { return c.LANs[c.cfg.AttackerLAN] }
-
-// AttackerLAN returns the index of the segment hosting the attacker.
-func (c *Campus) AttackerLAN() int { return c.cfg.AttackerLAN }
-
 // Sites renders the campus as the deployment plane's ordered site list:
 // one per LAN, each carrying its router, sink, and (site 0 only) the
 // telemetry registry. The attacker's identity rides along to every remote
@@ -299,81 +292,16 @@ func (c *Campus) FaultEnv() faults.Env {
 	return env
 }
 
-// Deploy installs a registry scheme on every LAN, each instance reporting
-// into its LAN's sink. Per-LAN cost schemes (appliances, switch features)
-// deploy once per segment exactly as the paper's cost taxonomy prices
-// them; per-host schemes touch each LAN's active stations.
-func (c *Campus) Deploy(name string, params any) ([]*registry.Instance, error) {
-	insts := make([]*registry.Instance, 0, len(c.LANs))
-	for _, s := range c.Sites() {
-		inst, err := registry.Deploy(s.Env(), name, params)
-		if err != nil {
-			return nil, fmt.Errorf("lan %d: %w", s.Index, err)
-		}
-		insts = append(insts, inst)
-	}
-	return insts, nil
-}
-
-// DeployStack installs an a+b+c stack on every LAN, one correlated
-// StackInstance per segment reporting into that segment's sink.
-func (c *Campus) DeployStack(st registry.Stack) ([]*registry.StackInstance, error) {
-	insts := make([]*registry.StackInstance, 0, len(c.LANs))
-	for _, s := range c.Sites() {
-		inst, err := registry.DeployStack(s.Env(), st)
-		if err != nil {
-			return nil, fmt.Errorf("lan %d: %w", s.Index, err)
-		}
-		insts = append(insts, inst)
-	}
-	return insts, nil
-}
-
-// CampusAlert is one alert correlated into the campus-wide view.
-type CampusAlert struct {
-	schemes.Alert
-	LAN int
-}
-
 // MergedAlerts correlates the per-LAN sinks into one deterministically
 // ordered stream: by time, then LAN index, then per-sink arrival order.
-func (c *Campus) MergedAlerts() []CampusAlert {
-	var out []CampusAlert
-	for _, cl := range c.LANs {
-		for _, a := range cl.Sink.Alerts() {
-			out = append(out, CampusAlert{Alert: a, LAN: cl.Index})
-		}
-	}
-	// Per-sink order is already time-sorted within a LAN; a stable merge by
-	// (At, LAN) keeps arrival order as the tiebreak.
-	sortAlerts(out)
-	return out
-}
-
-func sortAlerts(out []CampusAlert) {
-	// Insertion sort is stable and the alert volume is small; avoids
-	// importing sort.SliceStable's reflection cost in the hot path.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &out[j-1], &out[j]
-			if a.At < b.At || (a.At == b.At && a.LAN <= b.LAN) {
-				break
-			}
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-}
+func (c *Campus) MergedAlerts() []SiteAlert { return mergeAlerts(c.Sites()) }
 
 // PoisonedCount returns how many campus stations — active hosts, bank
 // stations, and router interfaces — currently bind ip to mac.
 func (c *Campus) PoisonedCount(ip ethaddr.IPv4, mac ethaddr.MAC) int {
 	n := 0
 	for _, cl := range c.LANs {
-		for _, h := range cl.Hosts {
-			if got, ok := h.Cache().Lookup(ip); ok && got == mac {
-				n++
-			}
-		}
+		n += cl.boundTo(ip, mac)
 		if cl.Bank != nil && ip == cl.Router.IP() {
 			n += cl.Bank.PoisonedCount(mac)
 		}
@@ -395,19 +323,14 @@ func (c *Campus) Frames() uint64 {
 	return n
 }
 
-// Recycle returns every LAN's shard scheduler to the trial pool after
-// resetting its frame arena. The campus is dead afterwards.
+// Recycle returns every LAN's shard scheduler to the trial pool. The
+// campus is dead afterwards.
 func (c *Campus) Recycle() {
 	for _, cl := range c.LANs {
-		s := cl.Sched
-		cl.Sched = nil
-		if s == nil {
-			continue
+		if cl.Sched != nil {
+			releaseScheduler(cl.Sched)
+			cl.Sched = nil
 		}
-		if a, ok := s.Scratch(sim.ScratchFrames).(*arppkt.Arena); ok {
-			a.Reset()
-		}
-		schedPool.Put(s)
 	}
 }
 

@@ -59,14 +59,23 @@ func TestCampusAssembly(t *testing.T) {
 	}
 }
 
+// deployArpwatch installs arpwatch (cold, no seeded gateway) on every
+// campus site, through the same site loop the scenario engine deploys with.
+func deployArpwatch(t *testing.T, c *Campus) {
+	t.Helper()
+	for _, s := range c.Sites() {
+		if _, err := registry.Deploy(s.Env(), registry.NameArpwatch, json.RawMessage(`{"seedGateway": false}`)); err != nil {
+			t.Fatalf("lan %d: Deploy: %v", s.Index, err)
+		}
+	}
+}
+
 // TestCampusBankPoisoning: a broadcast gateway claim repoints every bank
 // station at once (shared-fate naive caches); the census sees it, and the
 // per-LAN arpwatch deployment raises correlated alerts.
 func TestCampusBankPoisoning(t *testing.T) {
 	c := NewCampus(CampusConfig{Seed: 4, LANs: 2, HostsPerLAN: 50, WithAttacker: true})
-	if _, err := c.Deploy(registry.NameArpwatch, json.RawMessage(`{"seedGateway": false}`)); err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	deployArpwatch(t, c)
 	lan0 := c.LANs[0]
 	atk := lan0.Attacker
 	gwIP := lan0.Router.IP()
@@ -132,9 +141,7 @@ func campusTranscript(t *testing.T, workers int) string {
 	c := NewCampus(CampusConfig{
 		Seed: 11, LANs: 4, HostsPerLAN: 64, Workers: workers, WithAttacker: true,
 	})
-	if _, err := c.Deploy(registry.NameArpwatch, json.RawMessage(`{"seedGateway": false}`)); err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	deployArpwatch(t, c)
 	lan0 := c.LANs[0]
 	atk := lan0.Attacker
 	gwIP := lan0.Router.IP()

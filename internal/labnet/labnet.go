@@ -102,15 +102,23 @@ func (l *LAN) Recycle() {
 	if l.Sched == nil || l.external {
 		return
 	}
-	// The trial's ARP frames all came from the scheduler's arena and nothing
-	// the trial returned can reference them (alerts, latencies and traces
-	// carry values, not frame pointers) — reclaim them wholesale so the next
-	// trial rewrites the same slabs.
-	if a, ok := l.Sched.Scratch(sim.ScratchFrames).(*arppkt.Arena); ok {
+	releaseScheduler(l.Sched)
+	l.Sched = nil
+}
+
+// releaseScheduler resets a finished trial's scheduler and returns it to
+// the pool. The trial's ARP frames all came from the scheduler's arena and
+// nothing the trial returned can reference them (alerts, latencies and
+// traces carry values, not frame pointers), so they are reclaimed
+// wholesale and the next trial rewrites the same slabs. Resetting here, not
+// only on reuse, drops every pending event's callback and task, so a
+// pooled scheduler never keeps the finished topology reachable.
+func releaseScheduler(s *sim.Scheduler) {
+	if a, ok := s.Scratch(sim.ScratchFrames).(*arppkt.Arena); ok {
 		a.Reset()
 	}
-	schedPool.Put(l.Sched)
-	l.Sched = nil
+	s.Reset(0)
+	schedPool.Put(s)
 }
 
 // LAN is the assembled environment.
@@ -265,23 +273,22 @@ func (l *LAN) SeedMutualCaches() {
 	}
 }
 
-// FaultEnv assembles the fault-injection environment for this LAN: link
-// target i is host i's attachment (0 = gateway), with the monitor's link
-// appended last when present, so faults degrade both the stations and the
-// detector's own vantage point. The attacker's link is deliberately
-// excluded — the attack is the experiments' ground truth, and degrading it
-// would conflate "scheme got worse" with "attack got weaker". Callers add
-// Registry and DHCP servers themselves.
+// FaultEnv assembles the fault-injection environment for this LAN as the
+// one-site topology "lan 0": link target i is host i's attachment (0 =
+// gateway), with the monitor's link appended last when present, so faults
+// degrade both the stations and the detector's own vantage point. The
+// attacker's link is deliberately excluded — the attack is the
+// experiments' ground truth, and degrading it would conflate "scheme got
+// worse" with "attack got weaker". Callers add Registry and DHCP servers
+// themselves.
 func (l *LAN) FaultEnv() faults.Env {
 	links := append([]*netsim.Link(nil), l.Links...)
 	if l.MonitorLink != nil {
 		links = append(links, l.MonitorLink)
 	}
 	return faults.Env{
-		Sched:  l.Sched,
-		Links:  links,
-		Switch: l.Switch,
-		Hosts:  l.Hosts,
+		Sched: l.Sched,
+		Sites: []faults.SiteEnv{{Sched: l.Sched, Links: links, Switch: l.Switch, Hosts: l.Hosts}},
 	}
 }
 
@@ -291,9 +298,14 @@ func (l *LAN) PoisonedCount(ip ethaddr.IPv4) int {
 	if l.Attacker == nil {
 		return 0
 	}
+	return l.boundTo(ip, l.Attacker.MAC())
+}
+
+// boundTo returns how many hosts currently bind ip to mac.
+func (l *LAN) boundTo(ip ethaddr.IPv4, mac ethaddr.MAC) int {
 	n := 0
 	for _, h := range l.Hosts {
-		if mac, ok := h.Cache().Lookup(ip); ok && mac == l.Attacker.MAC() {
+		if got, ok := h.Cache().Lookup(ip); ok && got == mac {
 			n++
 		}
 	}

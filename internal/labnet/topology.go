@@ -48,25 +48,36 @@ func (s *Site) Env() *registry.Env {
 	return env
 }
 
+// Gateway returns the segment's gateway binding: the edge router's
+// interface on a routed segment, host 0 on a flat LAN.
+func (s *Site) Gateway() (ethaddr.IPv4, ethaddr.MAC) {
+	if s.Router != nil {
+		return s.Router.IP(), s.Router.MAC()
+	}
+	gw := s.LAN.Gateway()
+	return gw.IP(), gw.MAC()
+}
+
 // faultView renders the segment as one faults site.
 func (s *Site) faultView() faults.SiteEnv {
-	fe := s.LAN.FaultEnv()
-	return faults.SiteEnv{
-		Sched:  s.LAN.Sched,
-		Links:  fe.Links,
-		Switch: fe.Switch,
-		Hosts:  fe.Hosts,
-		Router: s.Router,
-	}
+	v := s.LAN.FaultEnv().Sites[0]
+	v.Router = s.Router
+	return v
 }
 
 // Topology is the deployment-neutral surface shared by flat LANs (via
 // Single) and the routed Campus: an ordered site list, a fault environment
-// covering every segment and trunk, and the run loop.
+// covering every segment and trunk, the run loop, and the collector's
+// reads — merged alerts and the poisoning census — plus Recycle, which
+// returns the topology's schedulers to the trial pool once the collector
+// is done.
 type Topology interface {
 	Sites() []*Site
 	FaultEnv() faults.Env
 	Run(horizon time.Duration) error
+	MergedAlerts() []SiteAlert
+	PoisonedCount(ip ethaddr.IPv4, mac ethaddr.MAC) int
+	Recycle()
 }
 
 // Single wraps a flat LAN as the one-site topology "lan 0". Hierarchical
@@ -84,8 +95,8 @@ func (s *Single) Sites() []*Site {
 	return []*Site{{Index: 0, LAN: s.LAN, Sink: s.Sink, Telemetry: s.Registry}}
 }
 
-// FaultEnv returns the LAN's flat fault environment (which faults.Apply
-// treats as the implicit site 0), carrying the registry when instrumented.
+// FaultEnv returns the LAN's one-site fault environment, carrying the
+// registry when instrumented.
 func (s *Single) FaultEnv() faults.Env {
 	env := s.LAN.FaultEnv()
 	env.Registry = s.Registry
@@ -94,6 +105,46 @@ func (s *Single) FaultEnv() faults.Env {
 
 // Run drains the LAN to the horizon.
 func (s *Single) Run(horizon time.Duration) error { return s.LAN.Run(horizon) }
+
+// MergedAlerts returns the sink's alerts, every one on LAN 0.
+func (s *Single) MergedAlerts() []SiteAlert { return mergeAlerts(s.Sites()) }
+
+// PoisonedCount returns how many hosts currently bind ip to mac.
+func (s *Single) PoisonedCount(ip ethaddr.IPv4, mac ethaddr.MAC) int {
+	return s.LAN.boundTo(ip, mac)
+}
+
+// Recycle returns the LAN's scheduler to the trial pool.
+func (s *Single) Recycle() { s.LAN.Recycle() }
+
+// SiteAlert is one alert correlated into the topology-wide view.
+type SiteAlert struct {
+	schemes.Alert
+	LAN int
+}
+
+// mergeAlerts correlates the per-site sinks into one deterministically
+// ordered stream: by time, then site index, then per-sink arrival order.
+func mergeAlerts(sites []*Site) []SiteAlert {
+	var out []SiteAlert
+	for _, s := range sites {
+		for _, a := range s.Sink.Alerts() {
+			out = append(out, SiteAlert{Alert: a, LAN: s.Index})
+		}
+	}
+	// Per-sink order is already time-sorted; insertion sort is stable, so
+	// arrival order stays the tiebreak, and it is linear on sorted input.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &out[j-1], &out[j]
+			if a.At < b.At || (a.At == b.At && a.LAN <= b.LAN) {
+				break
+			}
+			out[j-1], out[j] = out[j], out[j-1]
+		}
+	}
+	return out
+}
 
 var (
 	_ Topology = (*Single)(nil)

@@ -382,16 +382,12 @@ func (l *Link) transmit(f *frame.Frame, nic *NIC, port *Port) {
 		c.free = t.next
 		t.next = nil
 	} else {
-		// Carve a slab: amortizes ramp-up eight transits at a time the
-		// first time this scheduler's traffic reaches a new peak.
-		slab := make([]transit, 8)
-		for i := 1; i < len(slab); i++ {
-			slab[i].cache = c
-			slab[i].next = c.free
-			c.free = &slab[i]
-		}
-		t = &slab[0]
-		t.cache = c
+		// One allocation per transit, only the first time this scheduler's
+		// traffic reaches a new peak. Never carve slabs: a transit still in
+		// flight when a trial ends would share its backing array with parked
+		// siblings, and the free list would pin its frame and endpoints —
+		// the whole finished topology — for the scheduler's pooled life.
+		t = &transit{cache: c}
 	}
 	t.nic, t.port, t.f, t.sp, t.uses = nic, port, f, sp, 1
 	l.sched.AfterTask(d, t)

@@ -21,6 +21,10 @@ func TestCampusSectionStrictlyValidated(t *testing.T) {
 		"unknown campus key":    {`{"campus": {"bogus": 1}}`, "bogus"},
 		"addressing plan":       {`{"campus": {"lans": 300}}`, "max 250"},
 		"lonely victim":         {`{"campus": {"lans": 4, "activeHostsPerLAN": 1}}`, "at least 2"},
+		"negative LANs":         {`{"campus": {"lans": -1}}`, "lans -1"},
+		"negative population":   {`{"campus": {"hostsPerLAN": -4}}`, "hostsPerLAN -4"},
+		"one-station LANs":      {`{"campus": {"hostsPerLAN": 1}}`, "hostsPerLAN 1"},
+		"negative actives":      {`{"campus": {"activeHostsPerLAN": -2}}`, "activeHostsPerLAN -2"},
 		"attacker off the map":  {`{"campus": {"lans": 4, "attackerLan": 7}}`, "attackerLan 7 outside"},
 		"bad selector":          {`{"campus": {"lans": 4, "deployments": [{"lans": "everywhere", "schemes": [{"name": "dai"}]}]}}`, `valid: "*"`},
 		"selector off the map":  {`{"campus": {"lans": 4, "deployments": [{"lans": "2-9", "schemes": [{"name": "dai"}]}]}}`, "outside the campus"},

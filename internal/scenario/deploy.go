@@ -10,7 +10,50 @@ import (
 	"repro/internal/core"
 	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
+	"repro/internal/stack"
 )
+
+// layers lists the spec's deployments in deployment order: the top-level
+// schemes and stacks on every site, then each campus Deployments entry on
+// the segments it selects.
+func (spec *Spec) layers() []LANDeployment {
+	out := []LANDeployment{{Schemes: spec.Schemes, Stacks: spec.Stacks}}
+	if spec.Campus != nil {
+		out = append(out, spec.Campus.Deployments...)
+	}
+	return out
+}
+
+// layerErr labels an error from layer k with the campus deployment it came
+// from; the top-level layer keeps the bare error.
+func layerErr(k int, err error) error {
+	if k == 0 {
+		return err
+	}
+	return fmt.Errorf("campus deployment %d: %w", k-1, err)
+}
+
+// hostOptions folds a layer's construction-time host options:
+// construction-only schemes (kernel policies, address defense) act while
+// the hosts are being assembled; everything else deploys afterwards.
+func hostOptions(d LANDeployment) ([]stack.Option, error) {
+	var opts []stack.Option
+	for _, s := range d.Schemes {
+		o, err := registry.HostOptions(s.Name, s.Params)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, o...)
+	}
+	for _, st := range d.Stacks {
+		o, err := registry.StackHostOptions(st)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, o...)
+	}
+	return opts, nil
+}
 
 // deployment accumulates what the plane installed: every guard handle
 // (for incident accounting) and every stack instance (for correlation
@@ -27,11 +70,13 @@ func (d *deployment) note(inst *registry.Instance) {
 	}
 }
 
-// deployOnto installs the schemes and stacks onto every given site, in
-// spec order, schemes before stacks. Construction-only schemes are skipped
-// here — their host options were applied while the topology was assembled.
-func deployOnto(sites []*labnet.Site, specs []SchemeSpec, stacks []registry.Stack, d *deployment) error {
-	for _, s := range specs {
+// deployOnto installs a layer's schemes and stacks onto every site it
+// selects, in spec order, schemes before stacks. Construction-only schemes
+// are skipped here — their host options were applied while the topology
+// was assembled.
+func deployOnto(sites []*labnet.Site, layer LANDeployment, d *deployment) error {
+	lans, _ := parseLANSelector(layer.LANs, len(sites)) // Validate vouched
+	for _, s := range layer.Schemes {
 		f, ok := registry.Lookup(s.Name)
 		if !ok {
 			return registry.UnknownSchemeError(s.Name)
@@ -39,19 +84,19 @@ func deployOnto(sites []*labnet.Site, specs []SchemeSpec, stacks []registry.Stac
 		if f.ConstructionOnly() {
 			continue
 		}
-		for _, site := range sites {
-			inst, err := registry.Deploy(site.Env(), s.Name, s.Params)
+		for _, li := range lans {
+			inst, err := registry.Deploy(sites[li].Env(), s.Name, s.Params)
 			if err != nil {
-				return siteErr(site, err)
+				return siteErr(sites[li], err)
 			}
 			d.note(inst)
 		}
 	}
-	for _, st := range stacks {
-		for _, site := range sites {
-			si, err := registry.DeployStack(site.Env(), st)
+	for _, st := range layer.Stacks {
+		for _, li := range lans {
+			si, err := registry.DeployStack(sites[li].Env(), st)
 			if err != nil {
-				return siteErr(site, err)
+				return siteErr(sites[li], err)
 			}
 			d.stackInsts = append(d.stackInsts, si)
 			for _, m := range si.Members {

@@ -22,7 +22,6 @@ import (
 	"repro/internal/schemes/kernelpolicy"
 	"repro/internal/schemes/registry"
 	_ "repro/internal/schemes/registry/all" // link every scheme factory
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -32,7 +31,8 @@ import (
 type Spec struct {
 	// Seed drives all randomness (default 1).
 	Seed int64 `json:"seed"`
-	// Hosts is the number of stations, gateway included (default 4).
+	// Hosts is the number of stations, gateway included (default 4,
+	// minimum 2 — the gateway and the victim).
 	Hosts int `json:"hosts"`
 	// Policy names the hosts' cache policy profile (default "naive").
 	Policy string `json:"policy"`
@@ -71,7 +71,7 @@ type CampusSpec struct {
 	// (default 4, max 250 from the 10.<lan>.0.0/16 addressing plan).
 	LANs int `json:"lans"`
 	// HostsPerLAN is the per-LAN population: active protocol stacks plus
-	// the flyweight station bank (default 16).
+	// the flyweight station bank (default 16, minimum 2).
 	HostsPerLAN int `json:"hostsPerLAN"`
 	// ActiveHostsPerLAN is how many stations run full stacks (default 4,
 	// minimum 2 — the victim and one bystander).
@@ -100,6 +100,14 @@ type LANDeployment struct {
 	Schemes []SchemeSpec `json:"schemes,omitempty"`
 	// Stacks deploy correlated a+b+c composites on each selected segment.
 	Stacks []registry.Stack `json:"stacks,omitempty"`
+}
+
+// lans returns the campus's segment count, labnet's default applied.
+func (cs *CampusSpec) lans() int {
+	if cs.LANs == 0 {
+		return 4
+	}
+	return cs.LANs
 }
 
 // parseLANSelector resolves a deployment's segment selector against n LANs.
@@ -152,6 +160,13 @@ type SchemeSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
+// Attack timeline bounds: every flooding action schedules its whole burst
+// up front, and a sub-millisecond period would drown the run in re-arms.
+const (
+	maxAttackCount  = 100_000
+	minAttackPeriod = 0.001
+)
+
 // AttackSpec schedules one attacker action.
 type AttackSpec struct {
 	// AtSeconds is when the action starts.
@@ -162,9 +177,9 @@ type AttackSpec struct {
 	// Variant selects the poisoning delivery for type "poison"
 	// (gratuitous | unsolicited-reply | request-spoof | reply-race).
 	Variant string `json:"variant,omitempty"`
-	// Count sizes flooding attacks (default 500).
+	// Count sizes flooding attacks (default 500, max 100000).
 	Count int `json:"count,omitempty"`
-	// PeriodSeconds paces periodic actions (default 2).
+	// PeriodSeconds paces periodic actions (default 2, minimum 0.001).
 	PeriodSeconds float64 `json:"periodSeconds,omitempty"`
 }
 
@@ -185,9 +200,26 @@ func Load(r io.Reader) (*Spec, error) {
 }
 
 // Validate checks the parts of a Spec that can fail without running
-// anything: scheme names and parameters, stack composition, and the cache
-// policy name. Load calls it; callers assembling Specs in code can too.
+// anything: topology sizes, attack timeline bounds, scheme names and
+// parameters, stack composition, and the cache policy name. Load calls it;
+// callers assembling Specs in code can too.
 func (spec *Spec) Validate() error {
+	if spec.DurationSeconds < 0 {
+		return fmt.Errorf("durationSeconds %v is negative", spec.DurationSeconds)
+	}
+	if spec.Campus == nil && spec.Hosts != 0 && spec.Hosts < 2 {
+		return fmt.Errorf("hosts %d: need at least 2 (the gateway and the victim)", spec.Hosts)
+	}
+	for i, a := range spec.Attacks {
+		switch {
+		case a.AtSeconds < 0 || a.PeriodSeconds < 0 || a.Count < 0:
+			return fmt.Errorf("attack %d: atSeconds, periodSeconds and count must not be negative", i)
+		case a.PeriodSeconds > 0 && a.PeriodSeconds < minAttackPeriod:
+			return fmt.Errorf("attack %d: periodSeconds %v below the %vs floor", i, a.PeriodSeconds, minAttackPeriod)
+		case a.Count > maxAttackCount:
+			return fmt.Errorf("attack %d: count %d exceeds %d", i, a.Count, maxAttackCount)
+		}
+	}
 	for _, s := range spec.Schemes {
 		if err := registry.ValidateParams(s.Name, s.Params); err != nil {
 			return err
@@ -200,16 +232,19 @@ func (spec *Spec) Validate() error {
 	}
 	if spec.Campus != nil {
 		cs := spec.Campus
+		if cs.LANs < 0 {
+			return fmt.Errorf("campus: lans %d is negative", cs.LANs)
+		}
 		if cs.LANs > 250 {
 			return fmt.Errorf("campus: %d LANs exceeds the 10.<lan>.0.0/16 addressing plan (max 250)", cs.LANs)
 		}
-		if cs.ActiveHostsPerLAN == 1 {
-			return fmt.Errorf("campus: activeHostsPerLAN must be at least 2 (the victim and one bystander)")
+		if cs.HostsPerLAN != 0 && cs.HostsPerLAN < 2 {
+			return fmt.Errorf("campus: hostsPerLAN %d must be at least 2 (the victim and one bystander)", cs.HostsPerLAN)
 		}
-		lans := cs.LANs
-		if lans == 0 {
-			lans = 4
+		if cs.ActiveHostsPerLAN != 0 && cs.ActiveHostsPerLAN < 2 {
+			return fmt.Errorf("campus: activeHostsPerLAN %d must be at least 2 (the victim and one bystander)", cs.ActiveHostsPerLAN)
 		}
+		lans := cs.lans()
 		if cs.AttackerLAN < 0 || cs.AttackerLAN >= lans {
 			return fmt.Errorf("campus: attackerLan %d outside the campus's [0, %d) segments", cs.AttackerLAN, lans)
 		}
@@ -363,7 +398,11 @@ func (r *Result) Render(w io.Writer) error {
 	return err
 }
 
-// Run executes the scenario.
+// Run executes the scenario. It assembles the topology — one flat LAN, or
+// a routed campus when the spec has a Campus section — and runs one
+// sequence over its sites: deploy, arm the attack timeline against the
+// attacker site's gateway, arm faults, start background traffic, run,
+// collect.
 func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	var rc runConfig
 	for _, opt := range opts {
@@ -377,11 +416,7 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 		reg.Events().StreamTo(rc.eventStream, rc.eventMin)
 	}
 
-	if spec.Campus != nil {
-		return runCampus(spec, &rc)
-	}
-
-	if spec.Hosts == 0 {
+	if spec.Campus == nil && spec.Hosts == 0 {
 		spec.Hosts = 4
 	}
 	if spec.DurationSeconds == 0 {
@@ -393,50 +428,33 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	prof, _ := kernelpolicy.Find(spec.Policy) // Validate vouched for the name
 
-	// Construction-only schemes (kernel policies, address defense) act while
-	// the hosts are being assembled; everything else deploys afterwards.
-	var hostOpts []stack.Option
-	for _, s := range spec.Schemes {
-		opts, err := registry.HostOptions(s.Name, s.Params)
-		if err != nil {
-			return nil, err
-		}
-		hostOpts = append(hostOpts, opts...)
-	}
-	for _, st := range spec.Stacks {
-		opts, err := registry.StackHostOptions(st)
-		if err != nil {
-			return nil, err
-		}
-		hostOpts = append(hostOpts, opts...)
-	}
-	l := labnet.New(labnet.Config{
-		Seed:         spec.Seed,
-		Hosts:        spec.Hosts,
-		Policy:       prof.Policy,
-		WithAttacker: true,
-		WithMonitor:  true,
-		HostOptions:  hostOpts,
-		Telemetry:    reg,
-	})
-	capture := trace.NewCapture(0)
-	l.Switch.AddTap(capture.Tap())
-	sink := schemes.NewSink()
-	sink.Instrument(reg)
-	gw, victim := l.Gateway(), l.Victim()
-
-	top := &labnet.Single{LAN: l, Sink: sink, Registry: reg}
-	var dep deployment
-	if err := deployOnto(top.Sites(), spec.Schemes, spec.Stacks, &dep); err != nil {
+	layers := spec.layers()
+	top, err := spec.assemble(layers, reg)
+	if err != nil {
 		return nil, err
 	}
+	defer top.Recycle()
+	sites := top.Sites()
+	capture := trace.NewCapture(0)
+	sites[0].LAN.Switch.AddTap(capture.Tap())
+	sites[0].Sink.Instrument(reg)
 
-	if err := armAttacks(spec, attackTargets{
-		sched: l.Sched, atk: l.Attacker, victim: victim,
-		gwIP: gw.IP(), gwMAC: gw.MAC(), subnet: l.Subnet,
-	}); err != nil {
+	var dep deployment
+	for k, layer := range layers {
+		if err := deployOnto(sites, layer, &dep); err != nil {
+			return nil, layerErr(k, err)
+		}
+	}
+
+	var atkSite *labnet.Site
+	for _, s := range sites {
+		if s.LAN.Attacker != nil {
+			atkSite = s
+			break
+		}
+	}
+	if err := armAttacks(spec, atkSite); err != nil {
 		return nil, err
 	}
 
@@ -445,42 +463,65 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	// window edge lands on the timeline. Schemes get no say and no notice.
 	var faultCtl *faults.Controller
 	if spec.Faults != nil {
-		var err error
 		if faultCtl, err = faults.Apply(spec.Faults, top.FaultEnv()); err != nil {
 			return nil, err
 		}
 	}
 
-	// Background traffic keeps caches and detectors exercised.
-	for _, h := range l.Hosts[1:] {
-		h := h
-		l.Sched.Every(5*time.Second, func() { h.SendUDP(gw.IP(), 2000, 80, []byte("work")) })
+	// Background traffic keeps caches and detectors exercised on every
+	// segment: each active station other than the gateway works through
+	// its segment's gateway. Campus banks generate their own bulk load.
+	for _, s := range sites {
+		gwIP, _ := s.Gateway()
+		for _, h := range s.LAN.Hosts {
+			if h.IP() == gwIP {
+				continue
+			}
+			h := h
+			s.LAN.Sched.Every(5*time.Second, func() { h.SendUDP(gwIP, 2000, 80, []byte("work")) })
+		}
 	}
 
 	duration := time.Duration(spec.DurationSeconds * float64(time.Second))
-	if err := l.Run(duration); err != nil {
+	if err := top.Run(duration); err != nil {
 		return nil, err
 	}
 
+	gwIP, _ := atkSite.Gateway()
+	atk := atkSite.LAN.Attacker
 	res := &Result{
 		Duration:        duration,
 		AlertsByScheme:  make(map[string]int),
 		AlertsByKind:    make(map[string]int),
-		PoisonedHosts:   l.PoisonedCount(gw.IP()),
-		AttackerForged:  l.Attacker.Stats().Forged,
-		AttackerSniffed: l.Attacker.Stats().Sniffed,
-		SwitchFiltered:  l.Switch.Stats().Filtered,
-		CAMEntries:      l.Switch.CAMLen(),
+		PoisonedHosts:   top.PoisonedCount(gwIP, atk.MAC()),
+		AttackerForged:  atk.Stats().Forged,
+		AttackerSniffed: atk.Stats().Sniffed,
 		CaptureStats:    capture.Stats(),
 		Telemetry:       reg.Snapshot(),
 	}
+	for _, s := range sites {
+		res.SwitchFiltered += s.LAN.Switch.Stats().Filtered
+		res.CAMEntries += s.LAN.Switch.CAMLen()
+	}
+	if c, ok := top.(*labnet.Campus); ok {
+		res.Campus = &CampusResult{
+			LANs:           len(c.LANs),
+			Hosts:          c.TotalHosts(),
+			FabricFrames:   c.Frames(),
+			CrossLANFrames: c.Sharded.CrossMessages(),
+		}
+	}
 	seenScheme := make(map[string]bool)
-	for _, a := range sink.Alerts() {
+	for _, a := range top.MergedAlerts() {
 		res.AlertsByScheme[a.Scheme]++
 		res.AlertsByKind[a.Kind.String()]++
 		if !seenScheme[a.Scheme] {
 			seenScheme[a.Scheme] = true
-			res.FirstAlerts = append(res.FirstAlerts, a.String())
+			first := a.String()
+			if sites[a.LAN].Router != nil {
+				first = fmt.Sprintf("lan%d %s", a.LAN, first)
+			}
+			res.FirstAlerts = append(res.FirstAlerts, first)
 		}
 	}
 	dep.guardResults(res)
@@ -492,20 +533,65 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	return res, nil
 }
 
-// attackTargets binds the attack timeline to a concrete segment: the flat
-// topology's gateway host, or a campus's LAN 0 with its router interface
-// standing in as the gateway.
-type attackTargets struct {
-	sched  *sim.Scheduler
-	atk    *attack.Attacker
-	victim *stack.Host
-	gwIP   ethaddr.IPv4
-	gwMAC  ethaddr.MAC
-	subnet ethaddr.Subnet
+// assemble builds the spec's topology: the flat LAN as the one-site
+// labnet.Single, or the routed campus. The top-level layer's construction
+// host options reach every segment, a campus deployment's only the LANs
+// it selects.
+func (spec *Spec) assemble(layers []LANDeployment, reg *telemetry.Registry) (labnet.Topology, error) {
+	prof, _ := kernelpolicy.Find(spec.Policy) // Validate vouched for the name
+	shared, err := hostOptions(layers[0])
+	if err != nil {
+		return nil, err
+	}
+	cs := spec.Campus
+	if cs == nil {
+		l := labnet.New(labnet.Config{
+			Seed:         spec.Seed,
+			Hosts:        spec.Hosts,
+			Policy:       prof.Policy,
+			WithAttacker: true,
+			WithMonitor:  true,
+			HostOptions:  shared,
+			Telemetry:    reg,
+		})
+		return &labnet.Single{LAN: l, Sink: schemes.NewSink(), Registry: reg}, nil
+	}
+	perLAN := make(map[int][]stack.Option)
+	for k, layer := range layers[1:] {
+		opts, err := hostOptions(layer)
+		if err != nil {
+			return nil, layerErr(k+1, err)
+		}
+		lans, _ := parseLANSelector(layer.LANs, cs.lans()) // Validate vouched
+		for _, li := range lans {
+			perLAN[li] = append(perLAN[li], opts...)
+		}
+	}
+	trunk := time.Millisecond
+	if cs.TrunkLatencyMicros > 0 {
+		trunk = time.Duration(cs.TrunkLatencyMicros * float64(time.Microsecond))
+	}
+	return labnet.NewCampus(labnet.CampusConfig{
+		Seed:              spec.Seed,
+		LANs:              cs.LANs,
+		HostsPerLAN:       cs.HostsPerLAN,
+		ActiveHostsPerLAN: cs.ActiveHostsPerLAN,
+		TrunkLatency:      trunk,
+		Workers:           cs.Workers,
+		Policy:            prof.Policy,
+		HostOptions:       shared,
+		LANHostOptions:    perLAN,
+		WithAttacker:      true,
+		AttackerLAN:       cs.AttackerLAN,
+		Telemetry:         reg,
+	}), nil
 }
 
-// armAttacks schedules the spec's attack timeline against the targets.
-func armAttacks(spec *Spec, t attackTargets) error {
+// armAttacks schedules the spec's attack timeline inside the attacker's
+// segment, against that segment's gateway and victim.
+func armAttacks(spec *Spec, site *labnet.Site) error {
+	atk, victim, subnet := site.LAN.Attacker, site.LAN.Victim(), site.LAN.Subnet
+	gwIP, gwMAC := site.Gateway()
 	for _, a := range spec.Attacks {
 		a := a
 		at := time.Duration(a.AtSeconds * float64(time.Second))
@@ -526,44 +612,44 @@ func armAttacks(spec *Spec, t attackTargets) error {
 			}
 			action = func() {
 				if variant == attack.VariantReplyRace {
-					t.atk.ArmReplyRace(t.gwIP, t.victim.IP(), 0)
-					t.victim.Cache().Delete(t.gwIP)
-					t.victim.Resolve(t.gwIP, nil)
+					atk.ArmReplyRace(gwIP, victim.IP(), 0)
+					victim.Cache().Delete(gwIP)
+					victim.Resolve(gwIP, nil)
 					return
 				}
-				t.atk.Poison(variant, t.gwIP, t.atk.MAC(), t.victim.MAC(), t.victim.IP())
+				atk.Poison(variant, gwIP, atk.MAC(), victim.MAC(), victim.IP())
 			}
 		case "mitm":
 			action = func() {
-				t.atk.PoisonPeriodically(period, t.victim.MAC(), t.victim.IP(), t.gwMAC, t.gwIP)
-				t.atk.RelayBetween(t.victim.MAC(), t.victim.IP(), t.gwMAC, t.gwIP)
+				atk.PoisonPeriodically(period, victim.MAC(), victim.IP(), gwMAC, gwIP)
+				atk.RelayBetween(victim.MAC(), victim.IP(), gwMAC, gwIP)
 			}
 		case "blackhole":
 			action = func() {
-				t.atk.Poison(attack.VariantUnsolicitedReply, t.gwIP, t.atk.MAC(),
-					t.victim.MAC(), t.victim.IP())
-				t.atk.BlackholeTraffic(t.gwIP)
+				atk.Poison(attack.VariantUnsolicitedReply, gwIP, atk.MAC(),
+					victim.MAC(), victim.IP())
+				atk.BlackholeTraffic(gwIP)
 			}
 		case "cam-flood":
 			action = func() {
-				t.atk.FloodCAM(ethaddr.NewGen(spec.Seed+13), count, time.Millisecond)
+				atk.FloodCAM(ethaddr.NewGen(spec.Seed+13), count, time.Millisecond)
 			}
 		case "cache-flood":
 			action = func() {
-				t.atk.FloodCache(ethaddr.NewGen(spec.Seed+17), t.subnet, count, time.Millisecond)
+				atk.FloodCache(ethaddr.NewGen(spec.Seed+17), subnet, count, time.Millisecond)
 			}
 		case "scan":
 			action = func() {
-				t.atk.Scan(t.subnet, 1, count%255, 10*time.Millisecond)
+				atk.Scan(subnet, 1, count%255, 10*time.Millisecond)
 			}
 		case "port-steal":
 			action = func() {
-				t.atk.StealPort(t.victim.MAC(), t.victim.IP(), period, true)
+				atk.StealPort(victim.MAC(), victim.IP(), period, true)
 			}
 		default:
 			return fmt.Errorf("unknown attack type %q", a.Type)
 		}
-		t.sched.At(at, action)
+		site.LAN.Sched.At(at, action)
 	}
 	return nil
 }

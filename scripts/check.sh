@@ -4,8 +4,9 @@
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
-# (encode/decode, cache, CAM, unicast transit must stay at 0 allocs/op), a
-# 10-second run of the ARP cache's differential fuzz target, an
+# (encode/decode, cache, CAM, unicast transit must stay at 0 allocs/op),
+# 10-second runs of the ARP cache's differential fuzz target and of the
+# scenario front end's fuzz target (Load, then Run on what it accepts), an
 # experiment-registry completeness leg (a small-trial pass of every
 # experiment, diffed against the arpbench -list catalogue), and an
 # evaluation golden leg (a -trials 10 pass diffed against the committed
@@ -67,6 +68,12 @@ echo "==> ARP cache differential fuzz (FuzzCacheOps, 10s)"
 # address pool with colliding keys) against a plain-map model; the seed
 # corpus is internal/stack/testdata/fuzz/FuzzCacheOps.
 go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime=10s ./internal/stack
+
+echo "==> scenario front-end fuzz (FuzzScenario, 10s)"
+# Arbitrary bytes through scenario.Load; every accepted spec, shortened and
+# size-capped, must Run without panicking. The seed corpus is
+# internal/scenario/testdata/fuzz/FuzzScenario.
+go test -run '^$' -fuzz '^FuzzScenario$' -fuzztime=10s ./internal/scenario
 
 echo "==> experiment registry completeness (-list vs a -trials 1 pass of every experiment)"
 tmpdir=$(mktemp -d)
