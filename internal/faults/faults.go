@@ -96,10 +96,10 @@ type Event struct {
 	// churn require an explicit positive duration (a flap that never ends is
 	// a misconfiguration, not a fault model).
 	DurationSeconds float64 `json:"durationSeconds,omitempty"`
-	// Link targets one link by index (see Env.Links); nil targets every
-	// link in the environment. Ignored by host/switch/DHCP faults. On a
-	// routed topology a bare index addresses LAN 0; use LinkAt to reach
-	// other segments.
+	// Link targets one of site 0's links by index (see SiteEnv.Links);
+	// nil targets every link in the environment. Ignored by
+	// host/switch/DHCP faults. On a routed topology site 0 is LAN 0; use
+	// LinkAt to reach other segments.
 	Link *int `json:"link,omitempty"`
 	// LinkAt targets links hierarchically on any topology: "lan:3/link:7",
 	// "lan:*/link:0", "lan:2/link:*", or "lan:*". A flat LAN is the
