@@ -73,46 +73,66 @@ func checksum(data []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// Encode serializes the packet with a valid header checksum.
+// Encode serializes the packet with a valid header checksum into a fresh
+// buffer.
 func (p *Packet) Encode() []byte {
-	buf := make([]byte, HeaderLen+len(p.Payload))
-	buf[0] = 0x45 // version 4, IHL 5
-	binary.BigEndian.PutUint16(buf[2:4], uint16(len(buf)))
-	binary.BigEndian.PutUint16(buf[4:6], p.ID)
-	buf[8] = p.TTL
-	buf[9] = uint8(p.Proto)
-	copy(buf[12:16], p.Src[:])
-	copy(buf[16:20], p.Dst[:])
-	binary.BigEndian.PutUint16(buf[10:12], checksum(buf[:HeaderLen]))
-	copy(buf[HeaderLen:], p.Payload)
-	return buf
+	return p.AppendEncode(make([]byte, 0, HeaderLen+len(p.Payload)))
 }
 
-// Decode parses and checksums an IPv4 packet, tolerating trailing Ethernet
-// padding by honouring the total-length field.
+// AppendEncode appends the packet's wire form, header checksum included, to
+// dst and returns the extended slice. With enough capacity in dst it does
+// not allocate.
+func (p *Packet) AppendEncode(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, HeaderLen)...)
+	h := dst[n:]
+	h[0] = 0x45 // version 4, IHL 5
+	binary.BigEndian.PutUint16(h[2:4], uint16(HeaderLen+len(p.Payload)))
+	binary.BigEndian.PutUint16(h[4:6], p.ID)
+	h[8] = p.TTL
+	h[9] = uint8(p.Proto)
+	copy(h[12:16], p.Src[:])
+	copy(h[16:20], p.Dst[:])
+	binary.BigEndian.PutUint16(h[10:12], checksum(h))
+	return append(dst, p.Payload...)
+}
+
+// Decode parses and checksums an IPv4 packet into a fresh Packet.
 func Decode(buf []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses and checksums an IPv4 packet into p, tolerating
+// trailing Ethernet padding by honouring the total-length field. p.Payload
+// aliases buf. A receiver that decodes into a Packet it holds on the stack
+// does not allocate. On error p is not modified.
+func DecodeInto(p *Packet, buf []byte) error {
 	if len(buf) < HeaderLen {
-		return nil, fmt.Errorf("%w: %d octets", ErrTruncated, len(buf))
+		return fmt.Errorf("%w: %d octets", ErrTruncated, len(buf))
 	}
 	if buf[0]>>4 != 4 || buf[0]&0x0f != 5 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	total := int(binary.BigEndian.Uint16(buf[2:4]))
 	if total < HeaderLen || total > len(buf) {
-		return nil, fmt.Errorf("%w: total length %d of %d", ErrTruncated, total, len(buf))
+		return fmt.Errorf("%w: total length %d of %d", ErrTruncated, total, len(buf))
 	}
 	if checksum(buf[:HeaderLen]) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
-	p := &Packet{
-		TTL:   buf[8],
-		Proto: Protocol(buf[9]),
-		ID:    binary.BigEndian.Uint16(buf[4:6]),
+	*p = Packet{
+		TTL:     buf[8],
+		Proto:   Protocol(buf[9]),
+		Src:     ethaddr.IPv4(buf[12:16]),
+		Dst:     ethaddr.IPv4(buf[16:20]),
+		Payload: buf[HeaderLen:total],
+		ID:      binary.BigEndian.Uint16(buf[4:6]),
 	}
-	copy(p.Src[:], buf[12:16])
-	copy(p.Dst[:], buf[16:20])
-	p.Payload = buf[HeaderLen:total]
-	return p, nil
+	return nil
 }
 
 // ICMP message types used by the probes.
@@ -169,28 +189,44 @@ type UDP struct {
 	Payload          []byte
 }
 
-// Encode serializes the datagram.
+// Encode serializes the datagram into a fresh buffer.
 func (u *UDP) Encode() []byte {
-	buf := make([]byte, UDPHeaderLen+len(u.Payload))
-	binary.BigEndian.PutUint16(buf[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(buf[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(buf)))
-	copy(buf[UDPHeaderLen:], u.Payload)
-	return buf
+	return u.AppendEncode(make([]byte, 0, UDPHeaderLen+len(u.Payload)))
 }
 
-// DecodeUDP parses a UDP datagram, honouring the length field.
+// AppendEncode appends the datagram's wire form to dst and returns the
+// extended slice. With enough capacity in dst it does not allocate.
+func (u *UDP) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, u.SrcPort)
+	dst = binary.BigEndian.AppendUint16(dst, u.DstPort)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(UDPHeaderLen+len(u.Payload)))
+	dst = append(dst, 0, 0) // checksum omitted
+	return append(dst, u.Payload...)
+}
+
+// DecodeUDP parses a UDP datagram into a fresh UDP.
 func DecodeUDP(buf []byte) (*UDP, error) {
+	u := new(UDP)
+	if err := DecodeUDPInto(u, buf); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// DecodeUDPInto parses a UDP datagram into u, honouring the length field.
+// u.Payload aliases buf. On error u is not modified.
+func DecodeUDPInto(u *UDP, buf []byte) error {
 	if len(buf) < UDPHeaderLen {
-		return nil, fmt.Errorf("%w: udp %d octets", ErrTruncated, len(buf))
+		return fmt.Errorf("%w: udp %d octets", ErrTruncated, len(buf))
 	}
 	length := int(binary.BigEndian.Uint16(buf[4:6]))
 	if length < UDPHeaderLen || length > len(buf) {
-		return nil, fmt.Errorf("%w: udp length %d of %d", ErrTruncated, length, len(buf))
+		return fmt.Errorf("%w: udp length %d of %d", ErrTruncated, length, len(buf))
 	}
-	return &UDP{
+	*u = UDP{
 		SrcPort: binary.BigEndian.Uint16(buf[0:2]),
 		DstPort: binary.BigEndian.Uint16(buf[2:4]),
 		Payload: buf[UDPHeaderLen:length],
-	}, nil
+	}
+	return nil
 }

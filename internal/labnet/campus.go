@@ -328,8 +328,7 @@ func (c *Campus) Frames() uint64 {
 func (c *Campus) Recycle() {
 	for _, cl := range c.LANs {
 		if cl.Sched != nil {
-			releaseScheduler(cl.Sched)
-			cl.Sched = nil
+			cl.release()
 		}
 	}
 }
@@ -352,6 +351,7 @@ type StationBank struct {
 	rng       *rand.Rand
 	stats     BankStats
 	overrides map[int]ethaddr.MAC
+	arena     *datagramArena
 }
 
 // BankStats counts the bank's traffic.
@@ -379,6 +379,7 @@ func newStationBank(cl *CampusLAN, size int, gwMAC ethaddr.MAC) *StationBank {
 		trueGW:    gwMAC,
 		rng:       sh.DeriveRand(fmt.Sprintf("bank%d", cl.Index)),
 		overrides: make(map[int]ethaddr.MAC),
+		arena:     datagramArenaOf(sh),
 	}
 	cl.Switch.AddPort().Attach(b.nic)
 	b.nic.SetPromiscuous(true)
@@ -459,8 +460,8 @@ func (b *StationBank) handleFrame(f *frame.Frame) {
 		if _, ok := b.stationForMAC(f.Dst); !ok && !f.Dst.IsBroadcast() {
 			return
 		}
-		pkt, err := ipv4pkt.Decode(f.Payload)
-		if err != nil || pkt.Proto != ipv4pkt.ProtoUDP {
+		var pkt ipv4pkt.Packet
+		if ipv4pkt.DecodeInto(&pkt, f.Payload) != nil || pkt.Proto != ipv4pkt.ProtoUDP {
 			return
 		}
 		if _, ok := b.stationFor(pkt.Dst); ok {
@@ -542,13 +543,69 @@ func (b *StationBank) startBackground(c *Campus, period time.Duration, fanout in
 // treats the same way — the interception measurement only cares about the
 // frame's next hop).
 func (b *StationBank) sendUDP(i int, dst ethaddr.IPv4, via ethaddr.MAC) {
+	d := b.arena.next()
 	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: bankPayload[:]}
-	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: b.IP(i), Dst: dst, Payload: u.Encode()}
-	b.send(&frame.Frame{Dst: via, Src: b.MAC(i), Type: frame.TypeIPv4, Payload: p.Encode()})
+	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: b.IP(i), Dst: dst,
+		Payload: u.AppendEncode(d.wire[ipv4pkt.HeaderLen:ipv4pkt.HeaderLen])}
+	// The UDP datagram already sits behind the header's room, so appending
+	// the packet at the front of wire writes the header and copies the
+	// datagram onto itself.
+	d.Frame = frame.Frame{Dst: via, Src: b.MAC(i), Type: frame.TypeIPv4, Payload: p.AppendEncode(d.wire[:0])}
+	b.send(&d.Frame)
 }
 
 // bankPayload is the fixed background datagram body.
 var bankPayload = [8]byte{'b', 'g', 't', 'r', 'a', 'f', 'f', 'c'}
+
+// bankDatagram is one background datagram in a single object: the frame
+// and the IPv4+UDP wire bytes its Payload points into, which live and die
+// together with the frame.
+type bankDatagram struct {
+	frame.Frame
+	wire [ipv4pkt.HeaderLen + ipv4pkt.UDPHeaderLen + len(bankPayload)]byte
+}
+
+// datagramArena carves background datagrams from slabs the way
+// arppkt.Arena carves ARP frames: monotonically within a trial (a datagram
+// is never reused while the trial runs), and reset wholesale by
+// releaseScheduler when the trial's world is torn down, so the next trial
+// on the pooled shard scheduler rewrites the same slabs. A scheduler that
+// is never recycled stops carving at datagramMaxSlabs and falls back to the
+// heap.
+type datagramArena struct {
+	slabs [][]bankDatagram
+	n     int // datagrams handed out since the last reset
+}
+
+const (
+	datagramSlab     = 64  // datagrams per slab (~7 KiB)
+	datagramMaxSlabs = 256 // ~1.8 MiB per scheduler, then heap fallback
+)
+
+// datagramArenaOf returns the scheduler's datagram arena, installing one on
+// first use.
+func datagramArenaOf(s *sim.Scheduler) *datagramArena {
+	if a, ok := s.Scratch(sim.ScratchDatagrams).(*datagramArena); ok {
+		return a
+	}
+	a := &datagramArena{}
+	s.SetScratch(sim.ScratchDatagrams, a)
+	return a
+}
+
+// next hands out the next datagram slot, carving a slab when needed.
+func (a *datagramArena) next() *bankDatagram {
+	slab := a.n / datagramSlab
+	if slab >= len(a.slabs) {
+		if slab >= datagramMaxSlabs {
+			return new(bankDatagram)
+		}
+		a.slabs = append(a.slabs, make([]bankDatagram, datagramSlab))
+	}
+	d := &a.slabs[slab][a.n%datagramSlab]
+	a.n++
+	return d
+}
 
 // HostEquivalent reports the per-station cost the memory gate prices: the
 // bank adds no per-station state beyond overrides actually in use.

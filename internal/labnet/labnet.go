@@ -102,6 +102,12 @@ func (l *LAN) Recycle() {
 	if l.Sched == nil || l.external {
 		return
 	}
+	l.release()
+}
+
+// release parks the switch's CAM storage and releases the scheduler.
+func (l *LAN) release() {
+	l.Switch.Recycle()
 	releaseScheduler(l.Sched)
 	l.Sched = nil
 }
@@ -116,6 +122,9 @@ func (l *LAN) Recycle() {
 func releaseScheduler(s *sim.Scheduler) {
 	if a, ok := s.Scratch(sim.ScratchFrames).(*arppkt.Arena); ok {
 		a.Reset()
+	}
+	if a, ok := s.Scratch(sim.ScratchDatagrams).(*datagramArena); ok {
+		a.n = 0
 	}
 	s.Reset(0)
 	schedPool.Put(s)

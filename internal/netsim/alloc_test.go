@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"time"
+
 	"testing"
 
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
+	"repro/internal/ipv4pkt"
 	"repro/internal/sim"
 )
 
@@ -52,5 +55,113 @@ func TestUnicastTransitAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("unicast switch transit: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCAMInsertEvictAllocFree: on a warm, full table, learning a new
+// station (random eviction, then insert) and administrative flushes reuse
+// the dense entry slice and the index in place.
+func TestCAMInsertEvictAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	sw := NewSwitch(s, WithCAMCapacity(64), WithCAMEvictRandom())
+	mac := func(i int) ethaddr.MAC { return ethaddr.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)} }
+	for i := 0; i < 256; i++ {
+		sw.learn(0, 1, mac(i), 0)
+	}
+	i := 256
+	allocs := testing.AllocsPerRun(1000, func() {
+		sw.learn(i%4, 1, mac(i%4096), s.Now())
+		i++
+		if i%512 == 0 {
+			sw.FlushCAM()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CAM insert/evict cycle: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRouterTrunkForwardAllocFree pins the routed path's allocations: a
+// unicast datagram entering LAN 0's router interface, crossing the trunk
+// to LAN 1 and leaving its router toward a resolved station costs exactly
+// three — the freshly encoded buffer that isolates the two shards' memory,
+// the trunk's cross-shard message, and the egress frame on LAN 1. Decoding
+// into a stack-held Packet keeps the ingress side free.
+func TestRouterTrunkForwardAllocFree(t *testing.T) {
+	ss := sim.NewSharded(1, 2)
+	subnets := [2]ethaddr.Subnet{ethaddr.MustParseSubnet("10.0.0.0/16"), ethaddr.MustParseSubnet("10.1.0.0/16")}
+	var ifaces [2]*RouterIface
+	var hostMAC [2]ethaddr.MAC
+	for i := range ifaces {
+		sh := ss.Shard(i)
+		sw := NewSwitch(sh)
+		host := NewNIC(sh, ethaddr.MAC{0x02, 0, 0, 0, byte(i), 1})
+		host.SetHandler(func(*frame.Frame) {})
+		sw.AddPort().Attach(host)
+		hostMAC[i] = host.MAC()
+		nic := NewNIC(sh, ethaddr.MAC{0x02, 0, 0, 0, byte(i), 0xfe})
+		sw.AddPort().Attach(nic)
+		ifaces[i] = NewRouterIface(sh, "rtr", nic, subnets[i].Host(254), subnets[i])
+	}
+	for i := range ifaces {
+		j := 1 - i
+		ifaces[i].AddRoute(subnets[j], NewTrunk(ss.Link(i, j, time.Millisecond), ifaces[j]))
+	}
+	dst := subnets[1].Host(1)
+	ifaces[1].learn(dst, hostMAC[1])
+	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: []byte("bgtraffc")}
+	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: subnets[0].Host(1), Dst: dst, Payload: u.Encode()}
+	f := &frame.Frame{Dst: ifaces[0].MAC(), Src: hostMAC[0], Type: frame.TypeIPv4, Payload: p.Encode()}
+	forward := func() { ifaces[0].handleIPv4(f) }
+	step := func() {
+		ss.Shard(0).After(0, forward)
+		if err := ss.RunUntil(ss.Shard(0).Now() + 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 64; k++ { // warm the event pools, outboxes and CAMs
+		step()
+	}
+	before := ifaces[1].Stats().DeliveredIn
+	allocs := testing.AllocsPerRun(200, step)
+	if got := ifaces[1].Stats().DeliveredIn - before; got != 201 {
+		t.Fatalf("LAN 1 received %d of 201 forwarded packets", got)
+	}
+	if allocs != 3 {
+		t.Fatalf("router forward across a trunk: %v allocs/op, want exactly 3 (isolation buffer, cross-shard message, egress frame)", allocs)
+	}
+}
+
+// TestRecycledCAMRelearnAllocFree: a switch built on a scheduler after
+// another switch was recycled there starts with an empty CAM, and learning
+// as many stations as the recycled one held reuses its storage.
+func TestRecycledCAMRelearnAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	mac := func(i int) ethaddr.MAC { return ethaddr.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)} }
+	sw := NewSwitch(s)
+	for i := 0; i < 500; i++ {
+		sw.learn(0, 1, mac(i), 0)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		sw.Recycle()
+		sw.Recycle() // idempotent
+		sw = NewSwitch(s)
+		if sw.CAMLen() != 0 || sw.camLookup(1, mac(7), 0) != nil {
+			t.Fatal("recycled storage leaked entries into a new switch")
+		}
+		for i := 0; i < 500; i++ {
+			sw.learn(0, 1, mac(i), 0)
+		}
+	})
+	// A NewSwitch with nothing parked allocates the switch, its mirror map
+	// and an empty index; with a parked table the index comes for free and
+	// refilling it adds nothing.
+	s2 := sim.NewScheduler(2)
+	fresh := testing.AllocsPerRun(20, func() { _ = NewSwitch(s2) })
+	if allocs >= fresh {
+		t.Fatalf("rebuilding and refilling a recycled CAM: %v allocs/op, want fewer than a bare NewSwitch (%v)", allocs, fresh)
+	}
+	if sw.CAMLen() != 500 {
+		t.Fatalf("CAMLen %d after relearning, want 500", sw.CAMLen())
 	}
 }

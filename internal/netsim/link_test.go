@@ -220,7 +220,7 @@ func TestRandomEvictionDeterministic(t *testing.T) {
 		}
 		var survivors []string
 		for _, mac := range macs {
-			if _, ok := sw.CAMLookup(mac); ok {
+			if camHas(sw, mac) {
 				survivors = append(survivors, mac.String())
 			}
 		}

@@ -30,6 +30,7 @@ import (
 type transitCache struct {
 	free  *transit
 	flood *floodTransit
+	cams  []camTable // CAM storage parked by Switch.Recycle, reused by NewSwitch
 }
 
 // cacheOf returns the scheduler's transit cache, installing one on first

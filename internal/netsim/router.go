@@ -213,8 +213,8 @@ func (r *RouterIface) handleIPv4(f *frame.Frame) {
 	if f.Dst != r.nic.MAC() {
 		return // broadcast or promiscuous noise; routers forward unicast only
 	}
-	pkt, err := ipv4pkt.Decode(f.Payload)
-	if err != nil || pkt.Dst == r.ip {
+	var pkt ipv4pkt.Packet // stack-held: the re-encode below copies out
+	if ipv4pkt.DecodeInto(&pkt, f.Payload) != nil || pkt.Dst == r.ip {
 		return // malformed, or addressed to the router itself
 	}
 	if pkt.TTL <= 1 {

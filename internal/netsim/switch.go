@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
 	"repro/internal/sim"
@@ -13,18 +14,25 @@ import (
 
 // camKey scopes learned stations per VLAN: the same MAC may legitimately
 // appear in two VLANs (a router-on-a-stick), and isolation requires that a
-// station learned in one VLAN is invisible to forwarding in another.
-type camKey struct {
-	vlan uint16
-	mac  ethaddr.MAC
+// station learned in one VLAN is invisible to forwarding in another. The
+// VLAN ID above the 48-bit MAC makes one index key.
+func camKey(vlan uint16, mac ethaddr.MAC) uint64 {
+	return uint64(vlan)<<48 | uint64(mac[0])<<40 | uint64(mac[1])<<32 |
+		uint64(mac[2])<<24 | uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
 }
 
-// camEntry is one learned MAC→port association with an expiry instant and
-// its position in the insertion-order index (camOrder).
+// camEntry is one learned (VLAN, MAC)→port association with an expiry
+// instant.
 type camEntry struct {
+	key     uint64 // camKey(vlan, mac)
 	port    int
 	expires time.Duration
-	idx     int
+}
+
+// camTable is a CAM's storage, parked on the scheduler between trials.
+type camTable struct {
+	entries []camEntry
+	index   denseidx.Index
 }
 
 // SwitchStats are forwarding-plane counters for one switch.
@@ -77,12 +85,12 @@ func WithCAMEvictRandom() SwitchOption {
 type Switch struct {
 	sched *sim.Scheduler
 	ports []*Port
-	cam   map[camKey]camEntry
-	// camOrder indexes cam keys in insertion order so eviction victims
-	// (expired reclaim, random eviction) are chosen deterministically —
-	// iterating the map directly would follow Go's per-process randomized
-	// order and make eviction-heavy runs unreproducible across processes.
-	camOrder    []camKey
+	// cam holds the learned entries densely — appended on insert,
+	// swap-removed on delete — so eviction victims (expired reclaim,
+	// random eviction) are chosen from one deterministic order in every
+	// process; camIndex finds an entry's position in one probe.
+	cam         []camEntry
+	camIndex    denseidx.Index
 	camCap      int
 	camTTL      time.Duration
 	filter      FilterFunc
@@ -90,7 +98,9 @@ type Switch struct {
 	mirror      *Port // destination for mirrored traffic, nil when disabled
 	mirrSrc     map[int]bool
 	evictRandom bool
-	stats       SwitchStats
+	stats       SwitchStats // BytesByType/BytesOutByType live in bytesIn/bytesOut
+	bytesIn     typeOctets
+	bytesOut    typeOctets
 	rec         *causal.Recorder // causal tracing; nil (no-op) when disabled
 	cache       *transitCache    // scheduler-wide transit recycling store
 
@@ -114,19 +124,36 @@ func NewSwitch(s *sim.Scheduler, opts ...SwitchOption) *Switch {
 		sched:   s,
 		rec:     causal.Of(s),
 		cache:   cacheOf(s),
-		cam:     make(map[camKey]camEntry),
 		camCap:  1024,
 		camTTL:  300 * time.Second,
 		mirrSrc: make(map[int]bool),
-		stats: SwitchStats{
-			BytesByType:    make(map[frame.EtherType]uint64),
-			BytesOutByType: make(map[frame.EtherType]uint64),
-		},
 	}
 	for _, opt := range opts {
 		opt(sw)
 	}
+	if n := len(sw.cache.cams); n > 0 {
+		t := sw.cache.cams[n-1]
+		sw.cache.cams[n-1] = camTable{}
+		sw.cache.cams = sw.cache.cams[:n-1]
+		sw.cam, sw.camIndex = t.entries, t.index
+	} else {
+		sw.camIndex.Init(0)
+	}
 	return sw
+}
+
+// Recycle parks the switch's CAM storage on its scheduler, where the next
+// switch built on it picks the storage up instead of growing a table from
+// scratch. labnet calls it when a trial's world is torn down; the switch
+// must not be used afterwards, and a second call does nothing.
+func (sw *Switch) Recycle() {
+	c := sw.cache
+	if c == nil {
+		return
+	}
+	sw.camIndex.Clear()
+	c.cams = append(c.cams, camTable{entries: sw.cam[:0], index: sw.camIndex})
+	sw.cam, sw.camIndex, sw.cache = nil, denseidx.Index{}, nil
 }
 
 // Port is one switch (or hub) interface. A NIC attaches to exactly one port.
@@ -255,69 +282,75 @@ func (sw *Switch) MirrorPortsTo(dst *Port, src ...*Port) {
 // Stats returns a copy of the forwarding counters.
 func (sw *Switch) Stats() SwitchStats {
 	out := sw.stats
-	out.BytesByType = make(map[frame.EtherType]uint64, len(sw.stats.BytesByType))
-	for k, v := range sw.stats.BytesByType {
-		out.BytesByType[k] = v
-	}
-	out.BytesOutByType = make(map[frame.EtherType]uint64, len(sw.stats.BytesOutByType))
-	for k, v := range sw.stats.BytesOutByType {
-		out.BytesOutByType[k] = v
-	}
+	out.BytesByType = sw.bytesIn.toMap()
+	out.BytesOutByType = sw.bytesOut.toMap()
 	return out
+}
+
+// typeOctets counts octets per EtherType. A switch carries a handful of
+// types, so a short slice searched in place costs less per frame than a
+// map update; Stats builds the maps.
+type typeOctets []typeCount
+
+type typeCount struct {
+	t frame.EtherType
+	n uint64
+}
+
+func (c *typeOctets) add(t frame.EtherType, n uint64) {
+	for i := range *c {
+		if (*c)[i].t == t {
+			(*c)[i].n += n
+			return
+		}
+	}
+	*c = append(*c, typeCount{t, n})
+}
+
+func (c typeOctets) toMap() map[frame.EtherType]uint64 {
+	m := make(map[frame.EtherType]uint64, len(c))
+	for _, e := range c {
+		m[e.t] = e.n
+	}
+	return m
 }
 
 // CAMLen returns the number of live (unexpired) CAM entries.
 func (sw *Switch) CAMLen() int {
 	now := sw.sched.Now()
 	n := 0
-	for _, e := range sw.cam {
-		if e.expires > now {
+	for i := range sw.cam {
+		if sw.cam[i].expires > now {
 			n++
 		}
 	}
 	return n
 }
 
-// CAMLookup reports the port a station was learned on in any VLAN, if the
-// entry is live.
-func (sw *Switch) CAMLookup(mac ethaddr.MAC) (int, bool) {
-	now := sw.sched.Now()
-	for k, e := range sw.cam {
-		if k.mac == mac && e.expires > now {
-			return e.port, true
-		}
-	}
-	return 0, false
-}
-
 // FlushCAM clears the table (administrative action).
 func (sw *Switch) FlushCAM() {
-	sw.cam = make(map[camKey]camEntry)
-	sw.camOrder = sw.camOrder[:0]
+	sw.cam = sw.cam[:0]
+	sw.camIndex.Clear()
 }
 
-// camInsert records a new entry and indexes it.
-func (sw *Switch) camInsert(key camKey, port int, expires time.Duration) {
-	sw.cam[key] = camEntry{port: port, expires: expires, idx: len(sw.camOrder)}
-	sw.camOrder = append(sw.camOrder, key)
+// camLookup returns the live entry for (vlan, mac), or nil.
+func (sw *Switch) camLookup(vlan uint16, mac ethaddr.MAC, now time.Duration) *camEntry {
+	if i := sw.camIndex.Get(camKey(vlan, mac)); i >= 0 && sw.cam[i].expires > now {
+		return &sw.cam[i]
+	}
+	return nil
 }
 
-// camDelete removes an entry, swap-filling its slot in the order index.
-func (sw *Switch) camDelete(key camKey) {
-	e, ok := sw.cam[key]
-	if !ok {
-		return
+// camDelete removes the entry at position i, swap-filling the gap with the
+// last entry.
+func (sw *Switch) camDelete(i int) {
+	sw.camIndex.Del(sw.cam[i].key)
+	last := len(sw.cam) - 1
+	if i != last {
+		sw.cam[i] = sw.cam[last]
+		sw.camIndex.Set(sw.cam[i].key, i)
 	}
-	last := len(sw.camOrder) - 1
-	moved := sw.camOrder[last]
-	sw.camOrder[e.idx] = moved
-	sw.camOrder = sw.camOrder[:last]
-	if moved != key {
-		me := sw.cam[moved]
-		me.idx = e.idx
-		sw.cam[moved] = me
-	}
-	delete(sw.cam, key)
+	sw.cam = sw.cam[:last]
 }
 
 // ingress handles a frame arriving on port id: tap, filter, learn,
@@ -340,7 +373,7 @@ func (sw *Switch) ingress(id int, f *frame.Frame) {
 func (sw *Switch) forward(id int, f *frame.Frame) {
 	now := sw.sched.Now()
 	wire := f.WireLen()
-	sw.stats.BytesByType[f.Type] += uint64(wire)
+	sw.bytesIn.add(f.Type, uint64(wire))
 	if sw.mPortBytes != nil && id < len(sw.mPortBytes) {
 		sw.mPortBytes[id].Add(uint64(wire))
 	}
@@ -367,7 +400,7 @@ func (sw *Switch) forward(id int, f *frame.Frame) {
 	case f.Dst.IsMulticast(): // includes broadcast
 		reachedMirror = sw.flood(id, f)
 	default:
-		if e, ok := sw.cam[camKey{vlan: vlan, mac: f.Dst}]; ok && e.expires > now {
+		if e := sw.camLookup(vlan, f.Dst, now); e != nil {
 			if e.port != id { // else: destination on the ingress segment
 				sw.stats.Forwarded++
 				sw.mForwarded.Inc()
@@ -391,25 +424,25 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 	if !src.IsUnicast() {
 		return
 	}
-	key := camKey{vlan: vlan, mac: src}
-	if e, ok := sw.cam[key]; ok {
+	key := camKey(vlan, src)
+	if i := sw.camIndex.Get(key); i >= 0 {
+		e := &sw.cam[i]
 		e.port = id
 		e.expires = now + sw.camTTL
-		sw.cam[key] = e
 		return
 	}
 	if len(sw.cam) >= sw.camCap {
 		reclaimed := false
-		for _, k := range sw.camOrder { // oldest-inserted expired entry first
-			if sw.cam[k].expires <= now {
-				sw.camDelete(k)
+		for i := range sw.cam { // first expired entry in table order
+			if sw.cam[i].expires <= now {
+				sw.camDelete(i)
 				sw.mCAMEvictExp.Inc()
 				reclaimed = true
 				break
 			}
 		}
 		if !reclaimed && sw.evictRandom {
-			sw.camDelete(sw.camOrder[sw.sched.Rand().Intn(len(sw.camOrder))])
+			sw.camDelete(sw.sched.Rand().Intn(len(sw.cam)))
 			sw.mCAMEvictRand.Inc()
 			reclaimed = true
 		}
@@ -426,7 +459,8 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 			return
 		}
 	}
-	sw.camInsert(key, id, now+sw.camTTL)
+	sw.camIndex.Set(key, len(sw.cam))
+	sw.cam = append(sw.cam, camEntry{key: key, port: id, expires: now + sw.camTTL})
 	sw.stats.Learned++
 	sw.mCAMInserts.Inc()
 	sw.failOpen = false
@@ -497,7 +531,7 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 			p.nic.link.stats.Delivered++
 			ft.nics = append(ft.nics, p.nic)
 		}
-		sw.stats.BytesOutByType[f.Type] += wire * uint64(len(ft.nics))
+		sw.bytesOut.add(f.Type, wire*uint64(len(ft.nics)))
 		sw.sched.AfterTask(d, ft)
 		return reachedMirror
 	}
@@ -513,7 +547,7 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 		replicas++
 		p.send(f)
 	}
-	sw.stats.BytesOutByType[f.Type] += wire * replicas
+	sw.bytesOut.add(f.Type, wire*replicas)
 	return reachedMirror
 }
 
@@ -521,7 +555,7 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 func (sw *Switch) egressTo(id int, f *frame.Frame) {
 	p := sw.ports[id]
 	if p.nic != nil {
-		sw.stats.BytesOutByType[f.Type] += uint64(f.WireLen())
+		sw.bytesOut.add(f.Type, uint64(f.WireLen()))
 		p.send(f)
 	}
 }

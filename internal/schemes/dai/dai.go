@@ -181,12 +181,12 @@ func isDHCPServerTraffic(f *frame.Frame) bool {
 	if f.Type != frame.TypeIPv4 {
 		return false
 	}
-	pkt, err := ipv4pkt.Decode(f.Payload)
-	if err != nil || pkt.Proto != ipv4pkt.ProtoUDP {
+	var pkt ipv4pkt.Packet
+	if ipv4pkt.DecodeInto(&pkt, f.Payload) != nil || pkt.Proto != ipv4pkt.ProtoUDP {
 		return false
 	}
-	udp, err := ipv4pkt.DecodeUDP(pkt.Payload)
-	return err == nil && udp.SrcPort == dhcp.ServerPort
+	var udp ipv4pkt.UDP
+	return ipv4pkt.DecodeUDPInto(&udp, pkt.Payload) == nil && udp.SrcPort == dhcp.ServerPort
 }
 
 // dropAlert emits the alert and returns the drop verdict.

@@ -29,8 +29,9 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,17 @@ type crossMsg struct {
 type mergeKey struct {
 	msg      crossMsg
 	src, idx int
+}
+
+// compareMergeKeys is the barrier's total order over staged messages.
+func compareMergeKeys(a, b mergeKey) int {
+	if c := cmp.Compare(a.msg.at, b.msg.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // CrossLink is the one legal channel between shards: a unidirectional
@@ -346,15 +358,7 @@ func (ss *ShardedScheduler) barrier(end time.Duration) {
 	}
 	if len(ss.merged) > 0 {
 		m := ss.merged
-		sort.Slice(m, func(a, b int) bool {
-			if m[a].msg.at != m[b].msg.at {
-				return m[a].msg.at < m[b].msg.at
-			}
-			if m[a].src != m[b].src {
-				return m[a].src < m[b].src
-			}
-			return m[a].idx < m[b].idx
-		})
+		slices.SortFunc(m, compareMergeKeys)
 		for i := range m {
 			ss.shards[m[i].msg.dst].At(m[i].msg.at, m[i].msg.fn)
 			m[i].msg.fn = nil // don't pin the closure past injection

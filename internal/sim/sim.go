@@ -313,10 +313,14 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 type ScratchKey uint8
 
 const (
-	// ScratchTasks is netsim's slot: transit/flood task free lists.
+	// ScratchTasks is netsim's slot: transit/flood task free lists and
+	// parked CAM storage.
 	ScratchTasks ScratchKey = iota
 	// ScratchFrames is arppkt's slot: the ARP frame arena.
 	ScratchFrames
+	// ScratchDatagrams is labnet's slot: the station banks' background
+	// datagram arena.
+	ScratchDatagrams
 
 	numScratchSlots
 )

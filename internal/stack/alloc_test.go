@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/arppkt"
 	"repro/internal/ethaddr"
+	"repro/internal/frame"
+	"repro/internal/ipv4pkt"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -99,5 +101,24 @@ func TestProcessARPWithPendingAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { h.ProcessARP(p) })
 	if allocs != 0 {
 		t.Fatalf("ProcessARP with %d resolutions pending: %v allocs/op, want 0", len(h.pendings), allocs)
+	}
+}
+
+// TestHandleIPv4NotOursAllocFree: a promiscuous monitor sees every
+// background datagram on its LAN; parsing one addressed to another host
+// and discarding it must not allocate.
+func TestHandleIPv4NotOursAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	h := NewHost(s, "mon", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 250})
+	h.OnIPv4(func(*ipv4pkt.Packet, *frame.Frame) { t.Fatal("dispatched a packet addressed elsewhere") })
+	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: []byte("bgtraffc")}
+	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: ethaddr.IPv4{10, 0, 4, 1}, Dst: ethaddr.IPv4{10, 0, 0, 254}, Payload: u.Encode()}
+	f := &frame.Frame{Dst: ethaddr.MAC{0x02, 0, 0, 0, 0, 0xfe}, Src: ethaddr.MAC{0x02, 0, 0, 0, 4, 1}, Type: frame.TypeIPv4, Payload: p.Encode()}
+	allocs := testing.AllocsPerRun(1000, func() { h.handleFrame(f) })
+	if allocs != 0 {
+		t.Fatalf("handleIPv4 on another host's datagram: %v allocs/op, want 0", allocs)
+	}
+	if h.Stats().IPv4Rx != 0 {
+		t.Fatal("host counted a datagram addressed elsewhere")
 	}
 }

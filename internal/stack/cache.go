@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/arppkt"
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -145,8 +146,8 @@ type cacheSlot struct {
 
 // Cache is a policy-guarded ARP cache. Bindings live in a dense slice —
 // appended on insert, swap-removed on Delete, compacted on Flush — that
-// Len, Snapshot, and Flush iterate allocation-free, and an ipIndex beside it
-// finds a binding's slot in one probe. Every broadcast ARP frame reaches
+// Len, Snapshot, and Flush iterate allocation-free, and a denseidx.Index
+// beside it finds a binding's slot in one probe. Every broadcast ARP frame reaches
 // every host's Update, so the lookup must not grow with the entry count: a
 // 128-host mesh holds ~130 bindings per host. Slot order is an
 // implementation artifact and never observable (Snapshot returns a map).
@@ -155,7 +156,7 @@ type Cache struct {
 	policy  Policy
 	ttl     time.Duration
 	slots   []cacheSlot
-	index   ipIndex // IP → position in slots
+	index   denseidx.Index // IP → position in slots
 	onEvent func(Event)
 	rec     *causal.Recorder // causal tracing; nil (no-op) when disabled
 
@@ -188,13 +189,16 @@ func newCache(s *sim.Scheduler, policy Policy, ttl time.Duration, capacity int) 
 		slots:  make([]cacheSlot, 0, capacity),
 		rec:    causal.Of(s),
 	}
-	c.index.init(capacity)
+	c.index.Init(capacity)
 	return c
 }
 
+// ipKey is an address's key in the cache and resolver indexes.
+func ipKey(ip ethaddr.IPv4) uint64 { return uint64(ip.Uint32()) }
+
 // slot returns the binding for ip, or nil when absent.
 func (c *Cache) slot(ip ethaddr.IPv4) *cacheSlot {
-	if i := c.index.get(ip); i >= 0 {
+	if i := c.index.Get(ipKey(ip)); i >= 0 {
 		return &c.slots[i]
 	}
 	return nil
@@ -202,7 +206,7 @@ func (c *Cache) slot(ip ethaddr.IPv4) *cacheSlot {
 
 // insert appends a binding for an ip known to be absent.
 func (c *Cache) insert(ip ethaddr.IPv4, e Entry) {
-	c.index.set(ip, len(c.slots))
+	c.index.Set(ipKey(ip), len(c.slots))
 	c.slots = append(c.slots, cacheSlot{ip: ip, e: e})
 }
 
@@ -292,25 +296,25 @@ func (c *Cache) SetStatic(ip ethaddr.IPv4, mac ethaddr.MAC) {
 
 // Delete removes a binding (administrative action).
 func (c *Cache) Delete(ip ethaddr.IPv4) {
-	i := c.index.del(ip)
+	i := c.index.Del(ipKey(ip))
 	if i < 0 {
 		return
 	}
 	last := len(c.slots) - 1
 	if i != last {
 		c.slots[i] = c.slots[last]
-		c.index.set(c.slots[i].ip, i)
+		c.index.Set(ipKey(c.slots[i].ip), i)
 	}
 	c.slots = c.slots[:last]
 }
 
 // Flush removes all dynamic bindings, keeping static ones.
 func (c *Cache) Flush() {
-	c.index.clear()
+	c.index.Clear()
 	kept := c.slots[:0]
 	for i := range c.slots {
 		if c.slots[i].e.Static {
-			c.index.set(c.slots[i].ip, len(kept))
+			c.index.Set(ipKey(c.slots[i].ip), len(kept))
 			kept = append(kept, c.slots[i])
 		}
 	}

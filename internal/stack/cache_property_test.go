@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/arppkt"
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/sim"
 )
@@ -54,8 +55,8 @@ func (cacheOp) Generate(r *rand.Rand, _ int) reflect.Value {
 var _ quick.Generator = cacheOp{}
 
 // The address pool: poolSpread addresses spread over 10.0.0.0/16, then
-// poolColliding addresses built to share one home cell in every ipIndex
-// table of up to 4096 cells, so probe clusters, wrap-around, and
+// poolColliding addresses that share one home cell in every index table
+// of up to 4096 cells, so probe clusters, wrap-around, and
 // backward-shift deletion all get exercised.
 const (
 	poolSpread    = 512
@@ -72,22 +73,14 @@ func poolIP(i int) ethaddr.IPv4 {
 	return collidingIP(i - poolSpread)
 }
 
-// collidingIP returns the j-th address whose Fibonacci hash has the top 12
-// bits 0xABC: multiplying by the inverse of ipHashMul makes the product
-// ipIndex.home shifts down exactly (0xABC<<20 | j+1).
-func collidingIP(j int) ethaddr.IPv4 {
-	k := mulInverse(ipHashMul) * (0xABC<<20 | uint32(j+1))
-	return ethaddr.IPv4{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
-}
+// collidingKeys share one home cell in every index table the property tests
+// reach (pinned by denseidx's TestCollidingPoolSharesHomeCell).
+var collidingKeys = denseidx.Colliding(poolColliding)
 
-// mulInverse returns a's inverse modulo 2^32 (a odd) by Newton iteration;
-// each step doubles the number of correct low bits, from 3.
-func mulInverse(a uint32) uint32 {
-	x := a
-	for i := 0; i < 4; i++ {
-		x *= 2 - a*x
-	}
-	return x
+// collidingIP returns the j-th colliding address.
+func collidingIP(j int) ethaddr.IPv4 {
+	k := collidingKeys[j]
+	return ethaddr.IPv4{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 }
 
 func poolMAC(i uint8) ethaddr.MAC {
@@ -189,8 +182,8 @@ func (m *cacheModel) update(c *Cache, p *arppkt.Packet, solicited bool, now time
 // Lookup for each pool address, then Len and Snapshot.
 func checkCache(t testing.TB, step int, c *Cache, m *cacheModel, now time.Duration) {
 	t.Helper()
-	if c.index.n != len(c.slots) {
-		t.Fatalf("step %d: index holds %d keys for %d slots", step, c.index.n, len(c.slots))
+	if c.index.Len() != len(c.slots) {
+		t.Fatalf("step %d: index holds %d keys for %d slots", step, c.index.Len(), len(c.slots))
 	}
 	live := 0
 	for i := 0; i < poolSize; i++ {
@@ -323,22 +316,6 @@ func TestPropertyCacheMatchesMapModel(t *testing.T) {
 	}
 	if grown == 0 {
 		t.Fatal("no run grew the cache to 256 entries; the op mix no longer exercises index growth")
-	}
-}
-
-// TestCollidingPoolSharesHomeCell pins the pool construction: the
-// colliding addresses really do share a home cell at every table size the
-// property tests reach.
-func TestCollidingPoolSharesHomeCell(t *testing.T) {
-	for n := 4; n <= 2048; n *= 2 {
-		var x ipIndex
-		x.init(n)
-		home := x.home(collidingIP(0).Uint32())
-		for j := 1; j < poolColliding; j++ {
-			if h := x.home(collidingIP(j).Uint32()); h != home {
-				t.Fatalf("table %d: colliding address %d homes at %d, want %d", len(x.cells), j, h, home)
-			}
-		}
 	}
 }
 

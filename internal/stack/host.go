@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/arppkt"
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
 	"repro/internal/ipv4pkt"
@@ -143,8 +144,8 @@ type Host struct {
 	announce        bool
 	echoResponder   bool
 
-	pendings       []*pending // in-flight resolutions in start order; nil = finished
-	pendingIndex   ipIndex    // IP → position in pendings
+	pendings       []*pending     // in-flight resolutions in start order; nil = finished
+	pendingIndex   denseidx.Index // IP → position in pendings
 	arpHook        ARPHook
 	onARP          func(*arppkt.Packet, *frame.Frame) // passive observer
 	onIPv4         func(*ipv4pkt.Packet, *frame.Frame)
@@ -191,7 +192,7 @@ func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, op
 		opt(h)
 	}
 	h.cache = newCache(s, h.policy, h.cacheTTL, h.cacheCap)
-	h.pendingIndex.init(0)
+	h.pendingIndex.Init(0)
 	nic.SetHandler(h.handleFrame)
 	return h
 }
@@ -274,7 +275,7 @@ func (h *Host) Restart() {
 	}
 	clear(h.pendings)
 	h.pendings = h.pendings[:0]
-	h.pendingIndex.clear()
+	h.pendingIndex.Clear()
 	h.cache.Flush()
 	h.events.Warnf("stack", "%s: restarted (cache wiped)", h.name)
 	h.SendGratuitous()
@@ -377,7 +378,7 @@ func (h *Host) transmitIPv4(dstMAC ethaddr.MAC, dst ethaddr.IPv4, proto ipv4pkt.
 
 // ensurePending starts a resolution cycle for ip if none is running.
 func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
-	if i := h.pendingIndex.get(ip); i >= 0 {
+	if i := h.pendingIndex.Get(ipKey(ip)); i >= 0 {
 		return h.pendings[i]
 	}
 	pd := &pending{host: h, ip: ip, startedAt: h.sched.Now()}
@@ -387,7 +388,7 @@ func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
 		pd.span = h.rec.Begin("stack", "resolve").Attr("host", h.name).Attr("target", ip.String())
 		pd.span.Detach()
 	}
-	h.pendingIndex.set(ip, len(h.pendings))
+	h.pendingIndex.Set(ipKey(ip), len(h.pendings))
 	h.pendings = append(h.pendings, pd)
 	h.sendRequest(ip, pd)
 	return pd
@@ -400,7 +401,7 @@ func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
 // is compacted once holes outnumber live resolutions, so removal costs
 // amortized O(1) however many resolutions a host has open.
 func (h *Host) removePending(ip ethaddr.IPv4) *pending {
-	i := h.pendingIndex.del(ip)
+	i := h.pendingIndex.Del(ipKey(ip))
 	if i < 0 {
 		return nil
 	}
@@ -411,11 +412,11 @@ func (h *Host) removePending(ip ethaddr.IPv4) *pending {
 		n--
 	}
 	h.pendings = h.pendings[:n]
-	if 2*h.pendingIndex.n < n {
+	if 2*h.pendingIndex.Len() < n {
 		live := h.pendings[:0]
 		for _, q := range h.pendings {
 			if q != nil {
-				h.pendingIndex.set(q.ip, len(live))
+				h.pendingIndex.Set(ipKey(q.ip), len(live))
 				live = append(live, q)
 			}
 		}
@@ -525,7 +526,7 @@ func (h *Host) handleARP(f *frame.Frame) {
 func (h *Host) ProcessARP(p *arppkt.Packet) {
 	solicited := false
 	if len(h.pendings) > 0 { // skip the probe when nothing is being resolved
-		solicited = h.pendingIndex.get(p.SenderIP) >= 0
+		solicited = h.pendingIndex.Get(ipKey(p.SenderIP)) >= 0
 	}
 
 	// A foreign station asserting our own address is an address conflict
@@ -569,15 +570,24 @@ func (h *Host) ProcessARP(p *arppkt.Packet) {
 	}
 }
 
-// handleIPv4 processes one inbound IPv4 packet addressed to this host.
+// handleIPv4 processes one inbound IPv4 packet. It parses into a
+// stack-held Packet, so the frames a promiscuous monitor sees for other
+// hosts cost no allocation; only a packet addressed to this host moves to
+// the heap, in deliverIPv4, whose handlers may keep it.
 func (h *Host) handleIPv4(f *frame.Frame) {
-	pkt, err := ipv4pkt.Decode(f.Payload)
-	if err != nil {
+	var pkt ipv4pkt.Packet
+	if ipv4pkt.DecodeInto(&pkt, f.Payload) != nil {
 		return
 	}
 	if pkt.Dst != h.ip && !pkt.Dst.IsBroadcast() {
 		return // not ours (promiscuous captures use OnIPv4 via NIC handler wrapping)
 	}
+	h.deliverIPv4(pkt, f)
+}
+
+// deliverIPv4 dispatches a packet addressed to this host.
+func (h *Host) deliverIPv4(p ipv4pkt.Packet, f *frame.Frame) {
+	pkt := &p
 	h.stats.IPv4Rx++
 	switch pkt.Proto {
 	case ipv4pkt.ProtoICMP:

@@ -107,12 +107,12 @@ func checkResolver(t *testing.T, step int, h *Host, m *resolverModel, log []outc
 	if (len(h.pendings) > 0) != (len(m.inflight) > 0) {
 		t.Fatalf("step %d: %d pending slots for %d resolutions", step, len(h.pendings), len(m.inflight))
 	}
-	if h.pendingIndex.n != len(m.inflight) {
-		t.Fatalf("step %d: index holds %d keys, model %d", step, h.pendingIndex.n, len(m.inflight))
+	if h.pendingIndex.Len() != len(m.inflight) {
+		t.Fatalf("step %d: index holds %d keys, model %d", step, h.pendingIndex.Len(), len(m.inflight))
 	}
 	for i := 0; i < poolSize; i++ {
 		ip := poolIP(i)
-		j := h.pendingIndex.get(ip)
+		j := h.pendingIndex.Get(ipKey(ip))
 		if (j >= 0) != slices.Contains(m.inflight, ip) {
 			t.Fatalf("step %d: index has %s at %d, model in flight %v", step, ip, j, m.inflight)
 		}

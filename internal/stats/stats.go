@@ -1,6 +1,7 @@
 // Package stats provides the small set of summary statistics the
-// evaluation harness reports: means, quantiles, empirical CDFs, and
-// proportions with Wilson confidence intervals.
+// evaluation harness reports — means, quantiles, empirical CDFs, and
+// proportions with Wilson confidence intervals — and the two paired tests
+// the A/B benchmark script applies to runs of two commits.
 package stats
 
 import (
@@ -107,4 +108,88 @@ func NewProportion(k, n int) Proportion {
 	center := (p + z*z/(2*nf)) / denom
 	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
 	return Proportion{P: p, Lo: math.Max(0, center-half), Hi: math.Min(1, center+half), N: n, Positive: k}
+}
+
+// SignTest is the exact two-sided sign test on paired differences: under
+// the null hypothesis each nonzero difference is positive or negative with
+// probability ½. Zero differences (ties) are dropped. It returns the counts
+// of positive and negative differences and the p-value, 1 when every
+// difference is zero.
+func SignTest(diffs []float64) (pos, neg int, p float64) {
+	for _, d := range diffs {
+		switch {
+		case d > 0:
+			pos++
+		case d < 0:
+			neg++
+		}
+	}
+	n := pos + neg
+	tail := 0.0 // P(X ≤ min(pos, neg)), X ~ Binomial(n, ½)
+	c := 1.0    // C(n, i)
+	for i := 0; i <= min(pos, neg); i++ {
+		tail += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return pos, neg, math.Min(1, 2*tail/math.Exp2(float64(n)))
+}
+
+// WilcoxonSignedRank is the exact two-sided Wilcoxon signed-rank test on
+// paired differences. Zero differences are dropped; tied magnitudes share
+// their average rank, and the null distribution is computed for those
+// ranks, so ties need no normal correction. It returns W+, the rank sum of
+// the positive differences, and the p-value, 1 when every difference is
+// zero. The exact distribution costs O(n³) for n nonzero differences,
+// which is nothing at the tens of pairs a benchmark runs.
+func WilcoxonSignedRank(diffs []float64) (wplus, p float64) {
+	var mags []float64
+	for _, d := range diffs {
+		if d != 0 {
+			mags = append(mags, math.Abs(d))
+		}
+	}
+	n := len(mags)
+	if n == 0 {
+		return 0, 1
+	}
+	sorted := append([]float64(nil), mags...)
+	sort.Float64s(sorted)
+	// Doubled average ranks are integers: a run of equal magnitudes at
+	// sorted positions i..j-1 (ranks i+1..j) gets rank (i+1+j)/2.
+	rank2 := make(map[float64]int, n)
+	for i := 0; i < n; {
+		j := i
+		for j < n && sorted[j] == sorted[i] {
+			j++
+		}
+		rank2[sorted[i]] = i + 1 + j
+		i = j
+	}
+	// ways[s] counts the sign assignments whose doubled W+ is s.
+	total := n * (n + 1)
+	ways := make([]float64, total+1)
+	ways[0] = 1
+	w2 := 0
+	for _, d := range diffs {
+		if d == 0 {
+			continue
+		}
+		r := rank2[math.Abs(d)]
+		if d > 0 {
+			w2 += r
+		}
+		for s := total; s >= r; s-- {
+			ways[s] += ways[s-r]
+		}
+	}
+	var lo, hi float64 // P(W+ ≤ observed), P(W+ ≥ observed), unnormalised
+	for s, c := range ways {
+		if s <= w2 {
+			lo += c
+		}
+		if s >= w2 {
+			hi += c
+		}
+	}
+	return float64(w2) / 2, math.Min(1, 2*math.Min(lo, hi)/math.Exp2(float64(n)))
 }

@@ -136,3 +136,55 @@ func TestProportion(t *testing.T) {
 		t.Fatalf("all-success interval: %+v", all)
 	}
 }
+
+// TestSignTest checks hand-computed exact binomial tails.
+func TestSignTest(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		diffs    []float64
+		pos, neg int
+		p        float64
+	}{
+		{"10 of 10 better", []float64{-1, -2, -3, -4, -5, -6, -7, -8, -9, -10}, 0, 10, 2.0 / 1024},
+		{"9 of 10", []float64{1, -2, -3, -4, -5, -6, -7, -8, -9, -10}, 1, 9, 22.0 / 1024}, // 2·(1+10)/2¹⁰
+		{"5 of 10", []float64{1, 1, 1, 1, 1, -1, -1, -1, -1, -1}, 5, 5, 1},
+		{"ties dropped", []float64{0, 1, 1}, 2, 0, 0.5},     // 2·(1/4)
+		{"3 of 4", []float64{3, 1, -2, 5}, 3, 1, 10.0 / 16}, // 2·(1+4)/2⁴
+		{"all ties", []float64{0, 0}, 0, 0, 1},
+		{"empty", nil, 0, 0, 1},
+	} {
+		pos, neg, p := SignTest(tc.diffs)
+		if pos != tc.pos || neg != tc.neg || !approx(p, tc.p) {
+			t.Errorf("%s: SignTest = (%d, %d, %v), want (%d, %d, %v)", tc.name, pos, neg, p, tc.pos, tc.neg, tc.p)
+		}
+	}
+}
+
+// TestWilcoxonSignedRank checks hand-enumerated exact null distributions.
+func TestWilcoxonSignedRank(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		diffs []float64
+		wplus float64
+		p     float64
+	}{
+		// All ten negative: W+ = 0, reached by one of 2¹⁰ sign patterns.
+		{"10 of 10 better", []float64{-1, -2, -3, -4, -5, -6, -7, -8, -9, -10}, 0, 2.0 / 1024},
+		// Ranks 1..5, W+ = 1+2+3+5 = 11; W- = 4, and 7 of the 32 subsets
+		// of {1..5} sum to at most 4: {}, 1, 2, 3, 4, 1+2, 1+3.
+		{"n=5", []float64{1, 2, 3, -4, 5}, 11, 14.0 / 32},
+		// |d| = 1,1,2,2 take ranks 1.5,1.5,3.5,3.5; W+ = 8.5. Doubled,
+		// the ranks are 3,3,7,7 and 3 of 16 subsets reach a sum ≥ 17.
+		{"tied ranks", []float64{1, -1, 2, 2}, 8.5, 6.0 / 16},
+		// Zeros are dropped: ranks 1, 2, both positive, W+ = 3, 1 of 4.
+		{"zeros dropped", []float64{0, 0.5, 0, 4}, 3, 0.5},
+		// A symmetric split cannot exceed p = 1.
+		{"symmetric", []float64{1, -1}, 1.5, 1},
+		{"empty", nil, 0, 1},
+	} {
+		w, p := WilcoxonSignedRank(tc.diffs)
+		if !approx(w, tc.wplus) || !approx(p, tc.p) {
+			t.Errorf("%s: WilcoxonSignedRank = (%v, %v), want (%v, %v)", tc.name, w, p, tc.wplus, tc.p)
+		}
+	}
+}

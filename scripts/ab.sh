@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# ab.sh — paired A/B benchmark of a base revision (A) against the working
+# tree (B), through the repository benchmark. Run it from the repository
+# root:
+#
+#   scripts/ab.sh <base-rev> [workload…]   # default: every BENCHMARK.json workload
+#
+# It checks <base-rev> out as a detached git worktree under
+# .bench_build/ab-base, builds both trees' harnesses once, and then runs ten
+# pairs per workload through each tree's bench/run.sh at the benchmark's own
+# run length and --trace 0. Pair i uses seed i on both sides, and the side
+# that runs first alternates (A B, B A, A B, …), so a host-wide slowdown
+# episode lands on both sides of a pair instead of on one set. Each run's
+# output is kept as .bench_build/ab/<stamp>/{a,b}/<workload>.<seed>.out.
+#
+# It then prints the harness's own unpaired verdicts (`bench compare`:
+# medians, quartiles and bounds) and the paired table of scripts/abstat:
+# both medians, the change, the pairs B won, and exact sign-test and
+# Wilcoxon signed-rank p-values. A gain holds when B wins at least nine of
+# ten pairs and the medians differ by more than the distance between the
+# base's quartiles in the `bench compare` table. The worktree is removed
+# on exit.
+set -eu
+
+if [ $# -lt 1 ]; then
+	echo "usage: scripts/ab.sh <base-rev> [workload…]" >&2
+	exit 2
+fi
+cd "$(dirname "$0")/.."
+root=$PWD
+base_rev=$(git rev-parse --verify "$1^{commit}")
+shift
+if [ $# -gt 0 ]; then
+	workloads="$*"
+else
+	workloads=$(awk '/"workloads"/ { f = 1 } /"end_to_end"/ { f = 0 }
+		f && /"name"/ { sub(/.*"name": *"/, ""); sub(/".*/, ""); print }' BENCHMARK.json)
+fi
+pairs=10
+
+base="$root/.bench_build/ab-base"
+out="$root/.bench_build/ab/$(date +%Y%m%d-%H%M%S)"
+mkdir -p "$out/a" "$out/b" "$root/.bench_build"
+git worktree remove --force "$base" 2>/dev/null || true
+git worktree add --detach "$base" "$base_rev" >/dev/null
+trap 'git -C "$root" worktree remove --force "$base" 2>/dev/null || true' EXIT
+
+# run <side> <tree> <workload> <seed>
+run() {
+	echo "  $1 $3 seed $4" >&2
+	(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" --trace 0) >"$out/$1/$3.$4.out"
+}
+
+# Build each harness once: `bench compare` over an empty run directory
+# builds through run.sh, prints only a header, and exits.
+mkdir -p "$out/empty"
+for tree in "$base" "$root"; do
+	(cd "$tree" && bash bench/run.sh compare "$out/empty" "$out/empty") >/dev/null
+done
+rmdir "$out/empty"
+
+echo "==> A = $base_rev, B = working tree; $pairs pairs of: $workloads" >&2
+for w in $workloads; do
+	for s in $(seq 1 "$pairs"); do
+		if [ $((s % 2)) -eq 1 ]; then
+			run a "$base" "$w" "$s"
+			run b "$root" "$w" "$s"
+		else
+			run b "$root" "$w" "$s"
+			run a "$base" "$w" "$s"
+		fi
+	done
+done
+
+echo "==> unpaired (bench compare $out/a $out/b)"
+bash bench/run.sh compare "$out/a" "$out/b"
+echo
+echo "==> paired (scripts/abstat)"
+GOCACHE="$root/.bench_build/gocache" GOFLAGS= GOPROXY=off go run ./scripts/abstat "$out/a" "$out/b"

@@ -4,10 +4,10 @@
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
-# (encode/decode, cache, CAM, unicast transit must stay at 0 allocs/op),
-# 10-second runs of the ARP cache's differential fuzz target and of the
-# scenario front end's fuzz target (Load, then Run on what it accepts), an
-# experiment-registry completeness leg (a small-trial pass of every
+# (encode/decode, cache, CAM, unicast transit, background datagrams must
+# stay at their pinned allocs/op), one fuzz loop over the native fuzz
+# targets (10 seconds each, 30 in all), an experiment-registry
+# completeness leg (a small-trial pass of every
 # experiment, diffed against the arpbench -list catalogue), and an
 # evaluation golden leg (a -trials 10 pass diffed against the committed
 # evaluation_output.txt with the host-timed Table 4 and Figure 3 masked).
@@ -52,28 +52,37 @@ if [ "$allocs" != "0" ]; then
 	exit 1
 fi
 
-echo "==> frame hot path allocation gates (encode/decode, cache, resolver, CAM, unicast transit, replay steady state, campus bytes/host)"
+echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, router forward, DAI, bank datagrams, replay steady state, campus bytes/host)"
 # Capture first, then filter: piping straight into grep would take grep's
 # exit status, and grep succeeds on the "--- FAIL" lines themselves.
 if ! gates=$(go test -run 'AllocFree$' -count=1 -v \
-	./internal/frame ./internal/arppkt ./internal/stack ./internal/netsim ./internal/replay ./internal/labnet 2>&1); then
+	./internal/frame ./internal/arppkt ./internal/ipv4pkt ./internal/denseidx ./internal/stack \
+	./internal/netsim ./internal/schemes/dai ./internal/replay ./internal/labnet 2>&1); then
 	echo "$gates" >&2
 	echo "allocation gates failed" >&2
 	exit 1
 fi
 echo "$gates" | grep -E '^(--- |ok|FAIL)'
 
-echo "==> ARP cache differential fuzz (FuzzCacheOps, 10s)"
-# Arbitrary op streams (updates, expiry, Delete, Flush, SetStatic over an
-# address pool with colliding keys) against a plain-map model; the seed
-# corpus is internal/stack/testdata/fuzz/FuzzCacheOps.
-go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime=10s ./internal/stack
-
-echo "==> scenario front-end fuzz (FuzzScenario, 10s)"
-# Arbitrary bytes through scenario.Load; every accepted spec, shortened and
-# size-capped, must Run without panicking. The seed corpus is
-# internal/scenario/testdata/fuzz/FuzzScenario.
-go test -run '^$' -fuzz '^FuzzScenario$' -fuzztime=10s ./internal/scenario
+# Native fuzz targets, as package:target:seconds. Each seeds from
+# <package>/testdata/fuzz/<target>:
+#   FuzzCacheOps  arbitrary op streams (updates, expiry, Delete, Flush,
+#                 SetStatic over colliding keys) against a plain-map model;
+#   FuzzScenario  arbitrary bytes through scenario.Load, and every accepted
+#                 spec, shortened and size-capped, must Run without panicking;
+#   FuzzIPv4      DecodeInto/AppendEncode against Decode/Encode, and
+#                 decode-encode round trips, for IPv4 and UDP.
+for spec in \
+	internal/stack:FuzzCacheOps:10 \
+	internal/scenario:FuzzScenario:10 \
+	internal/ipv4pkt:FuzzIPv4:10; do
+	pkg=${spec%%:*}
+	rest=${spec#*:}
+	target=${rest%%:*}
+	secs=${rest#*:}
+	echo "==> fuzz $target ($pkg, ${secs}s)"
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime="${secs}s" "./$pkg"
+done
 
 echo "==> experiment registry completeness (-list vs a -trials 1 pass of every experiment)"
 tmpdir=$(mktemp -d)
