@@ -163,7 +163,7 @@ func run(w io.Writer, args []string) error {
 	list := fs.Bool("list", false, "list the experiment and scheme catalogues, then exit")
 	trials := fs.Int("trials", 5, "trials per stochastic experiment")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "trial worker goroutines (1 = sequential; output is identical at any width)")
-	shards := fs.Int("shards", 0, "shard worker goroutines for the campus engine (figure9, figure10; 0 = engine-chosen, output is identical at any width)")
+	shards := fs.Int("shards", 0, "shard worker goroutines for the campus engine (figure9, figure10; 0 = one, the engine default; output is identical at any width)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := fs.Bool("json", false, "emit JSON documents instead of aligned text")
 	cache := fs.Bool("cache", false, "memoize per-trial results across experiments in this run; hit/miss counts go to -metrics telemetry and stderr")

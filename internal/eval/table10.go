@@ -92,14 +92,18 @@ func AttributeFirstDetection(rec *causal.Recorder, after time.Duration, ips ...s
 		}
 		return false
 	}
+	var ix *causal.Index
 	for _, al := range rec.Find(func(sp causal.Span) bool {
 		return sp.Kind == "alert" && sp.Start >= after && named(sp.Attr("ip"))
 	}) {
-		path := rec.PathToRoot(al.ID)
+		if ix == nil {
+			ix = rec.Index() // once per call: the ring holds up to 65,536 spans
+		}
+		path := ix.PathToRoot(al.ID)
 		if len(path) == 0 || path[0].Kind != "attack" {
 			continue
 		}
-		kinds, tot, bok := rec.Breakdown(al.ID)
+		kinds, tot, bok := ix.Breakdown(al.ID)
 		if !bok {
 			continue
 		}

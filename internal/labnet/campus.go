@@ -40,8 +40,9 @@ type CampusConfig struct {
 	// TrunkLatency is the backbone one-way delay — the sharded engine's
 	// lookahead bound (default 1ms).
 	TrunkLatency time.Duration
-	// Workers caps the shard worker pool (default: one per shard, which
-	// ShardedScheduler clamps to the core count's practical ceiling).
+	// Workers sets the shard worker pool width, clamped to [1, LANs].
+	// Zero (the default) keeps the engine's single worker, so every shard
+	// runs on one goroutine; output is identical at any width.
 	Workers int
 	// Policy, CacheTTL, HostOptions, CAMCapacity mirror Config and apply
 	// to every LAN.

@@ -165,3 +165,37 @@ func TestRecycledCAMRelearnAllocFree(t *testing.T) {
 		t.Fatalf("CAMLen %d after relearning, want 500", sw.CAMLen())
 	}
 }
+
+// TestFloodFanOutAllocFree: on a warm 64-port switch a broadcast, its
+// batched fan-out and the delivery to the other 63 stations reuse the
+// VLAN's cached flood plan, a pooled floodTransit shell and the scheduler's
+// pooled events. Only a plan rebuild allocates.
+func TestFloodFanOutAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	sw := NewSwitch(s)
+	st := newLAN(t, s, sw, 64)
+	for _, station := range st {
+		station.nic.SetHandler(func(*frame.Frame) {})
+	}
+	bc := &frame.Frame{Dst: ethaddr.BroadcastMAC, Src: st[0].nic.MAC(), Type: frame.TypeARP, Payload: make([]byte, 28)}
+	send := func() {
+		st[0].nic.Send(bc)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // build the plan, warm the pools and the CAM
+	events := s.Executed()
+	allocs := testing.AllocsPerRun(1000, send)
+	// AllocsPerRun makes one warm-up call: 1001 sends, each one link
+	// transit into the switch and one batched delivery.
+	if got := s.Executed() - events; got != 2*1001 {
+		t.Fatalf("%d events for 1001 broadcasts, want 2 each (fan-out not batched)", got)
+	}
+	if got := st[63].nic.Stats().RxFrames; got != 1002 {
+		t.Fatalf("last station received %d broadcasts, want 1002", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("broadcast fan-out: %v allocs/op, want 0", allocs)
+	}
+}

@@ -27,10 +27,25 @@ import (
 // cache belongs to one single-threaded scheduler, so — unlike a
 // process-wide sync.Pool, whose per-Get pin/unpin is an order of magnitude
 // more than this pop — the lists need no synchronization at all.
+//
+// gen is the topology generation that every Switch's cached flood plans
+// are checked against. Each setter that changes what a flood reads —
+// Port.Attach, Port.SetVLAN, Link.SetDown, Link.SetImpairment — bumps it,
+// so one scheduler-wide counter invalidates every plan a change could
+// touch without links or ports knowing which switches cached them.
 type transitCache struct {
 	free  *transit
 	flood *floodTransit
 	cams  []camTable // CAM storage parked by Switch.Recycle, reused by NewSwitch
+	gen   uint64
+}
+
+// bump advances the topology generation, staling every cached flood plan.
+// A nil cache (a hub's port) has no plans to stale.
+func (c *transitCache) bump() {
+	if c != nil {
+		c.gen++
+	}
 }
 
 // cacheOf returns the scheduler's transit cache, installing one on first
@@ -90,30 +105,33 @@ func (t *transit) Run() {
 // replacing one event per egress port. Switch.flood only builds one when
 // every target link is a plain pipe with one common delay, so the single
 // delivery instant is exact, and the delivery loop runs in port order —
-// the same order the per-port events would have executed in. Recycled
-// through the scheduler's transitCache, keeping the grown NIC slice
-// capacity across trials.
+// the same order the per-port events would have executed in. The targets
+// are the switch's flood plan's NIC slice, shared read-only: a plan rebuild
+// allocates fresh slices, so a flood in flight keeps the receiver set it
+// was scheduled with. Recycled through the scheduler's transitCache.
 type floodTransit struct {
 	cache *transitCache // owner; recycle destination
 	next  *floodTransit
 	f     *frame.Frame
-	nics  []*NIC
+	nics  []*NIC // a flood plan's egress NICs; never written
+	skip  int    // index in nics of the ingress port, -1 when it is not there
 }
 
-// Run implements sim.Task: deliver to every batched NIC, then recycle.
+// Run implements sim.Task: recycle the shell, then deliver to every
+// batched NIC.
 func (ft *floodTransit) Run() {
-	f := ft.f
-	for _, n := range ft.nics {
-		n.deliver(f)
-	}
-	ft.f = nil
-	for i := range ft.nics {
-		ft.nics[i] = nil // don't pin the previous LAN's NICs across trials
-	}
-	ft.nics = ft.nics[:0]
+	f, nics, skip := ft.f, ft.nics, ft.skip
+	// Drop the references before parking: the cache outlives the trial,
+	// so a parked shell must not pin the frame or the previous LAN's NICs.
+	ft.f, ft.nics = nil, nil
 	c := ft.cache
 	ft.next = c.flood
 	c.flood = ft
+	for i, n := range nics {
+		if i != skip {
+			n.deliver(f)
+		}
+	}
 }
 
 // TapEvent is one frame observed at a monitoring point (a mirror port or an
@@ -176,6 +194,15 @@ func WithLoss(prob float64) LinkOption {
 // default) models an infinitely fast line.
 func WithBandwidth(bitsPerSecond int64) LinkOption {
 	return func(p *linkParams) { p.bps = bitsPerSecond }
+}
+
+// fixedDelay is a link's delay for a frame of wireLen octets before jitter
+// and faults: propagation plus serialization at bps (none when zero).
+func fixedDelay(latency time.Duration, bps int64, wireLen int) time.Duration {
+	if bps > 0 {
+		latency += time.Duration(int64(wireLen) * 8 * int64(time.Second) / bps)
+	}
+	return latency
 }
 
 // defaultLink returns the default attachment parameters.
@@ -323,13 +350,19 @@ type Link struct {
 // SetDown administratively raises or lowers the link. While down, every
 // frame offered in either direction is counted and discarded — the
 // link-flap fault's hook.
-func (l *Link) SetDown(v bool) { l.down = v }
+func (l *Link) SetDown(v bool) {
+	l.down = v
+	l.cache.bump()
+}
 
 // Down reports whether the link is administratively down.
 func (l *Link) Down() bool { return l.down }
 
 // SetImpairment installs (or, with nil, removes) the link's fault hook.
-func (l *Link) SetImpairment(imp Impairment) { l.impair = imp }
+func (l *Link) SetImpairment(imp Impairment) {
+	l.impair = imp
+	l.cache.bump()
+}
 
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
@@ -365,10 +398,7 @@ func (l *Link) transmit(f *frame.Frame, nic *NIC, port *Port) {
 		sp.Attr("drop", "loss").End()
 		return
 	}
-	d := p.latency
-	if p.bps > 0 {
-		d += time.Duration(int64(wireLen) * 8 * int64(time.Second) / p.bps)
-	}
+	d := fixedDelay(p.latency, p.bps, wireLen)
 	if p.jitter > 0 {
 		d += time.Duration(l.sched.Int63n(int64(p.jitter)))
 	}

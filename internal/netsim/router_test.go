@@ -189,11 +189,13 @@ func TestRouterPoisonable(t *testing.T) {
 func TestRouterWidthParity(t *testing.T) {
 	run := func(workers int) string {
 		tl := buildTwoLAN(5, workers)
-		var log strings.Builder
+		// One log per host: each is written only from its own shard, which
+		// may run concurrently with the other at width 2.
+		var logs [2]strings.Builder
 		for i := 0; i < 2; i++ {
 			i := i
 			tl.hosts[i].HandleUDP(9999, func(src ethaddr.IPv4, srcPort uint16, payload []byte) {
-				fmt.Fprintf(&log, "h%d got %q from %s @%v\n", i, payload, src, tl.ss.Shard(i).Now())
+				fmt.Fprintf(&logs[i], "h%d got %q from %s @%v\n", i, payload, src, tl.ss.Shard(i).Now())
 			})
 			peer := tl.hosts[1-i]
 			h := tl.hosts[i]
@@ -207,9 +209,8 @@ func TestRouterWidthParity(t *testing.T) {
 		if err := tl.ss.RunUntil(3 * time.Second); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}
-		fmt.Fprintf(&log, "stats %+v %+v cross %d\n",
+		return fmt.Sprintf("%s%sstats %+v %+v cross %d\n", logs[0].String(), logs[1].String(),
 			tl.ifaces[0].Stats(), tl.ifaces[1].Stats(), tl.ss.CrossMessages())
-		return log.String()
 	}
 	want := run(1)
 	if !strings.Contains(want, "h1 got") || !strings.Contains(want, "h0 got") {

@@ -103,6 +103,7 @@ type Switch struct {
 	bytesOut    typeOctets
 	rec         *causal.Recorder // causal tracing; nil (no-op) when disabled
 	cache       *transitCache    // scheduler-wide transit recycling store
+	plans       []*floodPlan     // cached broadcast fan-out, one per flooded VLAN
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
 	reg            *telemetry.Registry
@@ -161,7 +162,8 @@ type Port struct {
 	id      int
 	vlan    uint16
 	ingress func(*frame.Frame)
-	nic     *NIC // attached station; nil before Attach
+	nic     *NIC          // attached station; nil before Attach
+	cache   *transitCache // the switch's; nil on a hub
 }
 
 // send transmits a frame out the port toward the attached NIC.
@@ -179,7 +181,10 @@ func (p *Port) VLAN() uint16 { return p.vlan }
 // SetVLAN moves the port to an access VLAN. All ports default to VLAN 1.
 // Broadcasts, floods, and learned forwarding stay within a VLAN —
 // segmentation bounds a poisoner's blast radius to its own segment.
-func (p *Port) SetVLAN(vid uint16) { p.vlan = vid }
+func (p *Port) SetVLAN(vid uint16) {
+	p.vlan = vid
+	p.cache.bump()
+}
 
 // Attach wires a NIC to this port with the given link characteristics,
 // replacing any previous attachment. It returns the attachment's Link so
@@ -198,14 +203,16 @@ func (p *Port) Attach(n *NIC, opts ...LinkOption) *Link {
 	n.port = p
 	n.link = l
 	p.nic = n
+	l.cache.bump()
 	return l
 }
 
 // AddPort creates a new port on the switch, in VLAN 1.
 func (sw *Switch) AddPort() *Port {
-	p := &Port{id: len(sw.ports), vlan: 1}
+	p := &Port{id: len(sw.ports), vlan: 1, cache: sw.cache}
 	p.ingress = func(f *frame.Frame) { sw.ingress(p.id, f) }
 	sw.ports = append(sw.ports, p)
+	sw.plans = nil
 	if sw.reg != nil {
 		sw.mPortBytes = append(sw.mPortBytes,
 			sw.reg.Counter("switch_port_bytes_total", telemetry.L("port", strconv.Itoa(p.id))))
@@ -268,6 +275,7 @@ func (sw *Switch) AddFilter(f FilterFunc) {
 func (sw *Switch) MirrorAllTo(dst *Port) {
 	sw.mirror = dst
 	sw.mirrSrc = nil // nil means "all ports"
+	sw.plans = nil
 }
 
 // MirrorPortsTo copies the ingress traffic of the given ports to dst.
@@ -277,6 +285,7 @@ func (sw *Switch) MirrorPortsTo(dst *Port, src ...*Port) {
 	for _, p := range src {
 		sw.mirrSrc[p.id] = true
 	}
+	sw.plans = nil
 }
 
 // Stats returns a copy of the forwarding counters.
@@ -466,52 +475,147 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 	sw.failOpen = false
 }
 
+// floodPlan is a switch's cached broadcast fan-out for one VLAN: the
+// VLAN's egress ports in port order, flattened out of the Port→NIC→Link
+// chain so a flood decides batching and schedules delivery from contiguous
+// data. It is current while gen equals the scheduler's topology generation
+// (transitCache.gen); AddPort and the mirror setters drop a switch's plans
+// outright. A plan's slices are never written after it is built, and a
+// rebuild allocates fresh ones, so a floodTransit in flight shares nics
+// read-only and keeps delivering to the receiver set it was scheduled with.
+type floodPlan struct {
+	vlan  uint16
+	gen   uint64
+	nics  []*NIC
+	links []*Link
+	pipes []floodPipe
+	// slot is each port's index in the plan, by port id; -1 when the port
+	// is not an egress of this VLAN.
+	slot []int
+	// mirror is the mirror port's index in the plan, -1 when it is not an
+	// egress of this VLAN.
+	mirror int
+	// uniform: every pipe is plain with one latency and rate, so any subset
+	// of the egresses batches at one delay.
+	uniform bool
+}
+
+// floodPipe is what the batching rule reads of one egress link.
+type floodPipe struct {
+	latency time.Duration
+	bps     int64
+	// plain: up, no impairment, loss or jitter, untraced. Loss, jitter and
+	// tracing are fixed at Attach; the rest change only through setters
+	// that bump the topology generation.
+	plain bool
+}
+
+// floodPlan returns the current plan for vlan, rebuilding a stale one.
+func (sw *Switch) floodPlan(vlan uint16) *floodPlan {
+	for i, pl := range sw.plans {
+		if pl.vlan == vlan {
+			if pl.gen != sw.cache.gen {
+				pl = sw.buildFloodPlan(vlan)
+				sw.plans[i] = pl
+			}
+			return pl
+		}
+	}
+	pl := sw.buildFloodPlan(vlan)
+	sw.plans = append(sw.plans, pl)
+	return pl
+}
+
+// buildFloodPlan walks the ports once into a fresh plan for vlan.
+func (sw *Switch) buildFloodPlan(vlan uint16) *floodPlan {
+	n := len(sw.ports)
+	pl := &floodPlan{
+		vlan:    vlan,
+		gen:     sw.cache.gen,
+		nics:    make([]*NIC, 0, n),
+		links:   make([]*Link, 0, n),
+		pipes:   make([]floodPipe, 0, n),
+		slot:    make([]int, n),
+		mirror:  -1,
+		uniform: true,
+	}
+	for _, p := range sw.ports {
+		pl.slot[p.id] = -1
+		if p.nic == nil || p.vlan != vlan {
+			continue
+		}
+		l := p.nic.link
+		pipe := floodPipe{
+			latency: l.params.latency,
+			bps:     l.params.bps,
+			plain:   !l.down && l.impair == nil && l.lossRng == nil && l.params.jitter == 0 && l.rec == nil,
+		}
+		if !pipe.plain || (len(pl.pipes) > 0 && pipe != pl.pipes[0]) {
+			pl.uniform = false
+		}
+		i := len(pl.nics)
+		pl.slot[p.id] = i
+		if sw.mirror != nil && p.id == sw.mirror.id {
+			pl.mirror = i
+		}
+		pl.nics = append(pl.nics, p.nic)
+		pl.links = append(pl.links, l)
+		pl.pipes = append(pl.pipes, pipe)
+	}
+	return pl
+}
+
+// batchDelay applies the batching rule to every egress but skip: each must
+// be a plain pipe, and all must deliver a frame of wire octets after one
+// common delay, which it returns. The caller checks that such an egress
+// exists.
+func (pl *floodPlan) batchDelay(skip, wire int) (time.Duration, bool) {
+	if pl.uniform && len(pl.pipes) > 0 {
+		return fixedDelay(pl.pipes[0].latency, pl.pipes[0].bps, wire), true
+	}
+	var d time.Duration
+	first := true
+	for i := range pl.pipes {
+		if i == skip {
+			continue
+		}
+		p := &pl.pipes[i]
+		if !p.plain {
+			return 0, false
+		}
+		ld := fixedDelay(p.latency, p.bps, wire)
+		if !first && ld != d {
+			return 0, false
+		}
+		d, first = ld, false
+	}
+	return d, true
+}
+
 // flood replicates the frame to every port in the ingress port's VLAN,
-// except the ingress port itself. It reports whether a copy egressed the
-// mirror port.
+// except the ingress port itself, as listed by the VLAN's flood plan. It
+// reports whether a copy egressed the mirror port.
 //
 // When every egress link is a plain pipe — up, no impairment, loss or
 // jitter, untraced — with the same delivery delay (the common uniform-LAN
 // topology), the replicas collapse into one scheduled floodTransit instead
 // of one event per port: one heap push, one pop, one task dispatch for the
 // whole fan-out, with the delivery loop walking the shared read-only frame
-// across every NIC. The per-port deliveries were consecutive events at one
-// instant, so folding them into one task preserves the execution order
-// exactly. Any port that fails the plain-pipe test sends the whole flood
-// down the per-port transmit path, which handles the general case.
+// across the plan's NICs. The per-port deliveries were consecutive events
+// at one instant, so folding them into one task preserves the execution
+// order exactly. Otherwise each egress link transmits its own replica,
+// which handles the general case.
 func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 	sw.stats.Flooded++
 	sw.mFlooded.Inc()
-	wire := uint64(f.WireLen())
-	vlan := sw.ports[ingress].vlan
-
-	batchable := true
-	var d time.Duration
-	n := 0
-	for _, p := range sw.ports {
-		if p.id == ingress || p.nic == nil || p.vlan != vlan {
-			continue
-		}
-		l := p.nic.link
-		if l.down || l.impair != nil || l.lossRng != nil || l.params.jitter > 0 || l.rec != nil {
-			batchable = false
-			break
-		}
-		ld := l.params.latency
-		if l.params.bps > 0 {
-			ld += time.Duration(int64(wire) * 8 * int64(time.Second) / l.params.bps)
-		}
-		if n == 0 {
-			d = ld
-		} else if ld != d {
-			batchable = false
-			break
-		}
-		n++
+	wire := f.WireLen()
+	pl := sw.floodPlan(sw.ports[ingress].vlan)
+	skip := pl.slot[ingress]
+	replicas := len(pl.nics)
+	if skip >= 0 {
+		replicas--
 	}
-
-	reachedMirror := false
-	if batchable && n > 0 {
+	if d, ok := pl.batchDelay(skip, wire); ok && replicas > 0 {
 		c := sw.cache
 		ft := c.flood
 		if ft != nil {
@@ -520,35 +624,22 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 		} else {
 			ft = &floodTransit{cache: c}
 		}
-		ft.f = f
-		for _, p := range sw.ports {
-			if p.id == ingress || p.nic == nil || p.vlan != vlan {
-				continue
+		ft.f, ft.nics, ft.skip = f, pl.nics, skip
+		for i, l := range pl.links {
+			if i != skip {
+				l.stats.Delivered++
 			}
-			if sw.mirror != nil && p.id == sw.mirror.id {
-				reachedMirror = true
-			}
-			p.nic.link.stats.Delivered++
-			ft.nics = append(ft.nics, p.nic)
 		}
-		sw.bytesOut.add(f.Type, wire*uint64(len(ft.nics)))
 		sw.sched.AfterTask(d, ft)
-		return reachedMirror
-	}
-
-	replicas := uint64(0)
-	for _, p := range sw.ports {
-		if p.id == ingress || p.nic == nil || p.vlan != vlan {
-			continue
+	} else {
+		for i, l := range pl.links {
+			if i != skip {
+				l.transmit(f, pl.nics[i], nil)
+			}
 		}
-		if sw.mirror != nil && p.id == sw.mirror.id {
-			reachedMirror = true
-		}
-		replicas++
-		p.send(f)
 	}
-	sw.bytesOut.add(f.Type, wire*replicas)
-	return reachedMirror
+	sw.bytesOut.add(f.Type, uint64(wire*replicas))
+	return pl.mirror >= 0 && pl.mirror != skip
 }
 
 // egressTo sends the frame out one port.

@@ -79,7 +79,8 @@ type CampusSpec struct {
 	// TrunkLatencyMicros is the backbone one-way delay in microseconds —
 	// the sharded engine's conservative lookahead bound (default 1000).
 	TrunkLatencyMicros float64 `json:"trunkLatencyMicros,omitempty"`
-	// Workers caps the shard worker pool (default: engine-chosen).
+	// Workers sets the shard worker pool width (default 0: one worker,
+	// every shard on one goroutine; output is identical at any width).
 	Workers int `json:"workers,omitempty"`
 	// AttackerLAN places the attacker's segment (default 0); the attack
 	// timeline targets that LAN's router gateway and victim station.

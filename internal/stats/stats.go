@@ -63,6 +63,31 @@ func Quantile(xs []float64, q float64) float64 {
 // Median returns the 0.5 quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
+// Quartiles returns the first quartile, median and third quartile by the
+// "exclusive" method of Python's statistics.quantiles(xs, n=4), the
+// convention of the repository benchmark's `bench compare`. The median
+// equals Median's; the outer quartiles sit further out on small samples.
+// Input need not be sorted; empty input yields zeros.
+func Quartiles(xs []float64) [3]float64 {
+	n := len(xs)
+	if n == 0 {
+		return [3]float64{}
+	}
+	d := make([]float64, n)
+	copy(d, xs)
+	sort.Float64s(d)
+	if n < 2 {
+		return [3]float64{d[0], d[0], d[0]}
+	}
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		q[i-1] = (d[j-1]*(4-delta) + d[j]*delta) / 4
+	}
+	return q
+}
+
 // CDFPoint is one point of an empirical distribution function.
 type CDFPoint struct {
 	X float64 // value

@@ -47,6 +47,30 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestQuartiles pins the exclusive method against Python's
+// statistics.quantiles(xs, n=4).
+func TestQuartiles(t *testing.T) {
+	tests := []struct {
+		xs   []float64
+		want [3]float64
+	}{
+		{[]float64{50, 15, 40, 20, 35}, [3]float64{17.5, 35, 45}},
+		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, [3]float64{2.75, 5.5, 8.25}},
+		{[]float64{4, 1}, [3]float64{0.25, 2.5, 4.75}}, // extrapolated, as Python does
+		{[]float64{7}, [3]float64{7, 7, 7}},
+		{nil, [3]float64{}},
+	}
+	for _, tt := range tests {
+		got := Quartiles(tt.xs)
+		for i := range got {
+			if !approx(got[i], tt.want[i]) {
+				t.Errorf("Quartiles(%v) = %v, want %v", tt.xs, got, tt.want)
+				break
+			}
+		}
+	}
+}
+
 func TestQuantileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Quantile(xs, 0.5)

@@ -8,25 +8,50 @@ import (
 	"time"
 )
 
-// index is a one-shot lookup structure over the retained spans. Queries
-// build it on demand; the hot recording path never does.
-type index struct {
-	byID     map[ID]Span
-	children map[ID][]ID // sorted by child ID (filing order equals ID order)
+// Index is a lookup snapshot of the retained spans. The Recorder's tree
+// queries build one on demand (the hot recording path never does); a
+// caller running several queries over one recording builds it once with
+// Recorder.Index and queries that.
+type Index struct {
+	spans    []Span      // oldest first
+	byID     map[ID]int  // position in spans
+	children map[ID][]ID // sorted by child ID; built on first use
 }
 
-func (r *Recorder) buildIndex() *index {
-	ix := &index{byID: make(map[ID]Span), children: make(map[ID][]ID)}
-	for _, sp := range r.Spans() {
-		ix.byID[sp.ID] = sp
-		if sp.Parent != 0 {
-			ix.children[sp.Parent] = append(ix.children[sp.Parent], sp.ID)
-		}
-	}
-	for _, kids := range ix.children {
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+// Index snapshots the retained spans for repeated queries. The nil
+// Recorder yields an empty index.
+func (r *Recorder) Index() *Index {
+	spans := r.Spans()
+	ix := &Index{spans: spans, byID: make(map[ID]int, len(spans))}
+	for i, sp := range spans {
+		ix.byID[sp.ID] = i
 	}
 	return ix
+}
+
+// span returns the indexed span with the given ID.
+func (ix *Index) span(id ID) (Span, bool) {
+	i, ok := ix.byID[id]
+	if !ok {
+		return Span{}, false
+	}
+	return ix.spans[i], true
+}
+
+// kids returns the IDs of id's retained children in span-ID order.
+func (ix *Index) kids(id ID) []ID {
+	if ix.children == nil {
+		ix.children = make(map[ID][]ID)
+		for _, sp := range ix.spans {
+			if sp.Parent != 0 {
+				ix.children[sp.Parent] = append(ix.children[sp.Parent], sp.ID)
+			}
+		}
+		for _, kids := range ix.children {
+			sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+		}
+	}
+	return ix.children[id]
 }
 
 // Span returns the retained span with the given ID.
@@ -49,7 +74,7 @@ func (r *Recorder) Roots() []Span {
 	if r == nil {
 		return nil
 	}
-	ix := r.buildIndex()
+	ix := r.Index()
 	return r.Find(func(sp Span) bool {
 		if sp.Parent == 0 {
 			return true
@@ -65,11 +90,12 @@ func (r *Recorder) ChildrenOf(id ID) []Span {
 	if r == nil {
 		return nil
 	}
-	ix := r.buildIndex()
-	kids := ix.children[id]
+	ix := r.Index()
+	kids := ix.kids(id)
 	out := make([]Span, 0, len(kids))
 	for _, k := range kids {
-		out = append(out, ix.byID[k])
+		sp, _ := ix.span(k)
+		out = append(out, sp)
 	}
 	return out
 }
@@ -80,10 +106,14 @@ func (r *Recorder) PathToRoot(id ID) []Span {
 	if r == nil {
 		return nil
 	}
-	ix := r.buildIndex()
+	return r.Index().PathToRoot(id)
+}
+
+// PathToRoot is Recorder.PathToRoot over the snapshot.
+func (ix *Index) PathToRoot(id ID) []Span {
 	var rev []Span
 	for cur := id; cur != 0; {
-		sp, ok := ix.byID[cur]
+		sp, ok := ix.span(cur)
 		if !ok {
 			break
 		}
@@ -103,12 +133,13 @@ func (r *Recorder) Descendants(id ID) []Span {
 	if r == nil {
 		return nil
 	}
-	ix := r.buildIndex()
+	ix := r.Index()
 	var out []Span
 	var walk func(ID)
 	walk = func(cur ID) {
-		for _, k := range ix.children[cur] {
-			out = append(out, ix.byID[k])
+		for _, k := range ix.kids(cur) {
+			sp, _ := ix.span(k)
+			out = append(out, sp)
 			walk(k)
 		}
 	}
@@ -125,7 +156,12 @@ func (r *Recorder) Descendants(id ID) []Span {
 // root's start to the span's end. ok is false when the span (or any chain)
 // is not retained.
 func (r *Recorder) Breakdown(id ID) (stages map[string]time.Duration, total time.Duration, ok bool) {
-	chain := r.PathToRoot(id)
+	return r.Index().Breakdown(id)
+}
+
+// Breakdown is Recorder.Breakdown over the snapshot.
+func (ix *Index) Breakdown(id ID) (stages map[string]time.Duration, total time.Duration, ok bool) {
+	chain := ix.PathToRoot(id)
 	if len(chain) == 0 {
 		return nil, 0, false
 	}
@@ -151,18 +187,18 @@ func (r *Recorder) WriteTree(w io.Writer, root ID) error {
 	if r == nil {
 		return nil
 	}
-	ix := r.buildIndex()
-	base, ok := ix.byID[root]
+	ix := r.Index()
+	base, ok := ix.span(root)
 	if !ok {
 		return nil
 	}
 	var render func(id ID, depth int) error
 	render = func(id ID, depth int) error {
-		sp := ix.byID[id]
+		sp, _ := ix.span(id)
 		if err := writeTreeLine(w, sp, base.Start, depth); err != nil {
 			return err
 		}
-		for _, k := range ix.children[id] {
+		for _, k := range ix.kids(id) {
 			if err := render(k, depth+1); err != nil {
 				return err
 			}

@@ -15,11 +15,11 @@
 #
 # It then prints the harness's own unpaired verdicts (`bench compare`:
 # medians, quartiles and bounds) and the paired table of scripts/abstat:
-# both medians, the change, the pairs B won, and exact sign-test and
-# Wilcoxon signed-rank p-values. A gain holds when B wins at least nine of
-# ten pairs and the medians differ by more than the distance between the
-# base's quartiles in the `bench compare` table. The worktree is removed
-# on exit.
+# A's quartiles, both medians, the change, the pairs B won, exact
+# sign-test and Wilcoxon signed-rank p-values, and a verdict per metric —
+# gain when B wins at least nine of ten pairs and the medians differ by
+# more than A's interquartile range, worse>bound when B's median is worse
+# than the metric's bound allows. The worktree is removed on exit.
 set -eu
 
 if [ $# -lt 1 ]; then

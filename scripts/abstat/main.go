@@ -2,14 +2,23 @@
 // two directories of saved bench runs, A (the base) and B (the change),
 // each holding one file per run named <workload>.<seed>.out with that run's
 // standard output, and pairs the runs by file name. For every workload and
-// metric it prints both sides' medians, B's relative change, how many pairs
-// B won, and the p-values of the exact sign test and Wilcoxon signed-rank
-// test on the paired differences. (Quartiles, and the bound verdicts, come
-// from the benchmark's own `bench compare`.)
+// metric it prints A's quartiles, both sides' medians, B's relative change,
+// how many pairs B won, the p-values of the exact sign test and Wilcoxon
+// signed-rank test on the paired differences, and a verdict:
+//
+//	gain         B won at least 9 pairs in 10 and the medians differ, in
+//	             B's favour, by more than A's interquartile range
+//	worse>bound  B's median is worse than A's by more than the metric's
+//	             bound in BENCHMARK.json (end-to-end metrics only)
+//	within       otherwise
+//
+// Quartiles use the exclusive method, as the benchmark's `bench compare`
+// does.
 //
 //	go run ./scripts/abstat <runsA> <runsB>
 //
-// Metric directions come from BENCHMARK.json in the working directory.
+// Metric directions and bounds come from BENCHMARK.json in the working
+// directory.
 // scripts/ab.sh records the runs and calls it.
 package main
 
@@ -17,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,9 +47,10 @@ type result struct {
 
 // metric is one BENCHMARK.json metric declaration.
 type metric struct {
-	Name   string `json:"name"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"` // relative; zero when the metric has none
 }
 
 func main() {
@@ -47,14 +58,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: abstat <runsA> <runsB>")
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, os.Args[1], os.Args[2]); err != nil {
+	if err := run(os.Stdout, "BENCHMARK.json", os.Args[1], os.Args[2]); err != nil {
 		fmt.Fprintln(os.Stderr, "abstat:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, dirA, dirB string) error {
-	raw, err := os.ReadFile("BENCHMARK.json")
+func run(w io.Writer, specPath, dirA, dirB string) error {
+	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
 	}
@@ -63,7 +74,7 @@ func run(w io.Writer, dirA, dirB string) error {
 		PerLayer []metric `json:"per_layer"`
 	}
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
+		return fmt.Errorf("%s: %w", specPath, err)
 	}
 	metrics := append(spec.EndToEnd, spec.PerLayer...)
 
@@ -96,7 +107,7 @@ func run(w io.Writer, dirA, dirB string) error {
 	}
 
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tmetric\tunit\tA median\tB median\tchange\tB better\tsign p\twilcoxon p")
+	fmt.Fprintln(tw, "workload\tmetric\tunit\tA median [q1 q3]\tB median\tchange\tB better\tsign p\twilcoxon p\tverdict")
 	for _, wl := range workloads {
 		for _, m := range metrics {
 			var va, vb, diffs []float64
@@ -116,7 +127,8 @@ func run(w io.Writer, dirA, dirB string) error {
 			if len(va) == 0 {
 				continue
 			}
-			ma, mb := stats.Median(va), stats.Median(vb)
+			qa, mb := stats.Quartiles(va), stats.Median(vb)
+			ma := qa[1]
 			if ma == 0 && mb == 0 {
 				continue // a layer this workload does not exercise
 			}
@@ -126,8 +138,8 @@ func run(w io.Writer, dirA, dirB string) error {
 			}
 			_, better, psign := stats.SignTest(diffs)
 			_, pwil := stats.WilcoxonSignedRank(diffs)
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g\t%.4g\t%s\t%d/%d\t%.3g\t%.3g\n", wl, m.Name, m.Unit,
-				ma, mb, change, better, len(diffs), psign, pwil)
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g [%.4g %.4g]\t%.4g\t%s\t%d/%d\t%.3g\t%.3g\t%s\n", wl, m.Name, m.Unit,
+				ma, qa[0], qa[2], mb, change, better, len(diffs), psign, pwil, verdict(m, qa, mb, better, len(diffs)))
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -142,6 +154,22 @@ func run(w io.Writer, dirA, dirB string) error {
 		fmt.Fprintf(w, "%s: %d pairs; failed/attempted A %d/%d, B %d/%d\n", wl, len(pairs[wl]), fa, aa, fb, ab)
 	}
 	return nil
+}
+
+// verdict judges B against A for one metric: qa is A's quartiles, mb B's
+// median, and B read better in better of pairs pairs.
+func verdict(m metric, qa [3]float64, mb float64, better, pairs int) string {
+	worse := mb - qa[1] // positive: B is worse
+	if m.Better == "higher" {
+		worse = -worse
+	}
+	switch {
+	case 10*better >= 9*pairs && worse < 0 && -worse > qa[2]-qa[0]:
+		return "gain"
+	case m.Bound > 0 && qa[1] != 0 && worse/math.Abs(qa[1]) > m.Bound:
+		return "worse>bound"
+	}
+	return "within"
 }
 
 // load reads one run file's result line (its last non-empty line).

@@ -4,8 +4,9 @@
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
-# (encode/decode, cache, CAM, unicast transit, background datagrams must
-# stay at their pinned allocs/op), one fuzz loop over the native fuzz
+# (encode/decode, cache, CAM, unicast transit, broadcast fan-out,
+# background datagrams must stay at their pinned allocs/op), one fuzz
+# loop over the native fuzz
 # targets (10 seconds each, 30 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
 # experiment, diffed against the arpbench -list catalogue), and an
@@ -52,7 +53,7 @@ if [ "$allocs" != "0" ]; then
 	exit 1
 fi
 
-echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, router forward, DAI, bank datagrams, replay steady state, campus bytes/host)"
+echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host)"
 # Capture first, then filter: piping straight into grep would take grep's
 # exit status, and grep succeeds on the "--- FAIL" lines themselves.
 if ! gates=$(go test -run 'AllocFree$' -count=1 -v \
