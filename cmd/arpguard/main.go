@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/arppkt"
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/frame"
 	"repro/internal/labnet"
@@ -125,23 +124,19 @@ func run(w io.Writer, args []string) error {
 
 	// A single scheme deploys directly; a '+'-joined stack routes members
 	// through the shared correlator.
-	var guard *core.Guard
+	var inst *registry.Instance // the single scheme, or the stack's hybrid-guard member
 	var stackInst *registry.StackInstance
 	if len(st.Schemes) == 1 {
 		if f := mustFactory(st.Schemes[0].Name); !f.ConstructionOnly() {
-			inst, err := registry.Deploy(env, st.Schemes[0].Name, st.Schemes[0].Params)
-			if err != nil {
+			if inst, err = registry.Deploy(env, st.Schemes[0].Name, st.Schemes[0].Params); err != nil {
 				return err
 			}
-			guard, _ = inst.Handle.(*core.Guard)
 		}
 	} else {
 		if stackInst, err = registry.DeployStack(env, st); err != nil {
 			return err
 		}
-		if m := stackInst.Member(registry.NameHybridGuard); m != nil {
-			guard, _ = m.Handle.(*core.Guard)
-		}
+		inst = stackInst.Member(registry.NameHybridGuard)
 	}
 
 	fmt.Fprintf(w, "scheme %s vs attack %s (victims run the naive cache policy)\n\n", st.Label(), *atk)
@@ -222,11 +217,9 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "correlation: %d forwarded, %d suppressed (%d cross-scheme)\n",
 			cs.Forwarded, cs.Suppressed, cs.CrossScheme)
 	}
-	if guard != nil {
-		for _, inc := range guard.Incidents() {
-			fmt.Fprintf(w, "incident: ip=%s suspect=%s alerts=%d confirmed=%v window=[%v..%v]\n",
-				inc.IP, inc.Suspect, inc.Alerts, inc.Confirmed, inc.FirstAt, inc.LastAt)
-		}
+	for _, inc := range inst.Incidents() {
+		fmt.Fprintf(w, "incident: ip=%s suspect=%s alerts=%d confirmed=%v window=[%v..%v]\n",
+			inc.IP, inc.Suspect, inc.Alerts, inc.Confirmed, inc.FirstAt, inc.LastAt)
 	}
 	if *traceRun {
 		if err := reportTrace(w, reg, st.Label(), gw.IP().String(), victim.IP().String()); err != nil {

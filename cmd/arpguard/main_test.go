@@ -62,6 +62,35 @@ func TestHybridGuardAgainstMITM(t *testing.T) {
 	}
 }
 
+// TestHybridGuardIncidentOrder: the MITM opens the victim and gateway
+// incidents at the same instant (2.00005s), so their order rests on the
+// (FirstAt, IP) sort alone; every run must print the same lines.
+func TestHybridGuardIncidentOrder(t *testing.T) {
+	var first []string
+	for i := 0; i < 10; i++ {
+		var buf bytes.Buffer
+		if err := run(&buf, []string{"-scheme", "hybrid-guard", "-attack", "mitm"}); err != nil {
+			t.Fatal(err)
+		}
+		var incs []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "incident: ") {
+				incs = append(incs, line)
+			}
+		}
+		if i == 0 {
+			if len(incs) != 2 || !strings.Contains(incs[0], "ip=192.168.88.2 ") ||
+				!strings.Contains(incs[1], "ip=192.168.88.254 ") ||
+				!strings.Contains(incs[0], "window=[2.00005s..") || !strings.Contains(incs[1], "window=[2.00005s..") {
+				t.Fatalf("want the victim then the gateway incident, both opened at 2.00005s:\n%s", strings.Join(incs, "\n"))
+			}
+			first = incs
+		} else if strings.Join(incs, "\n") != strings.Join(first, "\n") {
+			t.Fatalf("run %d printed incidents in another order:\n%s\nwant:\n%s", i, strings.Join(incs, "\n"), strings.Join(first, "\n"))
+		}
+	}
+}
+
 func TestFloodDetectAgainstScan(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-scheme", "flood-detect", "-attack", "scan"}); err != nil {

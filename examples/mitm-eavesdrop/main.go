@@ -1,8 +1,8 @@
 // MITM eavesdropping: a client talks to a server; an attacker mounts the
 // full bidirectional poisoning + relay attack and silently reads the
 // session. The example runs the same scenario three ways — undefended,
-// detected by the Guard, and prevented by host middleware — and compares
-// how many payload bytes the attacker captured in each.
+// detected by the hybrid-guard preset, and prevented by host middleware —
+// and compares how many payload bytes the attacker captured in each.
 package main
 
 import (
@@ -10,8 +10,10 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/labnet"
+	"repro/internal/schemes"
+	"repro/internal/schemes/registry"
+	_ "repro/internal/schemes/registry/all" // link every scheme factory
 	"repro/internal/traffic"
 )
 
@@ -27,16 +29,22 @@ func runScenario(protect, detect bool) outcome {
 	lan := labnet.Default()
 	server, client := lan.Gateway(), lan.Victim()
 
-	var guard *core.Guard
+	// The server is the gateway and the client the victim, so seedVictim
+	// adds the client's true binding to the gateway's; protection puts
+	// middleware on every host, client and server included.
+	var guard *registry.Instance
 	if detect || protect {
-		guard = core.New(lan.Sched, lan.Monitor,
-			core.WithSeedBinding(server.IP(), server.MAC()),
-			core.WithSeedBinding(client.IP(), client.MAC()))
-		lan.Switch.AddTap(guard.Tap())
+		st := registry.Stack{Schemes: []registry.Selection{
+			{Name: registry.NameHybridGuard, Params: []byte(`{"seedVictim":true}`)},
+		}}
 		if protect {
-			guard.ProtectHost(client)
-			guard.ProtectHost(server)
+			st.Schemes = append(st.Schemes, registry.Selection{Name: registry.NameMiddleware, Params: []byte(`{"scope":"all"}`)})
 		}
+		si, err := registry.DeployStack(lan.Env(schemes.NewSink(), nil), st)
+		if err != nil {
+			log.Fatal(err)
+		}
+		guard = si.Member(registry.NameHybridGuard)
 	}
 
 	// The session: the client posts "credentials" every 200ms.
@@ -58,8 +66,8 @@ func runScenario(protect, detect bool) outcome {
 		sniffedBytes: lan.Attacker.Stats().Sniffed,
 		delivered:    flow.Stats().Delivered,
 	}
-	if guard != nil {
-		if inc, ok := guard.IncidentFor(server.IP()); ok && inc.Confirmed {
+	for _, inc := range guard.Incidents() {
+		if inc.IP == server.IP() && inc.Confirmed {
 			out.detected = true
 		}
 	}

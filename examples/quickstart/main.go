@@ -1,6 +1,6 @@
 // Quickstart: build a four-host LAN, let an attacker poison the victim's
-// idea of the gateway, and watch the hybrid Guard detect, verify, and name
-// the culprit — the minimal end-to-end tour of the public API.
+// idea of the gateway, and watch the hybrid-guard preset detect, verify,
+// and name the culprit — the minimal end-to-end tour of the public API.
 package main
 
 import (
@@ -9,9 +9,10 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/labnet"
 	"repro/internal/schemes"
+	"repro/internal/schemes/registry"
+	_ "repro/internal/schemes/registry/all" // link every scheme factory
 )
 
 func main() {
@@ -20,15 +21,14 @@ func main() {
 	lan := labnet.Default()
 	gateway, victim := lan.Gateway(), lan.Victim()
 
-	// 2. Deploy the Guard: passive monitoring + active verification, with
-	//    the gateway's true binding seeded as ground truth.
-	guard := core.New(lan.Sched, lan.Monitor,
-		core.WithSeedBinding(gateway.IP(), gateway.MAC()),
-		core.WithAlertHandler(func(a schemes.Alert) {
-			fmt.Printf("ALERT  %s\n", a)
-		}),
-	)
-	lan.Switch.AddTap(guard.Tap())
+	// 2. Deploy the guard: passive monitoring + active verification, with
+	//    the gateway's true binding seeded as ground truth (the defaults).
+	sink := schemes.NewSink()
+	sink.OnAlert(func(a schemes.Alert) { fmt.Printf("ALERT  %s\n", a) })
+	guard, err := registry.Deploy(lan.Env(sink, nil), registry.NameHybridGuard, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 3. The attack: a forged gratuitous ARP claiming the gateway's IP.
 	lan.Sched.At(time.Second, func() {
@@ -46,10 +46,12 @@ func main() {
 	if mac, ok := victim.Cache().Lookup(gateway.IP()); ok && mac == lan.Attacker.MAC() {
 		fmt.Println("victim's cache is poisoned (naive policy accepted the forgery)")
 	}
-	inc, ok := guard.IncidentFor(gateway.IP())
-	if !ok {
-		log.Fatal("guard missed the attack")
+	for _, inc := range guard.Incidents() {
+		if inc.IP == gateway.IP() {
+			fmt.Printf("incident: ip=%s suspect=%s confirmed=%v (first alert %v after attack)\n",
+				inc.IP, inc.Suspect, inc.Confirmed, inc.FirstAt-time.Second)
+			return
+		}
 	}
-	fmt.Printf("incident: ip=%s suspect=%s confirmed=%v (first alert %v after attack)\n",
-		inc.IP, inc.Suspect, inc.Confirmed, inc.FirstAt-time.Second)
+	log.Fatal("guard missed the attack")
 }

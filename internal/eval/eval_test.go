@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/schemes/registry"
 )
 
 func findRow(t *testing.T, tbl *Table, name string) []string {
@@ -320,6 +322,26 @@ func TestTable7PortStealingShape(t *testing.T) {
 	sec := findRow(t, tbl, "port-security-sticky")
 	if sec[1] != "0/2" || sec[2] != "2/2" {
 		t.Errorf("sticky port security should block and flag: %v", sec)
+	}
+}
+
+// TestTable10HybridGuardWaitsForVerification: the guard pages only on
+// verified failures, and only its outer sink files alert spans, so the
+// first attack alert Table 10 attributes is the prober's, charged at least
+// the 500 ms default verify window (Table 10 changes only seedGateway).
+// The demoted arpwatch layer's instant flip-flop never pages.
+func TestTable10HybridGuardWaitsForVerification(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		res := runStageTrial(stageTrialConfig{
+			scheme: registry.NameHybridGuard, seed: seed + 10000, hosts: 8,
+			attackAt: 60 * time.Second, horizon: 90 * time.Second,
+		})
+		if !res.attributed {
+			t.Fatalf("seed %d: no attack alert attributed", seed)
+		}
+		if res.total < 500*time.Millisecond {
+			t.Errorf("seed %d: attributed end-to-end %v, want >= the 500ms verify window (stages %v)", seed, res.total, res.stages)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/schemes/registry"
 )
 
-// ablationOutcome is one Guard configuration's result on the standard
+// ablationOutcome is one hybrid-guard configuration's result on the standard
 // MITM-plus-churn scenario.
 type ablationOutcome struct {
 	detected   bool
@@ -70,7 +70,7 @@ func runAblation(seed int64, params registry.P) ablationOutcome {
 	return out
 }
 
-// Table5Ablation toggles the Guard's layers on the standard scenario and
+// Table5Ablation toggles the hybrid-guard members on the standard scenario and
 // reports what each configuration buys.
 //
 // Expected shape: passive-only detects but cannot confirm and pays churn

@@ -105,7 +105,7 @@ func runEvasiveTrial(scheme string, seed int64) (bool, bool) {
 	deceived := ok && mac == l.Attacker.MAC()
 
 	flagged := false
-	if incs := inst.ActionableIncidents(); inst.IncidentsFn != nil {
+	if incs := inst.ActionableIncidents(); inst.FoldsIncidents() {
 		for _, inc := range incs {
 			if inc.IP == gw.IP() {
 				flagged = true

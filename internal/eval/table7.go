@@ -98,7 +98,7 @@ func runStealTrial(dep stealDeployment, seed int64) (bool, bool) {
 
 	intercepted := l.Attacker.Stats().Sniffed > before
 	flagged := false
-	if inst != nil && inst.IncidentsFn != nil {
+	if inst.FoldsIncidents() {
 		flagged = len(inst.ActionableIncidents()) > 0
 	} else {
 		flagged = sink.Len() > 0

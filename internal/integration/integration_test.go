@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/dhcp"
 	"repro/internal/ethaddr"
 	"repro/internal/labnet"
 	"repro/internal/netsim"
 	"repro/internal/schemes"
 	"repro/internal/schemes/dai"
+	"repro/internal/schemes/registry"
+	_ "repro/internal/schemes/registry/all" // link every scheme factory
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/trace"
@@ -22,7 +23,7 @@ import (
 )
 
 // TestEnterpriseDay is the full narrative: a DHCP-managed office LAN with
-// DAI at the switch and a hybrid Guard on a mirror port; clients boot over
+// DAI at the switch and the hybrid-guard preset on a mirror port; clients boot over
 // DORA, work traffic flows, a device gets swapped mid-day (benign churn),
 // and an insider mounts the complete attack playbook. Every layer must
 // tell a consistent story at the end.
@@ -47,7 +48,7 @@ func TestEnterpriseDay(t *testing.T) {
 	srvOpts = append(srvOpts, dhcp.WithLeaseTime(30*time.Minute))
 	server := dhcp.NewServer(s, router, subnet, router.IP(), 100, 30, srvOpts...)
 
-	// Monitor appliance on a mirror port, running the hybrid Guard.
+	// Monitor appliance on a mirror port, running the hybrid-guard preset.
 	monNIC := netsim.NewNIC(s, gen.SeqMAC())
 	monPort := sw.AddPort()
 	monPort.Attach(monNIC)
@@ -56,8 +57,15 @@ func TestEnterpriseDay(t *testing.T) {
 	bindings.AddStatic(monitor.IP(), monitor.MAC())
 	sw.MirrorAllTo(monPort)
 
-	guard := core.New(s, monitor, core.WithSeedBinding(router.IP(), router.MAC()))
-	sw.AddTap(guard.Tap())
+	// A bespoke topology fills the deployment environment itself; the
+	// router plays the gateway whose binding the guard seeds.
+	guard, err := registry.Deploy(&registry.Env{
+		Sched: s, Switch: sw, Hosts: []*stack.Host{router},
+		Monitor: monitor, MonitorPort: monPort, Sink: schemes.NewSink(),
+	}, registry.NameHybridGuard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Inline DAI, trusting only the infrastructure ports.
 	daiSink := schemes.NewSink()
@@ -170,7 +178,7 @@ func TestEnterpriseDay(t *testing.T) {
 		t.Fatalf("lost %d of %d datagrams", lost, total.Sent)
 	}
 	// 4. The layers tell one coherent story: the mirror observes ingress
-	//    before the DAI filter, so the Guard independently confirms the
+	//    before the DAI filter, so the guard independently confirms the
 	//    campaign DAI was busy blocking — and names the insider. The
 	//    benign device swap produces no actionable incident.
 	actionable := guard.ActionableIncidents()
@@ -200,14 +208,16 @@ func TestEnterpriseDay(t *testing.T) {
 }
 
 // TestSOHODay is the unmanaged counterpart: no DAI, naive hosts, only the
-// Guard watching a consumer router's mirror port. Detection (not
+// guard watching a consumer router's mirror port. Detection (not
 // prevention) is the best this environment can do — exactly the paper's
 // SOHO conclusion.
 func TestSOHODay(t *testing.T) {
 	l := labnet.New(labnet.Config{Seed: 3, Hosts: 5, WithAttacker: true, WithMonitor: true})
 	gw, victim := l.Gateway(), l.Victim()
-	guard := core.New(l.Sched, l.Monitor, core.WithSeedBinding(gw.IP(), gw.MAC()))
-	l.Switch.AddTap(guard.Tap())
+	guard, err := registry.Deploy(l.Env(schemes.NewSink(), nil), registry.NameHybridGuard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	flows := traffic.HotSpot(l.Sched, l.Hosts[1:], gw, 1, time.Second)
 	l.Sched.At(30*time.Second, func() {
@@ -228,9 +238,14 @@ func TestSOHODay(t *testing.T) {
 	if l.Attacker.Stats().Sniffed == 0 {
 		t.Fatal("MITM intercepted nothing")
 	}
-	// ...but the Guard names the incident, confirmed, with the right suspect.
-	inc, ok := guard.IncidentFor(gw.IP())
-	if !ok || !inc.Confirmed || inc.Suspect != l.Attacker.MAC() {
-		t.Fatalf("incident = %+v ok=%v", inc, ok)
+	// ...but the guard names the incident, confirmed, with the right suspect.
+	var inc registry.Incident
+	for _, c := range guard.Incidents() {
+		if c.IP == gw.IP() {
+			inc = c
+		}
+	}
+	if !inc.Confirmed || inc.Suspect != l.Attacker.MAC() {
+		t.Fatalf("gateway incident = %+v", inc)
 	}
 }

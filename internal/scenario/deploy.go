@@ -7,7 +7,6 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
 	"repro/internal/stack"
@@ -55,18 +54,18 @@ func hostOptions(d LANDeployment) ([]stack.Option, error) {
 	return opts, nil
 }
 
-// deployment accumulates what the plane installed: every guard handle
-// (for incident accounting) and every stack instance (for correlation
-// accounting).
+// deployment accumulates what the plane installed: every instance that
+// folds incidents (for incident accounting) and every stack instance (for
+// correlation accounting).
 type deployment struct {
-	guards     []*core.Guard
+	guards     []*registry.Instance
 	stackInsts []*registry.StackInstance
 }
 
-// note records a deployed instance's guard handle, when it has one.
+// note records a deployed instance when it folds incidents.
 func (d *deployment) note(inst *registry.Instance) {
-	if g, ok := inst.Handle.(*core.Guard); ok {
-		d.guards = append(d.guards, g)
+	if inst.FoldsIncidents() {
+		d.guards = append(d.guards, inst)
 	}
 }
 
@@ -119,8 +118,12 @@ func siteErr(s *labnet.Site, err error) error {
 // guardResults sums incident accounting over every deployed guard.
 func (d *deployment) guardResults(res *Result) {
 	for _, g := range d.guards {
-		res.GuardIncidents += len(g.Incidents())
-		res.GuardConfirmed += g.ConfirmedCount()
+		for _, inc := range g.Incidents() {
+			res.GuardIncidents++
+			if inc.Confirmed {
+				res.GuardConfirmed++
+			}
+		}
 	}
 }
 

@@ -239,6 +239,59 @@ func TestDefenseInDepthScenario(t *testing.T) {
 // updateGolden regenerates testdata/*.result.json instead of comparing.
 var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
+// TestGoldenAlertAccounting checks every flat bundled scenario's golden for
+// one-count-per-page accounting: per scheme, scheme_alerts_total (counted by
+// the instrumented outer sink) must equal alertsByScheme (the alerts that
+// sink retained). Campus goldens are skipped: campus telemetry instruments
+// only LAN 0 (registries are not goroutine-safe and shards run
+// concurrently), while alertsByScheme sums every LAN's sink.
+func TestGoldenAlertAccounting(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := Load(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec.Campus != nil {
+				t.Skip("campus telemetry covers LAN 0 only")
+			}
+			blob, err = os.ReadFile(filepath.Join("testdata", name+".result.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			if err := json.Unmarshal(blob, &res); err != nil {
+				t.Fatal(err)
+			}
+			counted := make(map[string]int)
+			for _, c := range res.Telemetry.Counters {
+				if c.Name == "scheme_alerts_total" {
+					counted[c.Labels["scheme"]] += int(c.Value)
+				}
+			}
+			for scheme, n := range res.AlertsByScheme {
+				if counted[scheme] != n {
+					t.Errorf("%s: scheme_alerts_total = %d, alertsByScheme = %d", scheme, counted[scheme], n)
+				}
+			}
+			for scheme, n := range counted {
+				if _, ok := res.AlertsByScheme[scheme]; !ok {
+					t.Errorf("%s: scheme_alerts_total = %d, absent from alertsByScheme", scheme, n)
+				}
+			}
+		})
+	}
+}
+
 // TestBundledScenariosRoundTrip walks every shipped scenarios/*.json through
 // load → run → re-marshal → re-load: the Spec must survive a JSON round
 // trip losslessly (no field silently dropped by a missing tag), every

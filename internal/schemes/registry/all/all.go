@@ -5,7 +5,6 @@
 package all
 
 import (
-	_ "repro/internal/core"                 // hybrid-guard
 	_ "repro/internal/schemes/activeprobe"  // active-probe
 	_ "repro/internal/schemes/arpwatch"     // arpwatch
 	_ "repro/internal/schemes/dai"          // dai

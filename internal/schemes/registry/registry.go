@@ -149,14 +149,6 @@ func (e *Env) check() error {
 // ResolveFunc resolves an address through a scheme's resolution path.
 type ResolveFunc func(ip ethaddr.IPv4, done func(ethaddr.MAC, bool))
 
-// Incident is a correlated, operator-actionable detection record exposed
-// uniformly by deployments that aggregate alerts (the hybrid guard).
-type Incident struct {
-	IP        ethaddr.IPv4
-	Suspect   ethaddr.MAC
-	Confirmed bool
-}
-
 // Instance is one deployed scheme.
 type Instance struct {
 	// Factory is the registration the instance came from.
@@ -169,9 +161,10 @@ type Instance struct {
 	// Resolvers maps hosts to the scheme's resolution entry point; only
 	// protocol replacements populate it.
 	Resolvers map[*stack.Host]ResolveFunc
-	// IncidentsFn reports correlated actionable incidents; nil for schemes
-	// without incident aggregation.
-	IncidentsFn func() []Incident
+
+	// incidents is the preset's incident fold; nil for schemes that do
+	// not aggregate alerts into incidents.
+	incidents *incidentFold
 }
 
 // ResolverFor returns the function that resolves addresses from h under
@@ -186,13 +179,27 @@ func (inst *Instance) ResolverFor(h *stack.Host) ResolveFunc {
 	return h.Resolve
 }
 
-// ActionableIncidents returns the deployment's correlated incidents, nil
-// when the scheme does not aggregate alerts.
-func (inst *Instance) ActionableIncidents() []Incident {
-	if inst == nil || inst.IncidentsFn == nil {
+// FoldsIncidents reports whether the deployment aggregates its alerts into
+// per-IP incidents (the hybrid-guard preset does).
+func (inst *Instance) FoldsIncidents() bool { return inst != nil && inst.incidents != nil }
+
+// Incidents returns every incident so far, sorted by FirstAt then IP; nil
+// when the deployment does not fold incidents.
+func (inst *Instance) Incidents() []Incident {
+	if !inst.FoldsIncidents() {
 		return nil
 	}
-	return inst.IncidentsFn()
+	return inst.incidents.list(false)
+}
+
+// ActionableIncidents returns the incidents an operator would page on:
+// with a verifier deployed, only confirmed ones; without one, every
+// incident (there is nothing to corroborate against).
+func (inst *Instance) ActionableIncidents() []Incident {
+	if !inst.FoldsIncidents() {
+		return nil
+	}
+	return inst.incidents.list(true)
 }
 
 // Factory is one registered scheme.
@@ -201,9 +208,9 @@ type Factory struct {
 	// built-ins).
 	Name string
 	// Package is the sub-package under internal/schemes implementing the
-	// scheme ("" for schemes living elsewhere, e.g. the hybrid guard in
-	// internal/core). The completeness test maps directories to factories
-	// through this field.
+	// scheme ("" for the factories registered by this package itself: the
+	// hybrid-guard preset and the address defense). The completeness test
+	// maps directories to factories through this field.
 	Package string
 	// Description is the one-line catalogue entry.
 	Description string

@@ -52,11 +52,12 @@ func TestRegistryCompleteness(t *testing.T) {
 	for pkg, f := range byPackage {
 		t.Errorf("factory %q claims package %q, which does not exist under internal/schemes", f.Name, pkg)
 	}
-	// Schemes living outside internal/schemes register with Package unset;
-	// pin the ones the framework ships so a lost registration is caught.
+	// The factories this package registers itself (the hybrid-guard preset
+	// and the address defense) have Package unset; pin them so a lost
+	// registration is caught.
 	for _, name := range []string{registry.NameHybridGuard, registry.NameAddressDefense} {
 		if _, ok := registry.Lookup(name); !ok {
-			t.Errorf("externally-implemented scheme %q is not registered", name)
+			t.Errorf("registry-owned scheme %q is not registered", name)
 		}
 	}
 }

@@ -122,14 +122,19 @@ type correlator struct {
 	out    *schemes.Sink
 	groups map[corrKey]*corrGroup
 	stats  CorrelationStats
+	// fold, set only for preset stacks, sees every raw alert first.
+	fold *incidentFold
 }
 
-func newCorrelator(window time.Duration, out *schemes.Sink) *correlator {
-	return &correlator{window: window, out: out, groups: make(map[corrKey]*corrGroup)}
+func newCorrelator(window time.Duration, out *schemes.Sink, fold *incidentFold) *correlator {
+	return &correlator{window: window, out: out, groups: make(map[corrKey]*corrGroup), fold: fold}
 }
 
 // observe processes one alert from the stack's inner sink.
 func (c *correlator) observe(a schemes.Alert) {
+	if c.fold != nil && !c.fold.add(a) {
+		return
+	}
 	k := corrKey{ip: a.IP, kind: a.Kind}
 	g, ok := c.groups[k]
 	if ok && a.At-g.firstAt <= c.window {
@@ -185,15 +190,6 @@ func (si *StackInstance) ResolverFor(h *stack.Host) ResolveFunc {
 	return h.Resolve
 }
 
-// ActionableIncidents merges every member's correlated incidents.
-func (si *StackInstance) ActionableIncidents() []Incident {
-	var out []Incident
-	for _, m := range si.Members {
-		out = append(out, m.ActionableIncidents()...)
-	}
-	return out
-}
-
 // StackHostOptions collects the construction-time host options every member
 // contributes, in stack order (later schemes win on conflicting options).
 // Call it before assembling the LAN the stack will deploy into.
@@ -217,6 +213,12 @@ func StackHostOptions(st Stack) ([]stack.Option, error) {
 // skipped; their options must have been applied via StackHostOptions when
 // the hosts were built.
 func DeployStack(env *Env, st Stack) (*StackInstance, error) {
+	return deployStack(env, st, nil)
+}
+
+// deployStack is DeployStack with an optional incident fold in front of
+// the correlator, the one hook a preset stack adds.
+func deployStack(env *Env, st Stack, fold *incidentFold) (*StackInstance, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,7 +226,7 @@ func DeployStack(env *Env, st Stack) (*StackInstance, error) {
 		return nil, err
 	}
 	inner := schemes.NewSink()
-	corr := newCorrelator(st.window(), env.Sink)
+	corr := newCorrelator(st.window(), env.Sink, fold)
 	inner.OnAlert(corr.observe)
 
 	memberEnv := *env

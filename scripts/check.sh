@@ -73,6 +73,8 @@ echo "$gates" | grep -E '^(--- |ok|FAIL)'
 #                 spec, shortened and size-capped, must Run without panicking;
 #   FuzzIPv4      DecodeInto/AppendEncode against Decode/Encode, and
 #                 decode-encode round trips, for IPv4 and UDP.
+# -fuzzminimizetime caps minimizing each new input at 1s: with the default
+# (60s) FuzzCacheOps spent most of its leg minimizing rather than executing.
 for spec in \
 	internal/stack:FuzzCacheOps:10 \
 	internal/scenario:FuzzScenario:10 \
@@ -82,7 +84,7 @@ for spec in \
 	target=${rest%%:*}
 	secs=${rest#*:}
 	echo "==> fuzz $target ($pkg, ${secs}s)"
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime="${secs}s" "./$pkg"
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime="${secs}s" -fuzzminimizetime=1s "./$pkg"
 done
 
 echo "==> experiment registry completeness (-list vs a -trials 1 pass of every experiment)"
