@@ -68,13 +68,14 @@ func Figure10FaultedCampus(sizes []int, trialsPerPoint, workers int, horizon tim
 		for _, size := range sizes {
 			for seed := int64(1); seed <= int64(trialsPerPoint); seed++ {
 				cfgs = append(cfgs, campusTrialConfig{
-					scheme:  d.scheme,
-					stack:   d.stack,
-					faulted: true,
-					size:    size,
-					seed:    seed + 12000, // distinct seed space from Figure 9
-					workers: workers,
-					horizon: horizon,
+					scheme:          d.scheme,
+					stack:           d.stack,
+					faulted:         true,
+					size:            size,
+					seed:            seed + 12000, // distinct seed space from Figure 9
+					workers:         workers,
+					horizon:         horizon,
+					stopAtDetection: true, // only latency is plotted
 				})
 			}
 		}

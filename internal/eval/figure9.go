@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/labnet"
+	"repro/internal/schemes"
 	"repro/internal/schemes/registry"
 	"repro/internal/stats"
 )
@@ -24,6 +25,10 @@ type campusTrialConfig struct {
 	seed    int64
 	workers int
 	horizon time.Duration
+	// stopAtDetection ends the run at the alert that decides detected and
+	// latency. Only for callers that use nothing else: frames and faults
+	// then cover the run up to that alert, not the horizon.
+	stopAtDetection bool
 }
 
 // campusTrialResult is one campus trial's outcome.
@@ -39,6 +44,10 @@ type campusTrialResult struct {
 // deployment on every LAN, arms the standard LAN-0 gateway MITM and, when
 // faulted, the fault plan, and reports the correlated first-detection
 // latency plus fabric throughput.
+//
+// With cfg.stopAtDetection the engine stops at the round barrier after the
+// first alert the post-run scan would pick. LAN 0's sink reports in time
+// order, so that alert is already the scan's answer when it is reported.
 func runCampusTrial(cfg campusTrialConfig) campusTrialResult {
 	lans, perLAN := labnet.SizeCampus(cfg.size)
 	fanout := perLAN / 256
@@ -88,6 +97,16 @@ func runCampusTrial(cfg campusTrialConfig) campusTrialResult {
 		atk.PoisonPeriodically(2*time.Second, victim.MAC(), victim.IP(), gwMAC, gwIP)
 		atk.RelayBetween(victim.MAC(), victim.IP(), gwMAC, gwIP)
 	})
+	detects := func(a schemes.Alert) bool {
+		return (a.IP == gwIP || a.IP == victim.IP()) && a.At >= attackAt
+	}
+	if cfg.stopAtDetection {
+		lan0.Sink.OnAlert(func(a schemes.Alert) {
+			if detects(a) {
+				c.Sharded.Stop()
+			}
+		})
+	}
 
 	// Same ordering contract as the scenario engine: faults arm after
 	// scheme deployment and attack arming.
@@ -106,7 +125,7 @@ func runCampusTrial(cfg campusTrialConfig) campusTrialResult {
 		res.faults = ctl.Stats().Total()
 	}
 	for _, a := range c.MergedAlerts() {
-		if a.LAN == 0 && (a.IP == gwIP || a.IP == victim.IP()) && a.At >= attackAt {
+		if a.LAN == 0 && detects(a.Alert) {
 			res.detected = true
 			res.latency = a.At - attackAt
 			break

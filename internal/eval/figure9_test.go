@@ -63,9 +63,9 @@ func TestFigure9ByteIdenticalAcrossWidths(t *testing.T) {
 }
 
 // TestFigure9MillionHostBudget: the 10⁶-host point completes in one
-// process within the CI bench budget. The full default figure runs it
-// three times per `make regen`; a single trial staying well under a
-// minute keeps that honest.
+// process within the CI bench budget. `make regen` (-trials 10) runs it
+// 10 times in Figure 9 and 12 times in Figure 10; a single trial staying
+// well under a minute keeps that honest.
 func TestFigure9MillionHostBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-host point skipped in -short")

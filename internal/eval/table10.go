@@ -164,11 +164,31 @@ func runStageTrial(cfg stageTrialConfig) stageAttribution {
 	warmAttackLAN(l)
 	attackAt := cfg.attackAt + time.Duration(l.Sched.Rand().Int63n(int64(5*time.Second)))
 	launchGatewayMITM(l, attackAt)
-	_ = l.Run(cfg.horizon)
 
+	// Pause after every event that reports an alert naming the attacked
+	// binding: its switch and scheme spans have closed by then, so the
+	// attribution can be tried. The trial ends at the first alert that
+	// attributes, or at the horizon, where the attribution is tried once
+	// more over everything the run recorded.
 	gw, victim := l.Gateway(), l.Victim()
-	stages, total, ok := AttributeFirstDetection(reg.Causal(), attackAt,
-		gw.IP().String(), victim.IP().String())
+	sink.OnAlert(func(a schemes.Alert) {
+		if (a.IP == gw.IP() || a.IP == victim.IP()) && a.At >= attackAt {
+			l.Sched.Stop()
+		}
+	})
+	var (
+		stages map[string]time.Duration
+		total  time.Duration
+		ok     bool
+	)
+	for {
+		paused := l.Run(cfg.horizon) != nil
+		stages, total, ok = AttributeFirstDetection(reg.Causal(), attackAt,
+			gw.IP().String(), victim.IP().String())
+		if ok || !paused {
+			break
+		}
+	}
 	if !ok {
 		return stageAttribution{}
 	}

@@ -165,8 +165,8 @@ func NewCampus(cfg CampusConfig) *Campus {
 	}
 
 	// Shard schedulers come from the trial pool (Recycle returns them), so
-	// repeat campus builds — figure9 runs thousands — reuse the slab and
-	// queue capacity grown by the first.
+	// repeat campus builds — a -trials 10 regen builds ~110 across figure9
+	// and figure10 — reuse the slab and queue capacity grown by the first.
 	shards := make([]*sim.Scheduler, cfg.LANs)
 	for i := range shards {
 		shards[i] = acquireScheduler(sim.ShardSeed(cfg.Seed, i))

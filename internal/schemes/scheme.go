@@ -142,7 +142,7 @@ type Sink struct {
 func NewSink() *Sink { return &Sink{} }
 
 // OnAlert installs a callback invoked for every reported alert (in addition
-// to retention).
+// to retention). It replaces any callback installed before: a sink has one.
 func (s *Sink) OnAlert(fn func(Alert)) { s.onAlert = fn }
 
 // Instrument attaches the sink to a telemetry registry: every reported

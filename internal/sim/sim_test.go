@@ -168,6 +168,98 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
+// firing is one executed event: its instant and its FIFO sequence number.
+type firing struct {
+	at  time.Duration
+	seq uint64
+}
+
+// stopResumeTrace runs a seeded mix of one-shot, same-instant, nested,
+// cancelled and periodic events to horizon and returns the (at, seq) of
+// every firing. stopAt(n) is asked after the n-th firing (1-based) whether
+// to call Stop there; each stop is followed by a RunUntil to the same
+// horizon, and resumes counts them.
+func stopResumeTrace(t *testing.T, stopAt func(n int) bool) (trace []firing, resumes int) {
+	t.Helper()
+	const horizon = 200 * time.Millisecond
+	s := NewScheduler(5)
+	record := func(tm *Timer) {
+		trace = append(trace, firing{at: s.Now(), seq: tm.ev.seq})
+		if stopAt(len(trace)) {
+			s.Stop()
+		}
+	}
+	var spawn func(d time.Duration, depth int)
+	spawn = func(d time.Duration, depth int) {
+		tm := new(Timer)
+		*tm = s.After(d, func() {
+			record(tm)
+			if depth < 4 {
+				spawn(0, depth+1) // same instant: FIFO after what is queued there
+				spawn(time.Duration(s.Rand().Intn(5000))*time.Microsecond, depth+1)
+			}
+		})
+		if s.Rand().Intn(8) == 0 {
+			tm.Stop()
+		}
+	}
+	for i := 0; i < 30; i++ {
+		spawn(time.Duration(s.Rand().Intn(150))*time.Millisecond, 0)
+	}
+	for _, period := range []time.Duration{3 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond} {
+		tm := new(Timer)
+		fired := 0
+		*tm = s.Every(period, func() {
+			record(tm)
+			if fired++; fired == 20 {
+				tm.Stop()
+			}
+		})
+	}
+	for {
+		err := s.RunUntil(horizon)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("RunUntil: %v", err)
+		}
+		resumes++
+	}
+	if s.Now() != horizon {
+		t.Fatalf("clock ended at %v, want the horizon %v", s.Now(), horizon)
+	}
+	return trace, resumes
+}
+
+// TestStopResumeMatchesUninterruptedRun: stopping a run mid-way and
+// resuming it with RunUntil executes exactly the events an uninterrupted
+// run does, in the same (at, seq) order, whether it stops once, often or
+// after every event.
+func TestStopResumeMatchesUninterruptedRun(t *testing.T) {
+	want, _ := stopResumeTrace(t, func(int) bool { return false })
+	if len(want) < 200 {
+		t.Fatalf("workload too small to interrupt meaningfully: %d firings", len(want))
+	}
+	for _, tc := range []struct {
+		name   string
+		stopAt func(n int) bool
+	}{
+		{"once", func(n int) bool { return n == len(want)/2 }},
+		{"every-7th", func(n int) bool { return n%7 == 0 }},
+		{"every-event", func(int) bool { return true }},
+	} {
+		got, resumes := stopResumeTrace(t, tc.stopAt)
+		if resumes == 0 {
+			t.Fatalf("%s: the run never stopped", tc.name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d resumes changed the trace (%d firings, want %d)",
+				tc.name, resumes, len(got), len(want))
+		}
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	trace := func(seed int64) []time.Duration {
 		s := NewScheduler(seed)
