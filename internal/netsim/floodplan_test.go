@@ -21,12 +21,19 @@ func refFlood(sw *Switch, ingress int, f *frame.Frame) bool {
 	sw.stats.Flooded++
 	wire := uint64(f.WireLen())
 	vlan := sw.ports[ingress].vlan
+	// egress reports whether a flood from ingress leaves by p: an attached
+	// port of the VLAN other than the ingress, and not send-only unless it
+	// is the mirror port.
+	egress := func(p *Port) bool {
+		return p.id != ingress && p.nic != nil && p.vlan == vlan &&
+			(!p.sendOnly || (sw.mirror != nil && p.id == sw.mirror.id))
+	}
 
 	batchable := true
 	var d time.Duration
 	n := 0
 	for _, p := range sw.ports {
-		if p.id == ingress || p.nic == nil || p.vlan != vlan {
+		if !egress(p) {
 			continue
 		}
 		l := p.nic.link
@@ -51,7 +58,7 @@ func refFlood(sw *Switch, ingress int, f *frame.Frame) bool {
 	if batchable && n > 0 {
 		var nics []*NIC
 		for _, p := range sw.ports {
-			if p.id == ingress || p.nic == nil || p.vlan != vlan {
+			if !egress(p) {
 				continue
 			}
 			if sw.mirror != nil && p.id == sw.mirror.id {
@@ -71,7 +78,7 @@ func refFlood(sw *Switch, ingress int, f *frame.Frame) bool {
 
 	replicas := uint64(0)
 	for _, p := range sw.ports {
-		if p.id == ingress || p.nic == nil || p.vlan != vlan {
+		if !egress(p) {
 			continue
 		}
 		if sw.mirror != nil && p.id == sw.mirror.id {
@@ -168,9 +175,12 @@ func randomFloodOp(r *rand.Rand, ports, nics, links int) (string, floodOp) {
 			serial := time.Duration(frame.MinFrameLen * 8 * int64(time.Second) / 1_000_000_000)
 			opts = append(opts, WithLatency(50*time.Microsecond-serial), WithBandwidth(1_000_000_000))
 		}
+		if r.Intn(3) == 0 {
+			opts = append(opts, SendOnly())
+		}
 		return opts
 	}
-	switch k := r.Intn(20); {
+	switch k := r.Intn(21); {
 	case k < 7:
 		in, id := r.Intn(ports), r.Intn(1<<16)
 		return fmt.Sprintf("broadcast port %d f%d", in, id), func(w *floodWorld) { w.broadcast(in, id) }
@@ -192,6 +202,17 @@ func randomFloodOp(r *rand.Rand, ports, nics, links int) (string, floodOp) {
 		p, n, opts := r.Intn(ports), r.Intn(nics), linkOpts()
 		return fmt.Sprintf("re-attach nic%d to port %d", n, p), func(w *floodWorld) {
 			w.links = append(w.links, w.sw.ports[p].Attach(w.nics[n], opts...))
+		}
+	case k == 19:
+		p := r.Intn(ports)
+		return fmt.Sprintf("re-attach port %d with send-only toggled", p), func(w *floodWorld) {
+			if port := w.sw.ports[p]; port.nic != nil {
+				var opts []LinkOption
+				if !port.sendOnly {
+					opts = append(opts, SendOnly())
+				}
+				w.links = append(w.links, port.Attach(port.nic, opts...))
+			}
 		}
 	case k == 14:
 		p, vid := r.Intn(ports), uint16(1+r.Intn(2))
@@ -239,9 +260,10 @@ func (w *floodWorld) linkStats() []LinkStats {
 	return out
 }
 
-// TestFloodPlanMatchesPortScan drives random topology changes and
-// broadcast floods through a switch with cached flood plans and through a
-// reference that re-walks every port per flood, and checks after every
+// TestFloodPlanMatchesPortScan drives random topology changes — send-only
+// attachments and re-attachments that turn a port send-only and back among
+// them — and broadcast floods through a switch with cached flood plans and
+// through a reference that re-walks every port per flood, and checks after every
 // step that both delivered the same frames to the same NICs in the same
 // order at the same instants, with the same link, switch and mirror
 // accounting. Floods stay in flight across later mutations (a run step

@@ -167,6 +167,8 @@ type linkParams struct {
 	jitter  time.Duration
 	loss    float64
 	bps     int64 // serialization rate; 0 = infinite (no per-byte delay)
+	// sendOnly makes the attachment transmit-only; see SendOnly.
+	sendOnly bool
 }
 
 // LinkOption configures an attachment created by Port.Attach.
@@ -194,6 +196,20 @@ func WithLoss(prob float64) LinkOption {
 // default) models an infinitely fast line.
 func WithBandwidth(bitsPerSecond int64) LinkOption {
 	return func(p *linkParams) { p.bps = bitsPerSecond }
+}
+
+// SendOnly makes the attachment transmit-only: the port still carries
+// the station's frames into the fabric — learned into the CAM, seen by
+// taps, mirrored, counted as ingress — but the fabric never delivers a
+// frame back out of it. A switch leaves the port out of every flood and
+// discards a unicast frame whose CAM entry points at it without
+// scheduling a transit; a hub ignores the option. It models a
+// replay injector, a station with no receive side, whose deliveries a NIC
+// with no handler would only discard. The switch's mirror port ignores
+// the option: it always receives, so the monitor sees every frame it
+// would otherwise.
+func SendOnly() LinkOption {
+	return func(p *linkParams) { p.sendOnly = true }
 }
 
 // fixedDelay is a link's delay for a frame of wireLen octets before jitter

@@ -37,7 +37,7 @@ type camTable struct {
 
 // SwitchStats are forwarding-plane counters for one switch.
 type SwitchStats struct {
-	Forwarded   uint64 // unicast frames sent to a single learned port
+	Forwarded   uint64 // unicast frames sent to a single learned port (a send-only one discards them)
 	Flooded     uint64 // frames replicated to all ports (broadcast or CAM miss)
 	Filtered    uint64 // frames dropped by the inline filter
 	Learned     uint64 // CAM insertions
@@ -45,7 +45,8 @@ type SwitchStats struct {
 	// BytesByType counts ingress octets per protocol.
 	BytesByType map[frame.EtherType]uint64
 	// BytesOutByType counts egress octets per protocol, including every
-	// flooded replica — the true load the fabric carries.
+	// flooded replica — the true load the fabric carries. Mirror copies
+	// and frames a send-only port discards carry none.
 	BytesOutByType map[frame.EtherType]uint64
 }
 
@@ -159,11 +160,14 @@ func (sw *Switch) Recycle() {
 
 // Port is one switch (or hub) interface. A NIC attaches to exactly one port.
 type Port struct {
-	id      int
-	vlan    uint16
-	ingress func(*frame.Frame)
-	nic     *NIC          // attached station; nil before Attach
-	cache   *transitCache // the switch's; nil on a hub
+	id   int
+	vlan uint16
+	// sendOnly: the attachment was made with SendOnly, so a switch
+	// delivers nothing out of this port unless it is the mirror port.
+	sendOnly bool
+	ingress  func(*frame.Frame)
+	nic      *NIC          // attached station; nil before Attach
+	cache    *transitCache // the switch's; nil on a hub
 }
 
 // send transmits a frame out the port toward the attached NIC.
@@ -187,8 +191,9 @@ func (p *Port) SetVLAN(vid uint16) {
 }
 
 // Attach wires a NIC to this port with the given link characteristics,
-// replacing any previous attachment. It returns the attachment's Link so
-// callers (labnet, fault plans) can flap it or install impairments later.
+// replacing any previous attachment, whose SendOnly setting goes with it.
+// It returns the attachment's Link so callers (labnet, fault plans) can
+// flap it or install impairments later.
 func (p *Port) Attach(n *NIC, opts ...LinkOption) *Link {
 	params := defaultLink()
 	for _, opt := range opts {
@@ -203,6 +208,7 @@ func (p *Port) Attach(n *NIC, opts ...LinkOption) *Link {
 	n.port = p
 	n.link = l
 	p.nic = n
+	p.sendOnly = params.sendOnly
 	l.cache.bump()
 	return l
 }
@@ -480,7 +486,8 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 // chain so a flood decides batching and schedules delivery from contiguous
 // data. It is current while gen equals the scheduler's topology generation
 // (transitCache.gen); AddPort and the mirror setters drop a switch's plans
-// outright. A plan's slices are never written after it is built, and a
+// outright. A send-only port is no egress of any plan unless it is the
+// mirror port. A plan's slices are never written after it is built, and a
 // rebuild allocates fresh ones, so a floodTransit in flight shares nics
 // read-only and keeps delivering to the receiver set it was scheduled with.
 type floodPlan struct {
@@ -541,7 +548,7 @@ func (sw *Switch) buildFloodPlan(vlan uint16) *floodPlan {
 	}
 	for _, p := range sw.ports {
 		pl.slot[p.id] = -1
-		if p.nic == nil || p.vlan != vlan {
+		if p.nic == nil || p.vlan != vlan || (p.sendOnly && p != sw.mirror) {
 			continue
 		}
 		l := p.nic.link
@@ -642,10 +649,12 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 	return pl.mirror >= 0 && pl.mirror != skip
 }
 
-// egressTo sends the frame out one port.
+// egressTo sends the frame out one port. A send-only port other than the
+// mirror port discards it: nothing is scheduled and no egress octets are
+// counted.
 func (sw *Switch) egressTo(id int, f *frame.Frame) {
 	p := sw.ports[id]
-	if p.nic != nil {
+	if p.nic != nil && (!p.sendOnly || p == sw.mirror) {
 		sw.bytesOut.add(f.Type, uint64(f.WireLen()))
 		p.send(f)
 	}

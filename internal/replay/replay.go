@@ -13,7 +13,10 @@
 // promiscuous monitor on a mirror port, and lazily-attached injector NICs
 // for every other station seen in the capture. Injector stations never
 // answer probes — exactly the behavior of a host that has left the LAN,
-// which is what a capture replay is.
+// which is what a capture replay is. Their ports are send-only
+// (netsim.SendOnly): the switch learns and mirrors what they transmit but
+// delivers nothing back, since a station with no stack would only discard
+// it.
 //
 // Alerts flow through the registry's correlating sink and are emitted as
 // NDJSON; the stream is byte-identical at any worker width because sharded
@@ -239,14 +242,15 @@ func New(cfg Config) (*Engine, error) {
 
 // nicFor returns the injection NIC for a capture source MAC, attaching a
 // mute injector port on first sight. Injectors carry no protocol stack:
-// they transmit the station's captured frames verbatim and silently accept
-// whatever the LAN sends back.
+// they transmit the station's captured frames verbatim on a send-only
+// port, so broadcasts skip them and unicast frames addressed to them end
+// at the switch — the mirror copy is all the monitor needs.
 func (e *Engine) nicFor(src ethaddr.MAC) *netsim.NIC {
 	if nic, ok := e.nics[src]; ok {
 		return nic
 	}
 	nic := netsim.NewNIC(e.sched, src)
-	e.sw.AddPort().Attach(nic, netsim.WithLatency(0))
+	e.sw.AddPort().Attach(nic, netsim.WithLatency(0), netsim.SendOnly())
 	e.nics[src] = nic
 	e.stats.Stations++
 	return nic

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -148,8 +149,8 @@ func ParseNDJSONLine(line []byte, rec *WireRecord) error {
 			rec.Wire = rec.Wire[:m]
 			return nil
 		}
-		// fall through: let the full decoder produce the error (or cope
-		// with whatever shape the scan misread)
+		// fall through: the wire value holds an escape, which the
+		// decoder resolves, or bad base64, which it reports
 	}
 	var nr NDJSONRecord
 	if err := json.Unmarshal(line, &nr); err != nil {
@@ -163,47 +164,113 @@ func ParseNDJSONLine(line []byte, rec *WireRecord) error {
 	return nil
 }
 
-var (
-	atField   = []byte(`"at":`)
-	wireField = []byte(`"wire":"`)
-)
+// atField opens every canonical line.
+var atField = []byte(`{"at":`)
 
 // scanNDJSONLine extracts the at and wire fields from a canonical stream
-// line without a JSON decoder: at is a bare integer and wire is the final
-// field, base64 over an alphabet JSON never escapes, so a byte scan is
-// exact for everything WriteNDJSON produces. ok=false means the line is
-// not canonical and the caller must take the slow path.
+// line without a JSON decoder. Canonical is the shape WriteNDJSON emits,
+// with no whitespace:
+//
+//	{"at":<int>,"<field>":<value>,…,"wire":"<base64>"}
+//
+// at comes first and wire last, and every member between is one of the
+// schema's other fields with a value of its Go type: port and wireLen an
+// integer, src, dst, type and info a string with no escape or control
+// byte. Integers have no leading zero and fit their type. encoding/json
+// accepts every such line and reads the same at and wire from it, so the
+// scan is exact there; ok=false — a duplicate, unknown or differently
+// cased key, whitespace, escaping, a reordered field — sends the line to
+// the decoder.
 func scanNDJSONLine(line []byte) (at time.Duration, wire []byte, ok bool) {
-	i := bytes.Index(line, atField)
-	if i < 0 {
+	if !bytes.HasPrefix(line, atField) {
 		return 0, nil, false
 	}
-	j := i + len(atField)
-	neg := false
-	if j < len(line) && line[j] == '-' {
-		neg = true
-		j++
-	}
-	start := j
-	var n int64
-	for j < len(line) && line[j] >= '0' && line[j] <= '9' {
-		n = n*10 + int64(line[j]-'0')
-		j++
-	}
-	if j == start || (j < len(line) && line[j] != ',' && line[j] != '}') {
+	n, i, ok := scanInt(line, len(atField))
+	if !ok {
 		return 0, nil, false
+	}
+	for {
+		if i >= len(line) || line[i] != ',' {
+			return 0, nil, false
+		}
+		key, j, ok := scanString(line, i+1)
+		if !ok || j >= len(line) || line[j] != ':' {
+			return 0, nil, false
+		}
+		i = j + 1
+		switch string(key) {
+		case "wire":
+			// The value must run to a closing '"}' at the end of the line.
+			// It is left to the caller's base64 decode, which rejects every
+			// byte a JSON string would escape except CR and LF: it skips
+			// those, where the decoder rejects them raw.
+			end := len(line) - 2
+			if i >= end || line[i] != '"' || line[end] != '"' || line[end+1] != '}' {
+				return 0, nil, false
+			}
+			v := line[i+1 : end]
+			if bytes.IndexByte(v, '"') >= 0 || bytes.IndexByte(v, '\r') >= 0 || bytes.IndexByte(v, '\n') >= 0 {
+				return 0, nil, false
+			}
+			return time.Duration(n), v, true
+		case "port", "wireLen":
+			var v int64
+			v, i, ok = scanInt(line, i)
+			ok = ok && int64(int(v)) == v
+		case "src", "dst", "type", "info":
+			_, i, ok = scanString(line, i)
+		default:
+			ok = false
+		}
+		if !ok {
+			return 0, nil, false
+		}
+	}
+}
+
+// scanInt reads a JSON integer at b[i:] — an optional minus, then 0 or a
+// digit run without a leading zero — that fits in an int64, and returns it
+// with the index past it. Nineteen digits cannot overflow the uint64
+// accumulator, and twenty cannot fit an int64.
+func scanInt(b []byte, i int) (v int64, next int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	limit := uint64(math.MaxInt64)
+	if neg {
+		i++
+		limit++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if i-start == 19 {
+			return 0, 0, false
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	if i == start || u > limit || (b[start] == '0' && i-start > 1) {
+		return 0, 0, false
 	}
 	if neg {
-		n = -n
+		return -int64(u), i, true
 	}
-	w := bytes.Index(line[j:], wireField)
-	if w < 0 {
-		return 0, nil, false
+	return int64(u), i, true
+}
+
+// scanString reads a JSON string at b[i:] that holds no escape and no
+// control byte, and returns its contents with the index past the closing
+// quote.
+func scanString(b []byte, i int) (s []byte, next int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, 0, false
 	}
-	v := line[j+w+len(wireField):]
-	end := bytes.IndexByte(v, '"')
-	if end < 0 || bytes.IndexByte(v[:end], '\\') >= 0 {
-		return 0, nil, false
+	start := i + 1
+	for i = start; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[start:i], i + 1, true
+		case c < 0x20 || c == '\\':
+			return nil, 0, false
+		}
 	}
-	return time.Duration(n), v[:end], true
+	return nil, 0, false
 }

@@ -7,7 +7,7 @@
 # (encode/decode, cache, CAM, unicast transit, broadcast fan-out,
 # background datagrams must stay at their pinned allocs/op), one fuzz
 # loop over the native fuzz
-# targets (10 seconds each, 40 in all), an experiment-registry
+# targets (6 to 10 seconds each, 46 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
 # experiment, diffed against the arpbench -list catalogue), and an
 # evaluation golden leg (a -trials 10 pass diffed against the committed
@@ -75,14 +75,17 @@ echo "$gates" | grep -E '^(--- |ok|FAIL)'
 #                 decode-encode round trips, for IPv4 and UDP;
 #   FuzzPCAPReader arbitrary bytes through the pcap reader (errors, never a
 #                 panic or a record buffer past the 256 KiB cap), and
-#                 WritePCAP captures must read back unchanged.
+#                 WritePCAP captures must read back unchanged;
+#   FuzzNDJSONLine ParseNDJSONLine, byte-scan fast path included, against
+#                 encoding/json: same at and wire bytes, same rejections.
 # -fuzzminimizetime caps minimizing each new input at 1s: with the default
 # (60s) FuzzCacheOps spent most of its leg minimizing rather than executing.
 for spec in \
 	internal/stack:FuzzCacheOps:10 \
 	internal/scenario:FuzzScenario:10 \
 	internal/ipv4pkt:FuzzIPv4:10 \
-	internal/trace:FuzzPCAPReader:10; do
+	internal/trace:FuzzPCAPReader:10 \
+	internal/trace:FuzzNDJSONLine:6; do
 	pkg=${spec%%:*}
 	rest=${spec#*:}
 	target=${rest%%:*}
