@@ -17,6 +17,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -365,6 +366,70 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 	}
 	if n != b.N {
 		b.Fatalf("ran %d of %d events", n, b.N)
+	}
+}
+
+// BenchmarkSchedulerDeepQueue is the resolution-storm shape of the queue:
+// ~16k events in flight at one fixed delay, each rescheduling itself at that
+// delay when it fires, beside a jittered stream of 256 events whose delays
+// vary. The fixed-delay events ride a FIFO lane and the jittered ones the
+// heap; once both are warm the engine schedules without allocating, which
+// check.sh holds at 0 allocs/op.
+func BenchmarkSchedulerDeepQueue(b *testing.B) {
+	const (
+		inFlight = 16384
+		jittered = 256
+		delay    = 50 * time.Microsecond
+	)
+	s := sim.NewScheduler(1)
+	n, target := 0, 0
+	var fixed, jitter func()
+	fixed = func() {
+		if n++; n == target {
+			s.Stop()
+		}
+		s.After(delay, fixed)
+	}
+	jitter = func() {
+		if n++; n == target {
+			s.Stop()
+		}
+		s.After(delay/2+time.Duration(s.Int63n(int64(delay))), jitter)
+	}
+	for i := 0; i < inFlight; i++ {
+		s.After(delay, fixed)
+	}
+	for i := 0; i < jittered; i++ {
+		s.After(time.Duration(s.Int63n(int64(delay))), jitter)
+	}
+	run := func(events int) {
+		target = n + events
+		if err := s.Run(); !errors.Is(err, sim.ErrStopped) {
+			b.Fatalf("run ended with %v after %d of %d events", err, n, target)
+		}
+	}
+	run(4 * inFlight) // warm: lanes, heap and free list at their peak
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// BenchmarkResolutionStorm runs the t=0 resolution storm of a populated flat
+// LAN to quiescence: 128 hosts each resolve the 127 others at once
+// (SeedMutualCaches), 16,256 broadcast requests fanned out to every host.
+func BenchmarkResolutionStorm(b *testing.B) {
+	const hosts = 128
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := labnet.New(labnet.Config{Seed: 1, Hosts: hosts})
+		l.SeedMutualCaches()
+		if err := l.Sched.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if n := l.Gateway().Cache().Len(); n != hosts-1 {
+			b.Fatalf("gateway cache holds %d entries after the storm, want %d", n, hosts-1)
+		}
+		l.Recycle()
 	}
 }
 

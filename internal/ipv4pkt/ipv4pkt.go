@@ -151,33 +151,51 @@ type ICMPEcho struct {
 
 // Encode serializes the echo message with a valid ICMP checksum.
 func (e *ICMPEcho) Encode() []byte {
-	buf := make([]byte, 8+len(e.Data))
-	buf[0] = e.Type
-	binary.BigEndian.PutUint16(buf[4:6], e.IDent)
-	binary.BigEndian.PutUint16(buf[6:8], e.Seq)
-	copy(buf[8:], e.Data)
-	binary.BigEndian.PutUint16(buf[2:4], checksum(buf))
-	return buf
+	return e.AppendEncode(make([]byte, 0, 8+len(e.Data)))
 }
 
-// DecodeICMPEcho parses an echo request or reply.
+// AppendEncode appends the echo message's wire form, checksum included, to
+// dst and returns the extended slice. With enough capacity in dst it does
+// not allocate.
+func (e *ICMPEcho) AppendEncode(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, e.Type, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint16(dst, e.IDent)
+	dst = binary.BigEndian.AppendUint16(dst, e.Seq)
+	dst = append(dst, e.Data...)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], checksum(dst[n:]))
+	return dst
+}
+
+// DecodeICMPEcho parses an echo request or reply into a fresh ICMPEcho.
 func DecodeICMPEcho(buf []byte) (*ICMPEcho, error) {
+	e := new(ICMPEcho)
+	if err := DecodeICMPEchoInto(e, buf); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// DecodeICMPEchoInto parses an echo request or reply into e. e.Data aliases
+// buf. On error e is not modified.
+func DecodeICMPEchoInto(e *ICMPEcho, buf []byte) error {
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: icmp %d octets", ErrTruncated, len(buf))
+		return fmt.Errorf("%w: icmp %d octets", ErrTruncated, len(buf))
 	}
 	if checksum(buf) != 0 {
-		return nil, fmt.Errorf("%w: icmp", ErrBadChecksum)
+		return fmt.Errorf("%w: icmp", ErrBadChecksum)
 	}
 	t := buf[0]
 	if t != ICMPEchoRequest && t != ICMPEchoReply {
-		return nil, fmt.Errorf("icmp type %d is not an echo message", t)
+		return fmt.Errorf("icmp type %d is not an echo message", t)
 	}
-	return &ICMPEcho{
+	*e = ICMPEcho{
 		Type:  t,
 		IDent: binary.BigEndian.Uint16(buf[4:6]),
 		Seq:   binary.BigEndian.Uint16(buf[6:8]),
 		Data:  buf[8:],
-	}, nil
+	}
+	return nil
 }
 
 // UDPHeaderLen is the size of a UDP header.

@@ -85,6 +85,23 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestICMPEchoAppendEncode: appending after a prefix leaves the prefix
+// alone and writes exactly Encode's bytes, checksum computed over the echo
+// message only, and DecodeICMPEchoInto reads them back.
+func TestICMPEchoAppendEncode(t *testing.T) {
+	e := ICMPEcho{Type: ICMPEchoReply, IDent: 9, Seq: 513, Data: []byte("xyz")}
+	prefix := []byte{0xde, 0xad, 0xbe}
+	got := e.AppendEncode(prefix[:3:3])
+	if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], e.Encode()) {
+		t.Fatalf("AppendEncode = %x, want %x then %x", got, prefix, e.Encode())
+	}
+	var back ICMPEcho
+	if err := DecodeICMPEchoInto(&back, got[3:]); err != nil || back.Type != e.Type ||
+		back.IDent != e.IDent || back.Seq != e.Seq || !bytes.Equal(back.Data, e.Data) {
+		t.Fatalf("round trip: %+v (%v), want %+v", back, err, e)
+	}
+}
+
 func TestICMPChecksumDetectsCorruption(t *testing.T) {
 	wire := (&ICMPEcho{Type: ICMPEchoReply, IDent: 1, Seq: 1}).Encode()
 	wire[4] ^= 0x01

@@ -19,11 +19,22 @@
 // the interface dispatch per sift step, and pops in exactly the same
 // (time, sequence) order — the comparator is a total order, so replay
 // determinism is untouched.
+//
+// Deep queues add FIFO lanes in front of the heap. An event scheduled with
+// a relative delay d (After, AfterTask, Every and its re-arm) lands at
+// now+d with a fresh, larger seq; now never moves backwards, so events
+// scheduled with one delay arrive already in (time, sequence) order. A lane
+// keeps them in a ring in arrival order and only its head sits in the
+// heap, so a resolution storm's tens of thousands of same-delay events
+// cost the heap a handful of entries. The global minimum is always a heap
+// entry (every lane's head is ≤ the rest of its lane), so the pop order is
+// exactly the heap-only order.
 package sim
 
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 
@@ -68,7 +79,8 @@ type event struct {
 	task   Task          // closure-free alternative to fn
 	ref    uint32        // this event's slot in the scheduler's slab table
 	dead   bool          // cancelled
-	queued bool          // in the heap (not yet popped)
+	queued bool          // in the queue (not yet popped)
+	lane   uint8         // 1 + index of the lane holding it; 0 = the heap
 	gen    uint64        // incarnation counter, bumped on recycle
 	period time.Duration // >0: re-arm after each firing (Every)
 	cause  uint64        // causal span active when the event was scheduled
@@ -111,10 +123,9 @@ func (a heapEntry) less(b heapEntry) bool {
 // inline keys keep sifts on one cache-resident array.
 type eventQueue []heapEntry
 
-// push inserts ev (whose at/seq are already set) and sifts it up.
-func (q *eventQueue) push(ev *event) {
+// push inserts e and sifts it up.
+func (q *eventQueue) push(e heapEntry) {
 	h := *q
-	e := heapEntry{at: ev.at, seqRef: ev.seq<<32 | uint64(ev.ref)}
 	i := len(h)
 	h = append(h, e)
 	for i > 0 {
@@ -127,28 +138,31 @@ func (q *eventQueue) push(ev *event) {
 	}
 	h[i] = e
 	*q = h
-	ev.queued = true
 }
 
-// pop removes and returns the ref of the minimum event.
-func (q *eventQueue) pop() uint32 {
+// pop removes the minimum entry.
+func (q *eventQueue) pop() {
 	h := *q
-	top := uint32(h[0].seqRef)
 	n := len(h) - 1
 	last := h[n]
-	h = h[:n]
-	*q = h
-	if n == 0 {
-		return top
+	*q = h[:n]
+	if n > 0 {
+		h[:n].fillRoot(last)
 	}
-	// Bottom-up sift (Wegener): walk the hole from the root to a leaf along
-	// the min-child path — 3 compares per level instead of 4, because the
-	// refill element is never compared on the way down — then bubble the
-	// refill up from the leaf. The refill comes from the array's tail, which
-	// under a time-ordered workload holds the latest keys, so the upward
-	// pass almost always stops immediately. Keys are strictly totally
-	// ordered ((at, seq), seq unique), so the pop sequence is identical to
-	// the top-down variant's.
+}
+
+// fillRoot drops e into the root's place (the old root is gone) and
+// restores the heap order.
+//
+// Bottom-up sift (Wegener): walk the hole from the root to a leaf along the
+// min-child path — 3 compares per level instead of 4, because e is never
+// compared on the way down — then bubble e up from the leaf. A pop's e
+// comes from the array's tail, which under a time-ordered workload holds
+// the latest keys, so the upward pass almost always stops immediately.
+// Keys are strictly totally ordered ((at, seq), seq unique), so the pop
+// sequence is identical to the top-down variant's.
+func (h eventQueue) fillRoot(e heapEntry) {
+	n := len(h)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -170,15 +184,55 @@ func (q *eventQueue) pop() uint32 {
 	}
 	for i > 0 {
 		p := (i - 1) / 4
-		if !last.less(h[p]) {
+		if !e.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = last
-	return top
+	h[i] = e
 }
+
+// A lane is a FIFO of queued events that were all scheduled with one
+// relative delay, so they arrived in (at, seq) order: its head is its
+// minimum, and only the head is in the heap. Entries keep their keys
+// inline in a power-of-two ring that grows by doubling and is kept across
+// Reset, so a warmed-up lane schedules without allocating.
+type lane struct {
+	delay time.Duration
+	ring  []heapEntry
+	head  int // ring index of the head
+	n     int // queued entries
+}
+
+// append adds e at the tail and reports whether it became the head.
+func (l *lane) append(e heapEntry) bool {
+	if l.n == len(l.ring) {
+		ring := make([]heapEntry, max(2*len(l.ring), 64))
+		for i := 0; i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+	return l.n == 1
+}
+
+// Lane table shape. A delay hashes to a home lane and probes up to
+// laneProbes lanes from there: an empty lane takes whatever delay arrives,
+// a busy one only its own, and an event that finds no lane goes to the
+// heap. A populated LAN uses a handful of delays (one per link latency and
+// frame size, the resolver's retry interval, traffic periods), so that is
+// rare and costs only a heap entry. Below laneMinDepth queued events every
+// event goes to the heap: a shallow heap is already cheap, and the lane
+// bookkeeping would only add to it.
+const (
+	laneBits     = 4
+	laneCount    = 1 << laneBits
+	laneProbes   = 4
+	laneMinDepth = 64
+)
 
 // Timer is a handle to a scheduled event that can be cancelled. It is a
 // plain value: copying is cheap, the zero value is an inert no-op handle,
@@ -205,7 +259,9 @@ func (t Timer) Stop() bool {
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
 	now       time.Duration
-	queue     eventQueue
+	queue     eventQueue // the heap: At events, lane heads, shallow-queue events
+	lanes     [laneCount]lane
+	pending   int // queued events, in the heap and in lanes
 	seq       uint64
 	seed      int64
 	rng       *rand.Rand
@@ -268,6 +324,10 @@ func NewScheduler(seed int64) *Scheduler {
 func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.queue = s.queue[:0]
+	for i := range s.lanes {
+		s.lanes[i].head, s.lanes[i].n = 0, 0
+	}
+	s.pending = 0
 	s.seq = 0
 	s.seed = seed
 	s.rng.Seed(seed) // re-lazies the root source in place
@@ -479,7 +539,7 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events currently queued (including ones that
 // have been cancelled but not yet drained).
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.pending }
 
 // eventAt resolves a slab ref to its event. Slab backing arrays are never
 // reallocated, so the returned pointer is stable for the scheduler's life.
@@ -521,19 +581,69 @@ func (s *Scheduler) release(ev *event) {
 	s.free = append(s.free, ev.ref)
 }
 
-// schedule queues fn (or task) at the (already clamped) absolute instant at.
-func (s *Scheduler) schedule(at, period time.Duration, fn func(), task Task) Timer {
+// schedule queues fn (or task) at the (already clamped) absolute instant
+// at. d is the relative delay it was scheduled with, or -1 for At.
+func (s *Scheduler) schedule(at, d, period time.Duration, fn func(), task Task) Timer {
+	ev := s.alloc()
+	ev.at, ev.fn, ev.task, ev.period, ev.cause = at, fn, task, period, s.cause
+	s.enqueue(ev, d)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// enqueue gives ev (whose at is set) the next sequence number and queues it:
+// in the lane for its delay d when the queue is deep and that lane is free
+// for d, otherwise (and always for d < 0) in the heap.
+func (s *Scheduler) enqueue(ev *event, d time.Duration) {
 	s.seq++
 	if s.seq >= 1<<32 {
 		panic("sim: event sequence exceeded 2^32 (heap key packing bound)")
 	}
-	ev := s.alloc()
-	ev.at, ev.seq, ev.fn, ev.task, ev.period, ev.cause = at, s.seq, fn, task, period, s.cause
-	s.queue.push(ev)
+	ev.seq = s.seq
+	ev.queued = true
+	ev.lane = 0
+	s.pending++
 	if s.mQueueHigh != nil {
-		s.mQueueHigh.SetMax(float64(len(s.queue)))
+		s.mQueueHigh.SetMax(float64(s.pending))
 	}
-	return Timer{ev: ev, gen: ev.gen}
+	e := heapEntry{at: ev.at, seqRef: ev.seq<<32 | uint64(ev.ref)}
+	if d >= 0 && s.pending > laneMinDepth {
+		home := uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneBits)
+		for k := uint64(0); k < laneProbes; k++ {
+			i := (home + k) & (laneCount - 1)
+			l := &s.lanes[i]
+			if l.n == 0 {
+				l.delay = d
+			} else if l.delay != d {
+				continue
+			}
+			ev.lane = uint8(i + 1)
+			if !l.append(e) {
+				return // behind the lane's head, which is in the heap
+			}
+			break
+		}
+	}
+	s.queue.push(e)
+}
+
+// popNext removes and returns the earliest queued event. When it heads a
+// lane, the lane's next entry takes its place in the heap.
+func (s *Scheduler) popNext() *event {
+	ev := s.eventAt(uint32(s.queue[0].seqRef))
+	if ev.lane == 0 {
+		s.queue.pop()
+	} else {
+		l := &s.lanes[ev.lane-1]
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		if l.n--; l.n > 0 {
+			s.queue.fillRoot(l.ring[l.head])
+		} else {
+			s.queue.pop()
+		}
+	}
+	s.pending--
+	ev.queued = false
+	return ev
 }
 
 // At schedules fn to run at absolute virtual time at. Events scheduled in the
@@ -543,7 +653,7 @@ func (s *Scheduler) At(at time.Duration, fn func()) Timer {
 	if at < s.now {
 		at = s.now
 	}
-	return s.schedule(at, 0, fn, nil)
+	return s.schedule(at, -1, 0, fn, nil)
 }
 
 // After schedules fn to run d after the current virtual instant.
@@ -551,7 +661,7 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now+d, 0, fn, nil)
+	return s.schedule(s.now+d, d, 0, fn, nil)
 }
 
 // AfterTask schedules t.Run d after the current virtual instant. It is
@@ -562,7 +672,7 @@ func (s *Scheduler) AfterTask(d time.Duration, t Task) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now+d, 0, nil, t)
+	return s.schedule(s.now+d, d, 0, nil, t)
 }
 
 // Every schedules fn to run every period, starting one period from now,
@@ -573,23 +683,15 @@ func (s *Scheduler) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		period = time.Nanosecond
 	}
-	return s.schedule(s.now+period, period, fn, nil)
+	return s.schedule(s.now+period, period, period, fn, nil)
 }
 
 // finish recycles a just-executed event, or re-arms it if it is periodic
 // and its cycle has not been stopped (possibly by its own callback).
 func (s *Scheduler) finish(ev *event) {
 	if ev.period > 0 && !ev.dead {
-		s.seq++
-		if s.seq >= 1<<32 {
-			panic("sim: event sequence exceeded 2^32 (heap key packing bound)")
-		}
 		ev.at = s.now + ev.period
-		ev.seq = s.seq
-		s.queue.push(ev)
-		if s.mQueueHigh != nil {
-			s.mQueueHigh.SetMax(float64(len(s.queue)))
-		}
+		s.enqueue(ev, ev.period)
 		return
 	}
 	s.release(ev)
@@ -598,37 +700,42 @@ func (s *Scheduler) finish(ev *event) {
 // Stop halts the run after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// RunUntil executes events in order until the virtual clock would pass
-// horizon, the queue drains, or Stop is called. Events scheduled exactly at
-// the horizon still run. It returns ErrStopped if halted explicitly.
-func (s *Scheduler) RunUntil(horizon time.Duration) error {
+// drain executes queued events in (at, seq) order while the earliest is at
+// or before last, and returns ErrStopped as soon as an executed event has
+// called Stop — also when it was the last one queued. The clock is left at
+// the last executed event.
+func (s *Scheduler) drain(last time.Duration) error {
 	s.stopped = false
-	for len(s.queue) > 0 {
+	for len(s.queue) > 0 && s.queue[0].at <= last {
+		ev := s.popNext()
+		if ev.dead {
+			s.mCancelled.Inc()
+			s.release(ev)
+			continue
+		}
+		s.now = ev.at
+		s.executed++
+		s.mExecuted.Inc()
+		s.cause = ev.cause
+		ev.run()
+		s.cause = 0
+		s.finish(ev)
 		if s.stopped {
 			return ErrStopped
 		}
-		next := s.queue[0]
-		if next.at > horizon {
-			break
-		}
-		popped := s.eventAt(s.queue.pop())
-		popped.queued = false
-		if popped.dead {
-			s.mCancelled.Inc()
-			s.release(popped)
-			continue
-		}
-		s.now = popped.at
-		s.executed++
-		s.mExecuted.Inc()
-		s.cause = popped.cause
-		popped.run()
-		s.cause = 0
-		s.finish(popped)
 	}
-	if s.now < horizon {
-		s.now = horizon
+	return nil
+}
+
+// RunUntil executes events in order until the virtual clock would pass
+// horizon, the queue drains, or Stop is called. Events scheduled exactly at
+// the horizon still run. It returns ErrStopped if halted explicitly, with
+// the clock at the stopping event; otherwise the clock ends at horizon.
+func (s *Scheduler) RunUntil(horizon time.Duration) error {
+	if err := s.drain(horizon); err != nil {
+		return err
 	}
+	s.advanceTo(horizon)
 	return nil
 }
 
@@ -647,31 +754,7 @@ func (s *Scheduler) NextEventAt() (time.Duration, bool) {
 // does not advance the clock to it: the clock stays at the last executed
 // event, so a later window (or advanceTo) owns the remaining span.
 func (s *Scheduler) runBefore(limit time.Duration) error {
-	s.stopped = false
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		next := s.queue[0]
-		if next.at >= limit {
-			break
-		}
-		popped := s.eventAt(s.queue.pop())
-		popped.queued = false
-		if popped.dead {
-			s.mCancelled.Inc()
-			s.release(popped)
-			continue
-		}
-		s.now = popped.at
-		s.executed++
-		s.mExecuted.Inc()
-		s.cause = popped.cause
-		popped.run()
-		s.cause = 0
-		s.finish(popped)
-	}
-	return nil
+	return s.drain(limit - 1)
 }
 
 // advanceTo moves the clock forward to t (never backwards), mirroring what
@@ -684,25 +767,5 @@ func (s *Scheduler) advanceTo(t time.Duration) {
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Scheduler) Run() error {
-	s.stopped = false
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		popped := s.eventAt(s.queue.pop())
-		popped.queued = false
-		if popped.dead {
-			s.mCancelled.Inc()
-			s.release(popped)
-			continue
-		}
-		s.now = popped.at
-		s.executed++
-		s.mExecuted.Inc()
-		s.cause = popped.cause
-		popped.run()
-		s.cause = 0
-		s.finish(popped)
-	}
-	return nil
+	return s.drain(math.MaxInt64)
 }

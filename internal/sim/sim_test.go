@@ -168,6 +168,48 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
+// TestStopFromLastQueuedEvent: a Stop called by the only queued event is
+// reported like any other stop — ErrStopped, with the clock left at the
+// stopping event rather than moved to the horizon — by RunUntil, Run and
+// the sharded window primitive alike, and a later run resumes from there.
+func TestStopFromLastQueuedEvent(t *testing.T) {
+	const at, horizon = 10 * time.Millisecond, time.Second
+	for _, tc := range []struct {
+		name string
+		run  func(s *Scheduler) error
+	}{
+		{"RunUntil", func(s *Scheduler) error { return s.RunUntil(horizon) }},
+		{"Run", func(s *Scheduler) error { return s.Run() }},
+		{"runBefore", func(s *Scheduler) error { return s.runBefore(horizon) }},
+	} {
+		for _, more := range []bool{false, true} {
+			s := NewScheduler(1)
+			s.At(at, s.Stop)
+			ranLater := false
+			if more { // the case that always worked: something is still queued
+				s.At(2*at, func() { ranLater = true })
+			}
+			if err := tc.run(s); !errors.Is(err, ErrStopped) {
+				t.Fatalf("%s (more queued %v): err = %v, want ErrStopped", tc.name, more, err)
+			}
+			if s.Now() != at {
+				t.Fatalf("%s (more queued %v): stopped with the clock at %v, want %v", tc.name, more, s.Now(), at)
+			}
+			if ranLater {
+				t.Fatalf("%s: ran an event after the stop", tc.name)
+			}
+			// Resume: whatever is still queued runs, and RunUntil ends at its
+			// horizon.
+			if err := s.RunUntil(horizon); err != nil {
+				t.Fatalf("%s (more queued %v): resume: %v", tc.name, more, err)
+			}
+			if ranLater != more || s.Now() != horizon {
+				t.Fatalf("%s (more queued %v): resume ran the later event %v, clock %v", tc.name, more, ranLater, s.Now())
+			}
+		}
+	}
+}
+
 // firing is one executed event: its instant and its FIFO sequence number.
 type firing struct {
 	at  time.Duration

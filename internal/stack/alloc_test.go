@@ -105,8 +105,8 @@ func TestProcessARPWithPendingAllocFree(t *testing.T) {
 }
 
 // TestHandleIPv4NotOursAllocFree: a promiscuous monitor sees every
-// background datagram on its LAN; parsing one addressed to another host
-// and discarding it must not allocate.
+// background datagram on its LAN; reading the destination of one addressed
+// to another host and discarding it must not allocate.
 func TestHandleIPv4NotOursAllocFree(t *testing.T) {
 	s := sim.NewScheduler(1)
 	h := NewHost(s, "mon", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 250})
@@ -120,5 +120,54 @@ func TestHandleIPv4NotOursAllocFree(t *testing.T) {
 	}
 	if h.Stats().IPv4Rx != 0 {
 		t.Fatal("host counted a datagram addressed elsewhere")
+	}
+}
+
+// TestSendUDPFrameOnlyAllocFree: a 64-octet datagram to a resolved peer,
+// sent and delivered into the peer's UDP handler, costs exactly one
+// allocation, the object holding the frame and its wire bytes: encoding
+// writes straight into it, and the receiver decodes on its stack.
+func TestSendUDPFrameOnlyAllocFree(t *testing.T) {
+	l := newTestLAN(1)
+	a := l.addHost("a", "02:42:ac:00:00:01", "10.0.0.1")
+	b := l.addHost("b", "02:42:ac:00:00:02", "10.0.0.2")
+	got := 0
+	b.HandleUDP(9, func(_ ethaddr.IPv4, _ uint16, payload []byte) { got = len(payload) })
+	a.Resolve(b.IP(), nil)
+	if err := l.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		a.SendUDP(b.IP(), 9, 9, payload)
+		if err := l.s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != len(payload) {
+		t.Fatalf("peer received %d payload octets, want %d", got, len(payload))
+	}
+	if allocs != 1 {
+		t.Fatalf("SendUDP of %d octets to a resolved peer: %v allocs/op, want exactly 1", len(payload), allocs)
+	}
+}
+
+// TestDeliverUDPAllocFree: a datagram addressed to the host, with no OnIPv4
+// observer attached, is parsed and dispatched to its port handler without
+// allocating.
+func TestDeliverUDPAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	h := NewHost(s, "h", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 1})
+	got := 0
+	h.HandleUDP(40000, func(ethaddr.IPv4, uint16, []byte) { got++ })
+	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: []byte("bgtraffc")}
+	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: ethaddr.IPv4{10, 0, 0, 2}, Dst: h.IP(), Payload: u.Encode()}
+	f := &frame.Frame{Dst: h.MAC(), Src: ethaddr.MAC{0x02, 0, 0, 0, 0, 2}, Type: frame.TypeIPv4, Payload: p.Encode()}
+	allocs := testing.AllocsPerRun(1000, func() { h.handleFrame(f) })
+	if allocs != 0 {
+		t.Fatalf("UDP delivery to its addressee: %v allocs/op, want 0", allocs)
+	}
+	if got == 0 || uint64(got) != h.Stats().IPv4Rx {
+		t.Fatalf("handler ran %d times for %d datagrams received", got, h.Stats().IPv4Rx)
 	}
 }

@@ -444,3 +444,60 @@ func TestIPv4NotForUsIgnored(t *testing.T) {
 		t.Fatal("b accepted an IP packet addressed elsewhere")
 	}
 }
+
+// TestIPv4BadChecksumDropped: a datagram whose header checksum fails is
+// dropped whether it is addressed to another host (the promiscuous
+// monitor's early destination check drops it before the checksum is
+// read) or to this one (decoding rejects it): neither is counted, reaches
+// a port handler, or reaches the OnIPv4 observer.
+func TestIPv4BadChecksumDropped(t *testing.T) {
+	s := sim.NewScheduler(1)
+	h := NewHost(s, "mon", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 250})
+	observed, handled := 0, 0
+	h.OnIPv4(func(*ipv4pkt.Packet, *frame.Frame) { observed++ })
+	h.HandleUDP(9, func(ethaddr.IPv4, uint16, []byte) { handled++ })
+	datagram := func(dst ethaddr.IPv4, corrupt bool) *frame.Frame {
+		u := ipv4pkt.UDP{SrcPort: 9, DstPort: 9, Payload: []byte("x")}
+		p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: ethaddr.IPv4{10, 0, 0, 7}, Dst: dst, Payload: u.Encode()}
+		wire := p.Encode()
+		if corrupt {
+			wire[10] ^= 0xff // the header checksum
+		}
+		return &frame.Frame{Dst: h.MAC(), Src: ethaddr.MAC{0x02, 0, 0, 0, 0, 7}, Type: frame.TypeIPv4, Payload: wire}
+	}
+	h.handleFrame(datagram(ethaddr.IPv4{10, 0, 0, 8}, true))
+	h.handleFrame(datagram(h.IP(), true))
+	if h.Stats().IPv4Rx != 0 || observed != 0 || handled != 0 {
+		t.Fatalf("bad-checksum datagrams got through: IPv4Rx %d, observed %d, handled %d", h.Stats().IPv4Rx, observed, handled)
+	}
+	h.handleFrame(datagram(h.IP(), false))
+	if h.Stats().IPv4Rx != 1 || observed != 1 || handled != 1 {
+		t.Fatalf("intact datagram: IPv4Rx %d, observed %d, handled %d, want 1 each", h.Stats().IPv4Rx, observed, handled)
+	}
+}
+
+// TestSendUDPCopiesPayload: SendUDP keeps its own copy of the payload, also
+// while the datagram waits for a resolution, so a caller may reuse its
+// buffer at once.
+func TestSendUDPCopiesPayload(t *testing.T) {
+	l := newTestLAN(1)
+	a := l.addHost("a", "02:42:ac:00:00:01", "10.0.0.1")
+	b := l.addHost("b", "02:42:ac:00:00:02", "10.0.0.2")
+	var got []string
+	b.HandleUDP(9, func(_ ethaddr.IPv4, _ uint16, payload []byte) { got = append(got, string(payload)) })
+	buf := []byte("first")
+	a.SendUDP(b.IP(), 9, 9, buf) // queued behind the resolution of b
+	copy(buf, "xxxxx")
+	if err := l.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "again")
+	a.SendUDP(b.IP(), 9, 9, buf) // resolved: sent at once
+	copy(buf, "yyyyy")
+	if err := l.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "first" || got[1] != "again" {
+		t.Fatalf("received %q, want [first again]", got)
+	}
+}

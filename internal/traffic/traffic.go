@@ -100,10 +100,11 @@ func StartFlow(s *sim.Scheduler, id uint32, from, to *stack.Host, period time.Du
 		}
 	})
 
+	// One buffer serves every datagram of the flow: SendUDP copies it.
 	var seq uint32
+	payload := make([]byte, cfg.payloadLen)
 	send := func() {
 		seq++
-		payload := make([]byte, cfg.payloadLen)
 		binary.BigEndian.PutUint32(payload[:4], id)
 		binary.BigEndian.PutUint32(payload[4:8], seq)
 		f.stats.Sent++

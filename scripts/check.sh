@@ -42,16 +42,18 @@ go test ./...
 echo "==> bench smoke (sequential vs parallel Table 3, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkTable3(Sequential|Parallel)$' -benchtime=1x .
 
-echo "==> tracing-disabled hot path stays allocation-free (scheduler steady state)"
-steady=$(go test -run '^$' -bench 'BenchmarkSchedulerSteadyState$' -benchmem -benchtime=100000x .)
+echo "==> tracing-disabled hot path stays allocation-free (scheduler steady state, deep queue with FIFO lanes)"
+steady=$(go test -run '^$' -bench 'BenchmarkScheduler(SteadyState|DeepQueue)$' -benchmem -benchtime=100000x .)
 echo "$steady"
-allocs=$(echo "$steady" | awk '/^BenchmarkSchedulerSteadyState/ {
-	for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)
-}')
-if [ "$allocs" != "0" ]; then
-	echo "scheduler steady state allocates with tracing disabled: ${allocs:-?} allocs/op" >&2
-	exit 1
-fi
+for bench in SteadyState DeepQueue; do
+	allocs=$(echo "$steady" | awk -v name="BenchmarkScheduler$bench" '$1 ~ "^" name "(-[0-9]+)?$" {
+		for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)
+	}')
+	if [ "$allocs" != "0" ]; then
+		echo "scheduler $bench allocates with tracing disabled: ${allocs:-?} allocs/op" >&2
+		exit 1
+	fi
+done
 
 echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host)"
 # Capture first, then filter: piping straight into grep would take grep's
