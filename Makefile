@@ -24,8 +24,8 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# bench runs every experiment benchmark once (and the micro-benchmarks at a
-# fixed iteration count) and records (name, ns/op, allocs/op) to
+# bench runs the experiment-sized benchmarks once (and the micro-benchmarks
+# at a fixed iteration count) and records (name, ns/op, allocs/op) to
 # BENCH_PR10.json — the perf trajectory later PRs diff against — then prints
 # a delta table vs BENCH_PR9.json (BENCH_PR2/PR5/PR6/PR7/PR8/PR9.json are
 # the earlier recorded points).

@@ -1,15 +1,17 @@
 package repro
 
-// The repository benchmark suite: one benchmark per evaluation table and
-// figure (each regenerates a scaled-down instance of the experiment and
-// reports its headline metric), plus micro-benchmarks for the hot paths
-// whose costs the analysis argues about (packet codecs, cache updates,
-// switch forwarding, the real ECDSA operations behind S-ARP/TARP).
+// The repository benchmark suite: micro-benchmarks for the hot paths whose
+// costs the analysis argues about (packet codecs, cache updates, switch
+// forwarding, the scheduler, the real ECDSA operations behind S-ARP/TARP),
+// the Table 3 worker-pool pair check.sh runs, and the Figure 9 campus
+// scaling points. Each whole experiment is timed by the repository
+// benchmark (bench/run.sh, eval-suite's eval.<id>_ms) and by
+// `arpbench -table N` / `arpbench -figure N`.
 //
 // Run:
 //
 //	go test -bench=. -benchmem
-//	go test -bench=BenchmarkTable3 -benchtime=1x   # one full experiment
+//	go test -bench=BenchmarkTable3Sequential -benchtime=1x
 
 import (
 	"bytes"
@@ -19,7 +21,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -36,34 +37,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// --- experiment benchmarks: one per table and figure ---
-
-func BenchmarkTable1PropertyMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table1PropertyMatrix()
-		if err := t.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2PolicyMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table2PolicyMatrix()
-		if len(t.Rows) != 4 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkTable3Detection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table3Detection(2)
-		if len(t.Rows) != len(eval.DetectionSchemes()) {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
+// --- experiment benchmarks: the worker pool and the campus scale ---
 
 // benchmarkTable3At runs Table 3 at a fixed worker-pool width and checks
 // the rendered output against the sequential reference, so the speedup
@@ -95,131 +69,6 @@ func benchmarkTable3At(b *testing.B, workers int) {
 // ≥4-core machine the parallel variant should be ≥2x faster.
 func BenchmarkTable3Sequential(b *testing.B) { benchmarkTable3At(b, 1) }
 func BenchmarkTable3Parallel(b *testing.B)   { benchmarkTable3At(b, runtime.GOMAXPROCS(0)) }
-
-func BenchmarkTable4Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table4Overhead(3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table5Ablation(1)
-		if len(t.Rows) != 5 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkTable6EvasiveAttacker(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table6EvasiveAttacker(1)
-		if len(t.Rows) != 6 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkTable7PortStealing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table7PortStealing(1)
-		if len(t.Rows) != 5 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkFigure6WindowAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure6WindowAblation(4)
-		if len(f.Series) != 3 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkFigure7DefenseWar(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure7DefenseWar(30)
-		if len(f.Series) != 2 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkTable8FaultRobustness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table8FaultRobustness(1)
-		if len(t.Rows) != 15 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkFigure8FaultSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure8FaultIntensitySweep(1)
-		if len(f.Series) != 5 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkTable10StageAttribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := eval.Table10StageAttribution(1)
-		if len(t.Rows) != 5 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkFigure1LatencyCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure1LatencyCDF(2)
-		if len(f.Series) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-func BenchmarkFigure2RaceWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure2RaceWindow(4)
-		if len(f.Series) != 2 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkFigure3Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure3Scaling([]int{4, 8}, 20*time.Second)
-		if len(f.Series) != 4 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkFigure4Churn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure4ChurnFalsePositives(1)
-		if len(f.Series) != 3 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
-
-func BenchmarkFigure5CamFlood(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := eval.Figure5CamFlood([]float64{0, 1000}, 5*time.Second)
-		if len(f.Series) != 2 {
-			b.Fatal("unexpected figure shape")
-		}
-	}
-}
 
 // benchmarkFigure9Scale regenerates one campus-scaling point per
 // iteration: assemble the routed multi-LAN campus at the given population,

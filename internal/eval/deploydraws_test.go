@@ -18,7 +18,7 @@ import (
 func TestDeployDrawsNothingWarmUpDraws(t *testing.T) {
 	const seed = 42
 	next := func(prepare func(l *labnet.LAN)) int64 {
-		l := newAttackLAN(seed, 8, 200*time.Microsecond)
+		l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 8, LinkJitter: 200 * time.Microsecond})
 		defer l.Recycle()
 		prepare(l)
 		return l.Sched.Rand().Int63()
@@ -33,7 +33,11 @@ func TestDeployDrawsNothingWarmUpDraws(t *testing.T) {
 		}
 	}
 	for _, scheme := range DetectionSchemes() {
-		got := next(func(l *labnet.LAN) { deployDetectionScheme(l, schemes.NewSink(), scheme) })
+		got := next(func(l *labnet.LAN) {
+			if _, err := registry.Deploy(l.Env(schemes.NewSink(), nil), scheme, detectionParams[scheme]); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if got != untouched {
 			t.Errorf("deploying %s drew from the scheduler's RNG", scheme)
 		}

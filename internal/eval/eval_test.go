@@ -332,11 +332,11 @@ func TestTable7PortStealingShape(t *testing.T) {
 // The demoted arpwatch layer's instant flip-flop never pages.
 func TestTable10HybridGuardWaitsForVerification(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		res := runStageTrial(stageTrialConfig{
-			scheme: registry.NameHybridGuard, seed: seed + 10000, hosts: 8,
-			attackAt: 60 * time.Second, horizon: 90 * time.Second,
+		res := runTrial(trialConfig{
+			scheme: registry.NameHybridGuard, seed: seed + 10000, hosts: 8, churns: noChurn,
+			attackAt: 60 * time.Second, horizon: 90 * time.Second, stop: stopAttributed,
 		})
-		if !res.attributed {
+		if res.stages == nil {
 			t.Fatalf("seed %d: no attack alert attributed", seed)
 		}
 		if res.total < 500*time.Millisecond {

@@ -63,31 +63,34 @@ func Figure10FaultedCampus(sizes []int, trialsPerPoint, workers int, horizon tim
 		YFmt:   "%.1f",
 	}
 	deployments := figure10Deployments()
-	var cfgs []campusTrialConfig
+	var cfgs []trialConfig
 	for _, d := range deployments {
 		for _, size := range sizes {
 			for seed := int64(1); seed <= int64(trialsPerPoint); seed++ {
-				cfgs = append(cfgs, campusTrialConfig{
-					scheme:          d.scheme,
-					stack:           d.stack,
-					faulted:         true,
-					size:            size,
-					seed:            seed + 12000, // distinct seed space from Figure 9
-					workers:         workers,
-					horizon:         horizon,
-					stopAtDetection: true, // only latency is plotted
+				cfgs = append(cfgs, trialConfig{
+					scheme:    d.scheme,
+					stack:     d.stack,
+					campus:    true,
+					hosts:     size,
+					intensity: 1,            // arms figure10FaultPlan
+					seed:      seed + 12000, // distinct seed space from Figure 9
+					workers:   workers,
+					horizon:   horizon,
+					stop:      stopAtDecision, // only latency is plotted
 				})
 			}
 		}
 	}
 	scope := Scope{Experiment: "figure10", Params: fmt.Sprintf("horizon=%v", horizon)}
-	results := CachedMap(scope, cfgs, runCampusTrial)
+	results := CachedMap(scope, cfgs, runTrial)
 	cell := 0
 	for _, d := range deployments {
 		for _, size := range sizes {
 			var latencies []float64
 			for _, res := range results[cell*trialsPerPoint : (cell+1)*trialsPerPoint] {
-				latencies = append(latencies, res.latency.Seconds()*1000)
+				// Censored at the bound from the drawn attack start, as in
+				// Figure 9.
+				latencies = append(latencies, res.latencyOr(horizon-res.attackAt).Seconds()*1000)
 			}
 			cell++
 			f.AddPoint(d.label, float64(size), stats.Quantile(latencies, 0.5))

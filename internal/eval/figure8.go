@@ -30,35 +30,32 @@ func Figure8FaultIntensitySweep(trialsPerPoint int) *Figure {
 	intensities := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	attackAt := 60 * time.Second
 	horizon := 120 * time.Second
-	var cfgs []faultTrialConfig
+	var cfgs []trialConfig
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range intensities {
 			for seed := int64(1); seed <= int64(trialsPerPoint); seed++ {
-				cfgs = append(cfgs, faultTrialConfig{
+				cfgs = append(cfgs, trialConfig{
 					scheme:    scheme,
 					seed:      seed + 9000, // distinct seed space from Table 8
 					intensity: x,
 					hosts:     8,
+					churns:    noChurn,
 					attackAt:  attackAt,
 					horizon:   horizon,
 				})
 			}
 		}
 	}
-	results := CachedMap(Scope{Experiment: "figure8"}, cfgs, runFaultTrial)
+	results := CachedMap(Scope{Experiment: "figure8"}, cfgs, runTrial)
 	cell := 0
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range intensities {
 			var ttd []float64
 			for _, res := range results[cell*trialsPerPoint : (cell+1)*trialsPerPoint] {
-				if res.detected {
-					ttd = append(ttd, res.latency.Seconds()*1000)
-				} else {
-					// Censored at the observation bound: the attack ran from
-					// attackAt (plus up to 5s of phase) to the horizon
-					// without a correct alert.
-					ttd = append(ttd, (horizon-attackAt).Seconds()*1000)
-				}
+				// A miss is censored at the observation bound: the attack
+				// ran from attackAt (plus up to 5s of phase) to the horizon
+				// without a correct alert.
+				ttd = append(ttd, res.latencyOr(horizon-attackAt).Seconds()*1000)
 			}
 			cell++
 			f.AddPoint(scheme, x, stats.Quantile(ttd, 0.5))

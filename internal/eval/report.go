@@ -67,7 +67,7 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	// One shared pad buffer; slicing a string is free, so per-cell padding
 	// costs no allocation (strings.Repeat per cell dominated the renderer's
-	// allocs in BenchmarkTable1PropertyMatrix).
+	// allocations on Table 1).
 	pad := strings.Repeat(" ", maxWidth)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", t.ID, t.Title)

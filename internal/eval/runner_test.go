@@ -155,7 +155,7 @@ func TestLatencyCellEmptyRendersNA(t *testing.T) {
 	}
 	// End to end: an unreachable attack produces a zero-detection trial,
 	// the input that used to feed Quantile an empty slice.
-	res := runDetectionTrial(detectionTrialConfig{
+	res := runTrial(trialConfig{
 		scheme:   "active-probe",
 		seed:     1,
 		hosts:    8,

@@ -21,13 +21,13 @@ func TestFigure10StopAtDetectionMatchesFullRun(t *testing.T) {
 		for _, size := range []int{100, 1000, 10000} {
 			for _, seed := range []int64{12001, 12002} {
 				for _, workers := range []int{1, 2} {
-					cfg := campusTrialConfig{
-						scheme: d.scheme, stack: d.stack, faulted: true,
-						size: size, seed: seed, workers: workers, horizon: 30 * time.Second,
+					cfg := trialConfig{
+						scheme: d.scheme, stack: d.stack, intensity: 1,
+						campus: true, hosts: size, seed: seed, workers: workers, horizon: 30 * time.Second,
 					}
-					full := runCampusTrial(cfg)
-					cfg.stopAtDetection = true
-					stopped := runCampusTrial(cfg)
+					full := runTrial(cfg)
+					cfg.stop = stopAtDecision
+					stopped := runTrial(cfg)
 					name := fmt.Sprintf("%s size=%d seed=%d workers=%d", d.label, size, seed, workers)
 					if stopped.detected != full.detected || stopped.latency != full.latency {
 						t.Errorf("%s: stopped run gave (%v, %v), full run (%v, %v)",
@@ -51,13 +51,13 @@ func TestFigure1StopAtDetectionMatchesFullRun(t *testing.T) {
 	stoppedEarly := 0
 	for _, scheme := range DetectionSchemes() {
 		for seed := int64(1001); seed <= 1006; seed++ {
-			cfg := detectionTrialConfig{
+			cfg := trialConfig{
 				scheme: scheme, seed: seed, hosts: 8, churns: 2,
 				attackAt: 60 * time.Second, horizon: 120 * time.Second,
 			}
-			full := runDetectionTrial(cfg)
-			cfg.stopAtDetection = true
-			stopped := runDetectionTrial(cfg)
+			full := runTrial(cfg)
+			cfg.stop = stopAtDecision
+			stopped := runTrial(cfg)
 			if stopped.detected != full.detected || stopped.latency != full.latency {
 				t.Errorf("%s seed=%d: stopped run gave (%v, %v), full run (%v, %v)",
 					scheme, seed, stopped.detected, stopped.latency, full.detected, full.latency)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/labnet"
-	"repro/internal/schemes"
-	"repro/internal/schemes/registry"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/causal"
@@ -64,8 +61,9 @@ var DetectionStageBuckets = []float64{
 // ObserveDetectionStages records one attributed detection into reg:
 // detection_stage_seconds{scheme,stage} per stage plus
 // detection_total_seconds{scheme} end-to-end. stages is keyed by stage name
-// (StageOfKind output). Shared by the Table 10 trials and the live tracing
-// mode, so offline tables and scraped metrics agree by construction.
+// (StageOfKind output). The live tracing mode feeds it the same
+// AttributeFirstDetection breakdown Table 10 aggregates offline, so scraped
+// metrics and the table agree by construction.
 func ObserveDetectionStages(reg *telemetry.Registry, scheme string, stages map[string]time.Duration, total time.Duration) {
 	if reg == nil {
 		return
@@ -116,86 +114,6 @@ func AttributeFirstDetection(rec *causal.Recorder, after time.Duration, ips ...s
 	return nil, 0, false
 }
 
-// stageTrialConfig parameterizes one traced attribution trial.
-type stageTrialConfig struct {
-	scheme   string
-	seed     int64
-	hosts    int
-	attackAt time.Duration
-	horizon  time.Duration
-}
-
-// stageAttribution is one trial's outcome: the first attack-correlated
-// alert's latency, charged per stage.
-type stageAttribution struct {
-	attributed bool
-	stages     map[string]time.Duration
-	total      time.Duration
-}
-
-// runStageTrial runs the standard gateway MITM with causal tracing on and
-// attributes the first correlated detection. The topology, warm-up, jitter,
-// and attack-phase randomization mirror runDetectionTrial so the latencies
-// decomposed here are the same population Table 3 quantizes.
-func runStageTrial(cfg stageTrialConfig) stageAttribution {
-	reg := telemetry.New()
-	l := labnet.New(labnet.Config{
-		Seed:         cfg.seed,
-		Hosts:        cfg.hosts,
-		WithAttacker: true,
-		WithMonitor:  true,
-		LinkJitter:   200 * time.Microsecond,
-		Telemetry:    reg,
-		Tracing:      true,
-		// Deep enough that the attack chain is still resident when the run
-		// ends: the horizon is cut short after the attack so the tail of
-		// benign traffic cannot evict the spans under analysis.
-		TracingLimit: 1 << 16,
-	})
-	sink := schemes.NewSink()
-	sink.Instrument(reg)
-	// Deploy against the instrumented environment (not deployDetectionScheme,
-	// which passes a nil registry): the scheme's tap only wraps itself in a
-	// "scheme" span when the environment carries the causal recorder, and
-	// without that hop every probe window would be charged to the switch.
-	if _, err := registry.Deploy(l.Env(sink, reg), cfg.scheme, detectionParams[cfg.scheme]); err != nil {
-		panic(fmt.Sprintf("eval: deploy %s: %v", cfg.scheme, err)) // a bug, not a result
-	}
-	warmAttackLAN(l)
-	attackAt := cfg.attackAt + time.Duration(l.Sched.Rand().Int63n(int64(5*time.Second)))
-	launchGatewayMITM(l, attackAt)
-
-	// Pause after every event that reports an alert naming the attacked
-	// binding: its switch and scheme spans have closed by then, so the
-	// attribution can be tried. The trial ends at the first alert that
-	// attributes, or at the horizon, where the attribution is tried once
-	// more over everything the run recorded.
-	gw, victim := l.Gateway(), l.Victim()
-	sink.OnAlert(func(a schemes.Alert) {
-		if (a.IP == gw.IP() || a.IP == victim.IP()) && a.At >= attackAt {
-			l.Sched.Stop()
-		}
-	})
-	var (
-		stages map[string]time.Duration
-		total  time.Duration
-		ok     bool
-	)
-	for {
-		paused := l.Run(cfg.horizon) != nil
-		stages, total, ok = AttributeFirstDetection(reg.Causal(), attackAt,
-			gw.IP().String(), victim.IP().String())
-		if ok || !paused {
-			break
-		}
-	}
-	if !ok {
-		return stageAttribution{}
-	}
-	ObserveDetectionStages(reg, cfg.scheme, stages, total)
-	return stageAttribution{attributed: true, stages: stages, total: total}
-}
-
 // stageCell renders one stage-latency quantile in ms (µs-scale hops keep
 // three decimals so the wire stage doesn't round to zero).
 func stageCell(vals []float64, q float64) string {
@@ -227,19 +145,21 @@ func Table10StageAttribution(trials int) *Table {
 		},
 	}
 
-	var cfgs []stageTrialConfig
+	var cfgs []trialConfig
 	for _, scheme := range DetectionSchemes() {
 		for seed := int64(1); seed <= int64(trials); seed++ {
-			cfgs = append(cfgs, stageTrialConfig{
+			cfgs = append(cfgs, trialConfig{
 				scheme:   scheme,
 				seed:     seed + 10000, // distinct seed space from Tables 3/7/8/9
 				hosts:    8,
+				churns:   noChurn,
 				attackAt: 60 * time.Second,
 				horizon:  90 * time.Second,
+				stop:     stopAttributed,
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table10"}, cfgs, runStageTrial)
+	results := CachedMap(Scope{Experiment: "table10"}, cfgs, runTrial)
 
 	for si, scheme := range DetectionSchemes() {
 		attributed := 0
@@ -247,7 +167,7 @@ func Table10StageAttribution(trials int) *Table {
 		var totals []float64
 		var shareSum float64
 		for _, res := range results[si*trials : (si+1)*trials] {
-			if !res.attributed {
+			if res.stages == nil {
 				continue
 			}
 			attributed++

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ethaddr"
+	"repro/internal/labnet"
 	"repro/internal/schemes"
 	"repro/internal/schemes/registry"
 )
@@ -21,7 +22,7 @@ type ablationOutcome struct {
 // runAblation runs the fixed ablation scenario with one hybrid-guard
 // parameterization (nil params = no guard at all).
 func runAblation(seed int64, params registry.P) ablationOutcome {
-	l := newAttackLAN(seed, 8, 0)
+	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 8})
 	gw, victim := l.Gateway(), l.Victim()
 
 	var inst *registry.Instance
@@ -46,7 +47,7 @@ func runAblation(seed int64, params registry.P) ablationOutcome {
 	}
 
 	// The MITM at t=60s.
-	launchGatewayMITM(l, 60*time.Second)
+	launchGatewayMITM(&labnet.Site{LAN: l}, 60*time.Second)
 	_ = l.Run(2 * time.Minute)
 
 	out := ablationOutcome{}

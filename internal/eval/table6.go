@@ -73,7 +73,7 @@ var evasiveParams = map[string]registry.P{
 // runEvasiveTrial runs one impersonation scenario under one scheme and
 // reports (victim deceived, attack flagged).
 func runEvasiveTrial(scheme string, seed int64) (bool, bool) {
-	l := newAttackLAN(seed, 6, 0)
+	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 6})
 	gw, victim := l.Gateway(), l.Victim()
 	sink := schemes.NewSink()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/labnet"
 	"repro/internal/schemes"
 	"repro/internal/schemes/registry"
 )
@@ -71,7 +72,7 @@ func Table7PortStealing(trials int) *Table {
 // runStealTrial runs one port-stealing scenario under one deployment and
 // reports (traffic intercepted, attack flagged).
 func runStealTrial(dep stealDeployment, seed int64) (bool, bool) {
-	l := newAttackLAN(seed, 4, 0)
+	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 4})
 	gw, victim := l.Gateway(), l.Victim()
 	sink := schemes.NewSink()
 

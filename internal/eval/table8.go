@@ -5,26 +5,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/schemes"
 	"repro/internal/stats"
 )
-
-// faultTrialConfig parameterizes one fault-intensity detection trial.
-type faultTrialConfig struct {
-	scheme    string
-	seed      int64
-	intensity float64 // 0 = clean network, 1 = heavily degraded
-	hosts     int
-	attackAt  time.Duration
-	horizon   time.Duration
-}
-
-// faultTrialResult is one trial's outcome under injected faults.
-type faultTrialResult struct {
-	detected bool
-	latency  time.Duration
-	fpAlerts int // alerts not attributable to the attack
-}
 
 // faultPlanForIntensity scales a composite fault plan by intensity x ∈ [0,1]:
 // a Gilbert-Elliott burst-loss channel on every link (≈26% long-run loss at
@@ -51,48 +33,8 @@ func faultPlanForIntensity(x float64, attackAt time.Duration) *faults.Plan {
 
 func intPtr(i int) *int { return &i }
 
-// runFaultTrial runs one seeded scenario: a composite fault plan at the
-// configured intensity, one detection scheme deployed, and the standard
-// periodic gateway-poisoning MITM. Alerts naming the attacked binding after
-// attack start count as detection; every other alert is a false positive —
-// under faults there is no benign-churn bookkeeping to excuse them.
-func runFaultTrial(cfg faultTrialConfig) faultTrialResult {
-	l := newAttackLAN(cfg.seed, cfg.hosts, 200*time.Microsecond)
-	defer l.Recycle()
-	sink := schemes.NewSink()
-	gw, victim := l.Gateway(), l.Victim()
-	attackAt := cfg.attackAt + time.Duration(l.Sched.Rand().Int63n(int64(5*time.Second)))
-
-	deployDetectionScheme(l, sink, cfg.scheme)
-
-	warmAttackLAN(l)
-
-	if plan := faultPlanForIntensity(cfg.intensity, attackAt); plan != nil {
-		if _, err := faults.Apply(plan, l.FaultEnv()); err != nil {
-			panic(fmt.Sprintf("eval: fault plan rejected: %v", err)) // a bug, not a result
-		}
-	}
-
-	launchGatewayMITM(l, attackAt)
-
-	_ = l.Run(cfg.horizon)
-
-	var res faultTrialResult
-	for _, a := range sink.Alerts() {
-		if (a.IP == gw.IP() || a.IP == victim.IP()) && a.At >= attackAt {
-			if !res.detected {
-				res.detected = true
-				res.latency = a.At - attackAt
-			}
-			continue
-		}
-		res.fpAlerts++
-	}
-	return res
-}
-
-// faultIntensities is the sweep shared by Table 8 (coarse) and Figure 8
-// (fine). Table 8 reports the endpoints and midpoint.
+// table8Intensities is Table 8's fault-intensity sweep: the endpoints and
+// the midpoint. Figure 8 sweeps a finer grid of its own.
 var table8Intensities = []float64{0, 0.5, 1.0}
 
 // Table8FaultRobustness measures how each detection scheme degrades as the
@@ -117,22 +59,23 @@ func Table8FaultRobustness(trials int) *Table {
 			"FP/trial: alerts naming anything but the attacked binding",
 		},
 	}
-	var cfgs []faultTrialConfig
+	var cfgs []trialConfig
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range table8Intensities {
 			for seed := int64(1); seed <= int64(trials); seed++ {
-				cfgs = append(cfgs, faultTrialConfig{
+				cfgs = append(cfgs, trialConfig{
 					scheme:    scheme,
 					seed:      seed + 8000, // distinct seed space from Tables 3/7
 					intensity: x,
 					hosts:     8,
+					churns:    noChurn,
 					attackAt:  60 * time.Second,
 					horizon:   120 * time.Second,
 				})
 			}
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table8"}, cfgs, runFaultTrial)
+	results := CachedMap(Scope{Experiment: "table8"}, cfgs, runTrial)
 	cell := 0
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range table8Intensities {
@@ -143,7 +86,9 @@ func Table8FaultRobustness(trials int) *Table {
 					detected++
 					latencies = append(latencies, res.latency.Seconds()*1000)
 				}
-				fps += res.fpAlerts
+				// Under faults there is no benign-churn bookkeeping to
+				// excuse an alert: every one that does not detect counts.
+				fps += res.strayAlerts
 			}
 			cell++
 			t.AddRow(scheme,

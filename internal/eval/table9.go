@@ -103,10 +103,10 @@ func Table9Stacks(trials int) *Table {
 
 	// One flat (deployment × seed) grid, like Table 3, so the worker pool
 	// stays saturated and output is identical at any -parallel width.
-	var cfgs []detectionTrialConfig
+	var cfgs []trialConfig
 	for _, st := range deployments {
 		for seed := int64(1); seed <= int64(trials); seed++ {
-			cfgs = append(cfgs, detectionTrialConfig{
+			cfgs = append(cfgs, trialConfig{
 				stack:    st,
 				seed:     seed + 9000, // distinct seed space from Tables 3/7/8
 				hosts:    8,
@@ -116,7 +116,7 @@ func Table9Stacks(trials int) *Table {
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table9"}, cfgs, runDetectionTrial)
+	results := CachedMap(Scope{Experiment: "table9"}, cfgs, runTrial)
 
 	rowStats := make([]stackRowStats, len(deployments))
 	for di := range deployments {
@@ -127,7 +127,7 @@ func Table9Stacks(trials int) *Table {
 				detected++
 				row.latencies = append(row.latencies, res.latency.Seconds()*1000)
 			}
-			fps += res.fpAlerts
+			fps += res.churnAlerts
 			churns += res.churns
 			alerts += res.alerts
 			suppressed += res.suppressed

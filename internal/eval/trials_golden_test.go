@@ -29,22 +29,22 @@ func TestTrialsGolden(t *testing.T) {
 	add := func(cell func() string) { cells = append(cells, cell) }
 
 	// detection renders a churn-workload trial (Tables 3/9, Figures 1/4).
-	detection := func(exp, label string, cfg detectionTrialConfig) {
+	detection := func(exp, label string, cfg trialConfig) {
 		add(func() string {
-			r := runDetectionTrial(cfg)
+			r := runTrial(cfg)
 			return fmt.Sprintf("%s %s seed=%d churns=%d detected=%v latency=%d fp=%d churned=%d alerts=%d suppressed=%d",
-				exp, label, cfg.seed, cfg.churns, r.detected, r.latency, r.fpAlerts, r.churns, r.alerts, r.suppressed)
+				exp, label, cfg.seed, cfg.churns, r.detected, r.latency, r.churnAlerts, r.churns, r.alerts, r.suppressed)
 		})
 	}
 	for _, scheme := range DetectionSchemes() {
 		for seed := int64(1); seed <= 3; seed++ {
-			detection("table3", scheme, detectionTrialConfig{scheme: scheme, seed: seed, hosts: 8, churns: 4,
+			detection("table3", scheme, trialConfig{scheme: scheme, seed: seed, hosts: 8, churns: 4,
 				attackAt: 60 * time.Second, horizon: 120 * time.Second})
-			detection("figure1", scheme, detectionTrialConfig{scheme: scheme, seed: seed + 1000, hosts: 8, churns: 2,
-				attackAt: 60 * time.Second, horizon: 120 * time.Second, stopAtDetection: true})
+			detection("figure1", scheme, trialConfig{scheme: scheme, seed: seed + 1000, hosts: 8, churns: 2,
+				attackAt: 60 * time.Second, horizon: 120 * time.Second, stop: stopAtDecision})
 		}
 		// No churn events, but the churn step's shuffle still draws.
-		detection("table3", scheme, detectionTrialConfig{scheme: scheme, seed: 1, hosts: 8,
+		detection("table3", scheme, trialConfig{scheme: scheme, seed: 1, hosts: 8,
 			attackAt: 60 * time.Second, horizon: 120 * time.Second})
 	}
 	seen := make(map[string]bool)
@@ -59,7 +59,7 @@ func TestTrialsGolden(t *testing.T) {
 			}
 			seen[st.Label()] = true
 			for seed := int64(9001); seed <= 9003; seed++ {
-				detection("table9", st.Label(), detectionTrialConfig{stack: st, seed: seed, hosts: 8, churns: 4,
+				detection("table9", st.Label(), trialConfig{stack: st, seed: seed, hosts: 8, churns: 4,
 					attackAt: 60 * time.Second, horizon: 120 * time.Second})
 			}
 		}
@@ -71,7 +71,7 @@ func TestTrialsGolden(t *testing.T) {
 				hosts = 8
 			}
 			for seed := int64(5001); seed <= 5003; seed++ {
-				detection("figure4", scheme, detectionTrialConfig{scheme: scheme, seed: seed, hosts: hosts, churns: churns,
+				detection("figure4", scheme, trialConfig{scheme: scheme, seed: seed, hosts: hosts, churns: churns,
 					attackAt: 10*time.Minute + time.Hour, horizon: 10 * time.Minute})
 			}
 		}
@@ -80,10 +80,10 @@ func TestTrialsGolden(t *testing.T) {
 	// fault renders a fault-intensity trial (Table 8, Figure 8).
 	fault := func(exp, scheme string, seed int64, x float64) {
 		add(func() string {
-			r := runFaultTrial(faultTrialConfig{scheme: scheme, seed: seed, intensity: x, hosts: 8,
+			r := runTrial(trialConfig{scheme: scheme, seed: seed, intensity: x, hosts: 8, churns: noChurn,
 				attackAt: 60 * time.Second, horizon: 120 * time.Second})
 			return fmt.Sprintf("%s %s seed=%d intensity=%.2f detected=%v latency=%d fp=%d",
-				exp, scheme, seed, x, r.detected, r.latency, r.fpAlerts)
+				exp, scheme, seed, x, r.detected, r.latency, r.strayAlerts)
 		})
 	}
 	for _, scheme := range DetectionSchemes() {
@@ -102,37 +102,37 @@ func TestTrialsGolden(t *testing.T) {
 		for seed := int64(10001); seed <= 10003; seed++ {
 			scheme, seed := scheme, seed
 			add(func() string {
-				r := runStageTrial(stageTrialConfig{scheme: scheme, seed: seed, hosts: 8,
-					attackAt: 60 * time.Second, horizon: 90 * time.Second})
+				r := runTrial(trialConfig{scheme: scheme, seed: seed, hosts: 8, churns: noChurn,
+					attackAt: 60 * time.Second, horizon: 90 * time.Second, stop: stopAttributed})
 				stages := make([]string, 0, len(r.stages))
 				for st, d := range r.stages {
 					stages = append(stages, fmt.Sprintf("%s=%d", st, d))
 				}
 				sort.Strings(stages)
 				return fmt.Sprintf("table10 %s seed=%d attributed=%v total=%d stages=[%s]",
-					scheme, seed, r.attributed, r.total, strings.Join(stages, " "))
+					scheme, seed, r.stages != nil, r.total, strings.Join(stages, " "))
 			})
 		}
 	}
 
 	// campus renders a campus trial (Figures 9/10).
-	campus := func(exp, label string, cfg campusTrialConfig) {
+	campus := func(exp, label string, cfg trialConfig) {
 		add(func() string {
-			r := runCampusTrial(cfg)
+			r := runTrial(cfg)
 			return fmt.Sprintf("%s %s size=%d seed=%d workers=%d hosts=%d detected=%v latency=%d frames=%d faults=%d",
-				exp, label, cfg.size, cfg.seed, cfg.workers, r.hosts, r.detected, r.latency, r.frames, r.faults)
+				exp, label, cfg.hosts, cfg.seed, cfg.workers, r.hosts, r.detected, r.latencyOr(cfg.horizon-r.attackAt), r.frames, r.faults)
 		})
 	}
 	for _, size := range []int{500, 1000} {
 		for _, workers := range []int{1, 2} {
 			for seed := int64(11001); seed <= 11002; seed++ {
-				campus("figure9", registry.NameArpwatch, campusTrialConfig{scheme: registry.NameArpwatch,
-					size: size, seed: seed, workers: workers, horizon: 30 * time.Second})
+				campus("figure9", registry.NameArpwatch, trialConfig{scheme: registry.NameArpwatch,
+					campus: true, hosts: size, seed: seed, workers: workers, horizon: 30 * time.Second})
 			}
 			for _, d := range figure10Deployments() {
 				for seed := int64(12001); seed <= 12002; seed++ {
-					campus("figure10", d.label, campusTrialConfig{scheme: d.scheme, stack: d.stack, faulted: true,
-						size: size, seed: seed, workers: workers, horizon: 30 * time.Second, stopAtDetection: true})
+					campus("figure10", d.label, trialConfig{scheme: d.scheme, stack: d.stack, intensity: 1,
+						campus: true, hosts: size, seed: seed, workers: workers, horizon: 30 * time.Second, stop: stopAtDecision})
 				}
 			}
 		}

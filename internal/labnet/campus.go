@@ -254,6 +254,9 @@ func (c *Campus) TotalHosts() int {
 // Run drains the campus to the horizon across all shards.
 func (c *Campus) Run(horizon time.Duration) error { return c.Sharded.RunUntil(horizon) }
 
+// Stop ends the current Run at the next round barrier.
+func (c *Campus) Stop() { c.Sharded.Stop() }
+
 // Sites renders the campus as the deployment plane's ordered site list:
 // one per LAN, each carrying its router, sink, and (site 0 only) the
 // telemetry registry. The attacker's identity rides along to every remote

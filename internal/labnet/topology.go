@@ -68,13 +68,15 @@ func (s *Site) faultView() faults.SiteEnv {
 // Topology is the deployment-neutral surface shared by flat LANs (via
 // Single) and the routed Campus: an ordered site list, a fault environment
 // covering every segment and trunk, the run loop, and the collector's
-// reads — merged alerts and the poisoning census — plus Recycle, which
+// reads — merged alerts and the poisoning census — plus Stop, which ends
+// the current Run early (callable from inside an event), and Recycle, which
 // returns the topology's schedulers to the trial pool once the collector
 // is done.
 type Topology interface {
 	Sites() []*Site
 	FaultEnv() faults.Env
 	Run(horizon time.Duration) error
+	Stop()
 	MergedAlerts() []SiteAlert
 	PoisonedCount(ip ethaddr.IPv4, mac ethaddr.MAC) int
 	Recycle()
@@ -105,6 +107,9 @@ func (s *Single) FaultEnv() faults.Env {
 
 // Run drains the LAN to the horizon.
 func (s *Single) Run(horizon time.Duration) error { return s.LAN.Run(horizon) }
+
+// Stop ends the current Run after the executing event.
+func (s *Single) Stop() { s.LAN.Sched.Stop() }
 
 // MergedAlerts returns the sink's alerts, every one on LAN 0.
 func (s *Single) MergedAlerts() []SiteAlert { return mergeAlerts(s.Sites()) }

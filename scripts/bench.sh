@@ -1,15 +1,18 @@
 #!/bin/sh
 # bench.sh — record the perf trajectory.
 #
-# Runs every table/figure experiment benchmark once (-benchtime=1x: each
-# iteration is a whole experiment, so one is representative and cheap
-# enough for CI) and the scheduler/MITM hot-path micro-benchmarks at a
+# Runs the experiment-sized benchmarks once (-benchtime=1x: each iteration
+# is a whole experiment, so one is representative and cheap enough for CI):
+# the Table 3 sequential/parallel pair, the Figure9 campus-scaling points
+# (10², 10⁴, 10⁶ hosts — each one full sharded campus trial) and the MITM16
+# trials. The per-table and per-figure benchmarks are gone: the repository
+# benchmark's eval-suite workload times every experiment (eval.<id>_ms).
+# Also runs the scheduler hot-path micro-benchmarks at a
 # fixed high iteration count (single iterations of a nanosecond-scale loop
 # measure timer noise, not the loop — the PR6 trajectory point recorded
 # Table1/SchedulerThroughput "regressions" that were exactly this artifact),
 # plus the replay-engine ingest benchmarks (single-thread and sharded, both
-# capture formats) at a fixed frame count and the Figure9 campus-scaling
-# points (10², 10⁴, 10⁶ hosts — each one full sharded campus trial).
+# capture formats) at a fixed frame count.
 # Writes (name, ns/op, allocs/op) to BENCH_PR10.json so later PRs can diff
 # against this PR's numbers (BENCH_PR2/PR5/PR6/PR7/PR8/PR9.json hold
 # earlier recorded trajectory points), then prints a delta table against
