@@ -282,6 +282,52 @@ func BenchmarkResolutionStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedRounds prices the sharded engine's window rounds: 64
+// shards in a ring of 1 ms trunks, each ticking every 100 µs over its own
+// 32 KiB table and shipping every tenth tick to the next shard, so every
+// 1 ms window runs all 64 shards. One op is a RunUntil over 10 windows.
+// At width 2 it shows what the worker set's wake-ups and shard affinity
+// cost or save against the width-1 loop.
+func BenchmarkShardedRounds(b *testing.B) {
+	const shards, tableLen = 64, 4096
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			ss := sim.NewSharded(1, shards)
+			ss.SetWorkers(w)
+			sink := make([]uint64, shards)
+			for i := 0; i < shards; i++ {
+				sh := ss.Shard(i)
+				link := ss.Link(i, (i+1)%shards, time.Millisecond)
+				table := make([]uint64, tableLen)
+				recv := func() { sink[(i+1)%shards]++ }
+				tick := 0
+				sh.Every(100*time.Microsecond, func() {
+					for k := 0; k < 32; k++ {
+						table[sh.Int63n(tableLen)] += uint64(k)
+					}
+					if tick++; tick%10 == 0 {
+						link.Send(recv)
+					}
+				})
+			}
+			horizon := 10 * time.Millisecond
+			if err := ss.RunUntil(horizon); err != nil { // warm queues and outboxes
+				b.Fatal(err)
+			}
+			rounds := ss.Rounds()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				horizon += 10 * time.Millisecond
+				if err := ss.RunUntil(horizon); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ss.Rounds()-rounds)/float64(b.N), "windows/op")
+		})
+	}
+}
+
 // BenchmarkSchedulerEvery prices one periodic tick: the re-armed cycle
 // reuses a single pooled event instead of allocating one per period.
 func BenchmarkSchedulerEvery(b *testing.B) {

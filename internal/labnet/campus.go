@@ -42,7 +42,10 @@ type CampusConfig struct {
 	TrunkLatency time.Duration
 	// Workers sets the shard worker pool width, clamped to [1, LANs].
 	// Zero (the default) keeps the engine's single worker, so every shard
-	// runs on one goroutine; output is identical at any width.
+	// runs on one goroutine; output is identical at any width. Wider sets
+	// keep each LAN on one worker from window to window, and their workers
+	// spin briefly between windows only while the width is at most
+	// GOMAXPROCS (see sim.ShardedScheduler.SetWorkers).
 	Workers int
 	// Policy, CacheTTL, HostOptions, CAMCapacity mirror Config and apply
 	// to every LAN.

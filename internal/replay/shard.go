@@ -11,17 +11,16 @@ import (
 // Sharded ingest. Injection order is sacred — the virtual clock and every
 // scheme's state machine depend on it — so only parsing is parallel:
 //
-//	reader ──rounds──▶ workers (parse, per-source-MAC shard)
+//	reader ──rounds──▶ workers (parse, one contiguous range each)
 //	            │                         │
 //	            └────────▶ merger ◀───────┘ (capture order, inject)
 //
-// The reader cuts the stream into rounds of roundItems raw records,
-// assigning each record to the worker owning its source MAC and recording
-// the owner sequence. Workers parse their sublists in place. The merger
-// waits for a round's workers, then walks the owner sequence with one
-// cursor per worker — reconstructing exactly the capture order — and
-// injects on the engine's goroutine. Output is therefore byte-identical at
-// any worker width: the width changes who parses, never what is injected
+// The reader cuts the stream into rounds of roundItems raw records. Each
+// worker parses its own contiguous range of a round, the k-th of
+// len(workers) equal slices, into the round's per-item outputs. The merger
+// waits for a round's workers, then walks the items in order and injects
+// on the engine's goroutine. Output is therefore byte-identical at any
+// worker width: the width changes who parses, never what is injected
 // when.
 const (
 	roundItems  = 4096
@@ -35,44 +34,29 @@ type span struct {
 	at       time.Duration
 }
 
-// round is one pipeline batch, recycled through a free list.
+// round is one pipeline batch, recycled through a free list. recs[i] and
+// errs[i] are item i's parse output; worker k writes only its own range.
 type round struct {
 	buf     []byte
 	items   []span
-	owner   []uint8   // owner[i]: worker that parses item i
-	lists   [][]int32 // per-worker item indices, in item order
-	recs    [][]trace.WireRecord
-	errs    [][]error
+	recs    []trace.WireRecord
+	errs    []error
 	wg      sync.WaitGroup
 	readErr error // non-EOF reader failure, surfaced after the round drains
 }
 
-func newRound(workers int) *round {
-	r := &round{
+func newRound() *round {
+	return &round{
 		buf:   make([]byte, 0, 256*roundItems),
 		items: make([]span, 0, roundItems),
-		owner: make([]uint8, 0, roundItems),
-		lists: make([][]int32, workers),
-		recs:  make([][]trace.WireRecord, workers),
-		errs:  make([][]error, workers),
+		recs:  make([]trace.WireRecord, 0, roundItems),
+		errs:  make([]error, 0, roundItems),
 	}
-	for w := 0; w < workers; w++ {
-		r.lists[w] = make([]int32, 0, roundItems)
-		r.recs[w] = make([]trace.WireRecord, 0, roundItems)
-		r.errs[w] = make([]error, 0, roundItems)
-	}
-	return r
 }
 
 func (r *round) reset() {
 	r.buf = r.buf[:0]
 	r.items = r.items[:0]
-	r.owner = r.owner[:0]
-	for w := range r.lists {
-		r.lists[w] = r.lists[w][:0]
-		r.recs[w] = r.recs[w][:0]
-		r.errs[w] = r.errs[w][:0]
-	}
 	r.readErr = nil
 }
 
@@ -85,7 +69,7 @@ func (e *Engine) runSharded(src Source, workers int) error {
 
 	free := make(chan *round, roundsDepth)
 	for i := 0; i < roundsDepth; i++ {
-		free <- newRound(workers)
+		free <- newRound()
 	}
 	toWorker := make([]chan *round, workers)
 	for w := range toWorker {
@@ -93,7 +77,7 @@ func (e *Engine) runSharded(src Source, workers int) error {
 	}
 	toMerge := make(chan *round, roundsDepth)
 
-	// Reader: sequential raw reads, shard assignment, round dispatch.
+	// Reader: sequential raw reads, round dispatch.
 	go func() {
 		defer func() {
 			for _, ch := range toWorker {
@@ -112,28 +96,21 @@ func (e *Engine) runSharded(src Source, workers int) error {
 				if err != nil {
 					break
 				}
-				item := r.buf[off:]
-				w := uint8(src.ShardKey(item) % uint64(workers))
-				idx := int32(len(r.items))
 				r.items = append(r.items, span{off: off, end: len(r.buf), at: at})
-				r.owner = append(r.owner, w)
-				r.lists[w] = append(r.lists[w], idx)
 			}
 			if err != nil && err != io.EOF {
 				r.readErr = err
 			}
-			// Size the per-worker outputs by reslicing, not appending:
-			// elements from earlier rounds keep their Wire buffers, so
-			// steady-state parsing reuses them instead of reallocating.
-			for w := range r.lists {
-				n := len(r.lists[w])
-				if cap(r.recs[w]) < n {
-					r.recs[w] = make([]trace.WireRecord, n)
-					r.errs[w] = make([]error, n)
-				}
-				r.recs[w] = r.recs[w][:n]
-				r.errs[w] = r.errs[w][:n]
+			// Size the outputs by reslicing, not appending: elements from
+			// earlier rounds keep their Wire buffers, so steady-state
+			// parsing reuses them instead of reallocating.
+			n := len(r.items)
+			if cap(r.recs) < n {
+				r.recs = make([]trace.WireRecord, n)
+				r.errs = make([]error, n)
 			}
+			r.recs = r.recs[:n]
+			r.errs = r.errs[:n]
 			r.wg.Add(workers)
 			for _, ch := range toWorker {
 				ch <- r
@@ -145,36 +122,32 @@ func (e *Engine) runSharded(src Source, workers int) error {
 		}
 	}()
 
-	// Workers: parse their sublists; pure CPU, no engine state.
+	// Workers: parse their own range of each round; pure CPU, no engine
+	// state.
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for r := range toWorker[w] {
-				for k, idx := range r.lists[w] {
-					it := r.items[idx]
-					r.errs[w][k] = src.Parse(r.buf[it.off:it.end], it.at, &r.recs[w][k])
+				n := len(r.items)
+				for i := w * n / workers; i < (w+1)*n/workers; i++ {
+					it := r.items[i]
+					r.errs[i] = src.Parse(r.buf[it.off:it.end], it.at, &r.recs[i])
 				}
 				r.wg.Done()
 			}
 		}(w)
 	}
 
-	// Merger: capture order via the owner sequence, one cursor per worker.
-	cursors := make([]int, workers)
+	// Merger: capture order is item order.
 	var firstErr error
 	for r := range toMerge {
 		r.wg.Wait()
-		for w := range cursors {
-			cursors[w] = 0
-		}
-		for _, w := range r.owner {
-			k := cursors[w]
-			cursors[w]++
-			if r.errs[w][k] != nil {
+		for i := range r.items {
+			if r.errs[i] != nil {
 				e.stats.Malformed++
 				e.mMalformed.Inc()
 				continue
 			}
-			e.inject(&r.recs[w][k])
+			e.inject(&r.recs[i])
 		}
 		if r.readErr != nil && firstErr == nil {
 			firstErr = r.readErr

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -23,20 +22,6 @@ type Source interface {
 	// Parse decodes one raw item (as returned by ReadRaw) into rec,
 	// reusing rec.Wire. It must not retain item or touch Source state.
 	Parse(item []byte, at time.Duration, rec *trace.WireRecord) error
-	// ShardKey assigns the item to a worker; items from the same source
-	// station must map to the same key so per-station parse state (none
-	// today) would stay worker-local. It must not retain item.
-	ShardKey(item []byte) uint64
-}
-
-// macHash is FNV-1a over a MAC (or any short byte string) — the shard key.
-func macHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // PCAPSource adapts a classic pcap stream. The raw item is the frame bytes
@@ -73,14 +58,6 @@ func (s *PCAPSource) Parse(item []byte, at time.Duration, rec *trace.WireRecord)
 	return nil
 }
 
-// ShardKey hashes the source MAC straight out of the Ethernet header.
-func (s *PCAPSource) ShardKey(item []byte) uint64 {
-	if len(item) < 12 {
-		return 0
-	}
-	return macHash(item[6:12])
-}
-
 // NDJSONSource adapts the trace NDJSON capture stream. The raw item is one
 // line; Parse is the JSON decode plus base64 — the expensive half of
 // ingestion, which is exactly what sharding parallelizes.
@@ -107,21 +84,3 @@ func (s *NDJSONSource) ReadRaw(buf []byte) ([]byte, time.Duration, error) {
 func (s *NDJSONSource) Parse(item []byte, _ time.Duration, rec *trace.WireRecord) error {
 	return trace.ParseNDJSONLine(item, rec)
 }
-
-// ShardKey hashes the "src" field's value without decoding the line: a
-// substring scan is enough because the writer emits canonical JSON. Lines
-// where the scan fails (foreign producer, unusual escaping) all land on
-// worker 0 — correct, just unbalanced.
-func (s *NDJSONSource) ShardKey(item []byte) uint64 {
-	i := bytes.Index(item, srcField)
-	if i < 0 {
-		return 0
-	}
-	v := item[i+len(srcField):]
-	if j := bytes.IndexByte(v, '"'); j >= 0 {
-		return macHash(v[:j])
-	}
-	return 0
-}
-
-var srcField = []byte(`"src":"`)

@@ -437,7 +437,7 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	}
 	defer top.Recycle()
 	sites := top.Sites()
-	capture := trace.NewCapture(0)
+	capture := trace.NewTally(0)
 	sites[0].LAN.Switch.AddTap(capture.Tap())
 	sites[0].Sink.Instrument(reg)
 

@@ -31,6 +31,7 @@ package sim
 import (
 	"cmp"
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -118,15 +119,14 @@ type ShardedScheduler struct {
 	outbox    [][]crossMsg // staged cross messages, one slice per source shard
 	lookahead time.Duration
 	workers   int
-	stopped   bool
+	stopped   atomic.Bool // set by Stop, possibly from a shard mid-window
 
 	// Round state reused across rounds to keep the coordinator
 	// allocation-free in steady state.
-	active   []int
-	errs     []error
-	merged   []mergeKey
-	nextIdx  atomic.Int64
-	runLimit time.Duration
+	active []int
+	errs   []error
+	merged []mergeKey
+	pool   *workerSet // the worker set above width 1, kept across RunUntil
 
 	// Engine statistics, kept unconditionally (cheap integer adds) and
 	// mirrored to telemetry when Instrument was called.
@@ -173,7 +173,11 @@ func (ss *ShardedScheduler) Shard(i int) *Scheduler { return ss.shards[i] }
 
 // SetWorkers sets how many OS-level workers execute each window's active
 // shards (clamped to [1, shards]). Purely a wall-clock knob: results are
-// byte-identical at every width.
+// byte-identical at every width. Above 1, RunUntil runs its windows on a
+// worker set that lives for the call. Between windows the workers spin
+// for at most 50µs before they park, but only while the width is at most
+// GOMAXPROCS; a wider set always parks, so it never holds a P that a
+// worker with shards to run needs.
 func (ss *ShardedScheduler) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -244,31 +248,19 @@ func (ss *ShardedScheduler) Executed() uint64 {
 }
 
 // Stop halts the run at the next round barrier.
-func (ss *ShardedScheduler) Stop() { ss.stopped = true }
-
-// runShard is one worker's claim loop: pull the next active shard index
-// and run its window. Shards are claimed with an atomic counter (the same
-// shape as eval's trial pool); which worker runs which shard varies, what
-// each shard executes does not.
-func (ss *ShardedScheduler) runShard() {
-	for {
-		i := int(ss.nextIdx.Add(1)) - 1
-		if i >= len(ss.active) {
-			return
-		}
-		shard := ss.active[i]
-		ss.errs[shard] = ss.shards[shard].runBefore(ss.runLimit)
-	}
-}
+func (ss *ShardedScheduler) Stop() { ss.stopped.Store(true) }
 
 // RunUntil advances every shard to horizon, executing all events with
 // timestamps ≤ horizon in conservative-lookahead windows. Events a shard
 // schedules beyond the horizon stay queued. Returns ErrStopped if the
-// coordinator or any shard was stopped.
+// coordinator or any shard was stopped. Above width 1 the worker set
+// starts at the first window with two or more active shards and is joined
+// before RunUntil returns, on every path.
 func (ss *ShardedScheduler) RunUntil(horizon time.Duration) error {
-	ss.stopped = false
+	ss.stopped.Store(false)
+	defer func() { ss.pool.join() }() // ss.pool may be set by the first wide window
 	for {
-		if ss.stopped {
+		if ss.stopped.Load() {
 			return ErrStopped
 		}
 		// Tmin: the earliest pending event anywhere.
@@ -310,36 +302,246 @@ func (ss *ShardedScheduler) RunUntil(horizon time.Duration) error {
 	return nil
 }
 
-// runWindow executes the active shards' events in [their-now, end),
-// spreading shards over the configured workers. Width 1 short-circuits to
-// a plain loop — no goroutines, no atomics.
+// runWindow executes the active shards' events in [their-now, end). Width
+// 1, and any window with a single active shard, is a plain loop on the
+// coordinator — no goroutines, no atomics; wider windows go to the worker
+// set.
 func (ss *ShardedScheduler) runWindow(end time.Duration) {
 	if cap(ss.errs) < len(ss.shards) {
 		ss.errs = make([]error, len(ss.shards))
 	}
 	ss.errs = ss.errs[:len(ss.shards)]
-	w := ss.workers
-	if w > len(ss.active) {
-		w = len(ss.active)
-	}
-	if w <= 1 {
+	if ss.workers <= 1 || len(ss.active) < 2 {
 		for _, i := range ss.active {
 			ss.errs[i] = ss.shards[i].runBefore(end)
 		}
 		return
 	}
-	ss.runLimit = end
-	ss.nextIdx.Store(0)
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for k := 1; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			ss.runShard()
-		}()
+	if ss.pool == nil || len(ss.pool.claims) != ss.workers {
+		ss.pool = newWorkerSet(ss, ss.workers)
 	}
-	ss.runShard()
-	wg.Wait()
+	ss.pool.window(end)
+}
+
+// spinFor bounds how long a waiting worker (or the coordinator) polls
+// before it parks. It covers the coordinator's barrier between two
+// windows, so a worker that finished early is still spinning when the
+// next window is released and starts it without a wake-up.
+const spinFor = 50 * time.Microsecond
+
+// spinAllowed reports whether a worker set of width w may spin while it
+// waits: only when every worker can hold its own P. Beyond GOMAXPROCS a
+// spinning worker would sit on the P that the worker it waits for needs.
+func spinAllowed(w int) bool { return w <= runtime.GOMAXPROCS(0) }
+
+// workerSet runs windows on w workers that live for one RunUntil call. The
+// coordinator is worker 0; workers 1..w-1 (the helpers) wait between
+// windows by spinning for at most spinFor and then parking, so a window
+// starts without spawning a goroutine. Each worker claims its own home
+// range of the active shards first, which keeps a shard on the same
+// worker, and so on the same core with its heap, CAM and caches warm,
+// window after window. Which worker runs a shard never changes what the
+// shard executes.
+type workerSet struct {
+	ss     *ShardedScheduler
+	claims claims
+	limit  time.Duration // the current window's exclusive end
+	spin   bool          // spinAllowed(w), fixed at start
+	quit   bool          // set before the final release; helpers return
+
+	// epoch counts released windows and finished counts helper window
+	// completions; both restart at zero with the set. The coordinator
+	// writes limit, claims and quit before bumping epoch, and helpers write
+	// their shards' results before bumping finished, so each side reads the
+	// other's writes after its wait.
+	epoch, finished atomic.Uint64
+
+	mu      sync.Mutex
+	parked  sync.Cond // waiters that stopped spinning; each re-checks its count
+	nparked int       // guarded by mu
+	running bool      // helpers started and not yet joined
+	wg      sync.WaitGroup
+}
+
+func newWorkerSet(ss *ShardedScheduler, w int) *workerSet {
+	ws := &workerSet{ss: ss, claims: make(claims, w)}
+	ws.parked.L = &ws.mu
+	return ws
+}
+
+// window runs one window on every worker and returns once all of them are
+// done with it, starting the helpers on the first call of a RunUntil.
+func (ws *workerSet) window(end time.Duration) {
+	if !ws.running {
+		ws.start()
+	}
+	ws.limit = end
+	ws.claims.split(ws.ss.active, len(ws.ss.shards))
+	n := ws.epoch.Add(1)
+	ws.notify()
+	ws.work(0)
+	ws.await(&ws.finished, n*uint64(len(ws.claims)-1))
+}
+
+func (ws *workerSet) start() {
+	ws.running, ws.quit = true, false
+	ws.spin = spinAllowed(len(ws.claims))
+	ws.epoch.Store(0)
+	ws.finished.Store(0)
+	ws.wg.Add(len(ws.claims) - 1)
+	for k := 1; k < len(ws.claims); k++ {
+		go ws.helper(k)
+	}
+}
+
+// join releases the helpers with quit set and waits for them to return.
+// A nil or idle set has nothing to join.
+func (ws *workerSet) join() {
+	if ws == nil || !ws.running {
+		return
+	}
+	ws.quit = true
+	ws.epoch.Add(1)
+	ws.notify()
+	ws.wg.Wait()
+	ws.running = false
+}
+
+// helper is worker k's loop: wait for the next window, run its claims,
+// report completion. The last helper to finish a window wakes the
+// coordinator if it parked.
+func (ws *workerSet) helper(k int) {
+	defer ws.wg.Done()
+	helpers := uint64(len(ws.claims) - 1)
+	for seen := uint64(1); ; seen++ {
+		ws.await(&ws.epoch, seen)
+		if ws.quit {
+			return
+		}
+		ws.work(k)
+		if ws.finished.Add(1) == seen*helpers {
+			ws.notify()
+		}
+	}
+}
+
+// work runs active shards for worker k until no claim is left.
+func (ws *workerSet) work(k int) {
+	ss := ws.ss
+	for {
+		i, ok := ws.claims.next(k)
+		if !ok {
+			return
+		}
+		shard := ss.active[i]
+		ss.errs[shard] = ss.shards[shard].runBefore(ws.limit)
+	}
+}
+
+// await returns once ctr reaches target: it polls for at most spinFor
+// when spinning is allowed, then parks. The count is re-checked under mu
+// before every park, and notify takes mu after a count moved, so a
+// release between the check and the park is never lost.
+func (ws *workerSet) await(ctr *atomic.Uint64, target uint64) {
+	if ctr.Load() >= target || ws.spin && spinUntil(ctr, target) {
+		return
+	}
+	ws.mu.Lock()
+	for ctr.Load() < target {
+		ws.nparked++
+		ws.parked.Wait()
+		ws.nparked--
+	}
+	ws.mu.Unlock()
+}
+
+// spinUntil polls ctr until it reaches target or spinFor has passed, and
+// reports whether it got there.
+func spinUntil(ctr *atomic.Uint64, target uint64) bool {
+	start := time.Now()
+	for i := 1; ctr.Load() < target; i++ {
+		if i%128 == 0 && time.Since(start) > spinFor {
+			return false
+		}
+	}
+	return true
+}
+
+// notify wakes every parked waiter after epoch or finished moved; a
+// waiter whose own count has not reached its target parks again.
+func (ws *workerSet) notify() {
+	ws.mu.Lock()
+	if ws.nparked > 0 {
+		ws.parked.Broadcast()
+	}
+	ws.mu.Unlock()
+}
+
+// claims hands out one window's active indices to w workers, one
+// two-ended range per worker. The owner takes its range from the front;
+// a worker whose own range is empty steals from the back of the others'.
+// At width 2 worker 0 takes shards from the front of the active list and
+// worker 1 takes the rest from the back half, stealing worker 0's last
+// shards once its own half is done. The split point follows the load,
+// while every shard away from it keeps its worker from one window to the
+// next.
+type claims []claimRange
+
+// claimRange is one worker's home range of active indices, [front, back),
+// packed in one word so the owner and a thief claim with a single CAS. It
+// fills a cache line so that workers never write the same line.
+type claimRange struct {
+	fb atomic.Uint64
+	_  [56]byte
+}
+
+// split gives worker k the active entries whose shard falls in the k-th of
+// len(c) equal slices of the shard IDs [0, shards). Active is sorted, so
+// each range is contiguous, and a shard's home does not depend on which
+// other shards are active.
+func (c claims) split(active []int, shards int) {
+	i := 0
+	for k := range c {
+		lo := i
+		bound := (k + 1) * shards / len(c)
+		for i < len(active) && active[i] < bound {
+			i++
+		}
+		c[k].fb.Store(uint64(lo)<<32 | uint64(i))
+	}
+}
+
+// next claims worker k's next active index: the front of its own range,
+// else the back of the nearest non-empty range after it.
+func (c claims) next(k int) (int, bool) {
+	if i, ok := c[k].take(true); ok {
+		return i, true
+	}
+	for d := 1; d < len(c); d++ {
+		if i, ok := c[(k+d)%len(c)].take(false); ok {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// take claims the range's front index (the owner) or its back index (a
+// thief).
+func (r *claimRange) take(front bool) (int, bool) {
+	for {
+		v := r.fb.Load()
+		f, b := v>>32, v&(1<<32-1)
+		if f >= b {
+			return 0, false
+		}
+		next, i := v-1, int(b-1)
+		if front {
+			next, i = v+1<<32, int(f)
+		}
+		if r.fb.CompareAndSwap(v, next) {
+			return i, true
+		}
+	}
 }
 
 // barrier runs after every window: merge the staged cross messages in

@@ -107,6 +107,46 @@ func TestRingWrapManyTimes(t *testing.T) {
 	}
 }
 
+// TestTallyMatchesCapture feeds the same stream — ARP requests, replies,
+// gratuitous claims, a truncated ARP payload and IPv4 — to a Capture and a
+// Tally of the same bound, past the bound, and wants identical Stats,
+// Dropped included, at every step and for a tally that saw nothing.
+func TestTallyMatchesCapture(t *testing.T) {
+	const bound = 5
+	c, tl := NewCapture(bound), NewTally(bound)
+	if got, want := mustJSON(t, tl.Stats()), mustJSON(t, c.Stats()); got != want {
+		t.Fatalf("empty tally stats %s, capture %s", got, want)
+	}
+	frames := []*frame.Frame{
+		arpFrame(arppkt.NewRequest(macA, ipA, ipB), macA, ethaddr.BroadcastMAC),
+		arpFrame(arppkt.NewReply(macB, ipB, macA, ipA), macB, macA),
+		arpFrame(arppkt.NewGratuitousReply(macA, ipA), macA, ethaddr.BroadcastMAC),
+		{Dst: macB, Src: macA, Type: frame.TypeARP, Payload: []byte{0, 1}},
+		{Dst: macB, Src: macA, Type: frame.TypeIPv4, Payload: make([]byte, 40)},
+	}
+	ctap, ttap := c.Tap(), tl.Tap()
+	for i := 0; i < 3*bound; i++ {
+		ev := tapEvent(frames[i%len(frames)], i)
+		ctap(ev)
+		ttap(ev)
+		if got, want := mustJSON(t, tl.Stats()), mustJSON(t, c.Stats()); got != want {
+			t.Fatalf("after %d frames: tally stats %s, capture %s", i+1, got, want)
+		}
+	}
+	if st := tl.Stats(); st.Dropped != 2*bound {
+		t.Fatalf("tally Dropped = %d, want %d", st.Dropped, 2*bound)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // BenchmarkCaptureOverflowAppend measures the steady-state append cost of a
 // full capture. The circular buffer overwrites in place, so the per-append
 // cost must stay flat (and small) regardless of the retention bound — the

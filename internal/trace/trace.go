@@ -91,38 +91,23 @@ func (c *Capture) observe(ev netsim.TapEvent) {
 	if c.max <= 0 {
 		c.max = 65536 // zero-value Capture gets the default bound
 	}
-	if c.stats.ByType == nil {
-		c.stats.ByType = make(map[string]uint64)
-		c.stats.ARPOps = make(map[string]uint64)
+	typ, p := c.stats.count(ev)
+	if c.cFrames != nil {
+		c.cFrames.Inc()
+		c.cBytes.Add(uint64(ev.WireLen))
 	}
 	r := Record{
 		At:      ev.At,
 		Port:    ev.Port,
 		Src:     ev.Frame.Src.String(),
 		Dst:     ev.Frame.Dst.String(),
-		Type:    ev.Frame.Type.String(),
+		Type:    typ,
 		WireLen: ev.WireLen,
 		Frame:   ev.Frame,
 	}
-	c.stats.Frames++
-	c.stats.Bytes += uint64(ev.WireLen)
-	if c.cFrames != nil {
-		c.cFrames.Inc()
-		c.cBytes.Add(uint64(ev.WireLen))
-	}
-	c.stats.ByType[r.Type]++
-	if ev.Frame.IsBroadcast() {
-		c.stats.Broadcast++
-	}
-	if ev.Frame.Type == frame.TypeARP {
-		if p, err := arppkt.DecodeFrame(ev.Frame); err == nil {
-			r.ARP = p
-			r.Info = p.String()
-			c.stats.ARPOps[p.Op.String()]++
-			if p.IsGratuitous() {
-				c.stats.Gratuitous++
-			}
-		}
+	if p != nil {
+		r.ARP = p
+		r.Info = p.String()
 	}
 	if c.buf == nil {
 		c.buf = make([]Record, 0, c.max)
@@ -139,6 +124,84 @@ func (c *Capture) observe(ev netsim.TapEvent) {
 	if c.cDropped != nil {
 		c.cDropped.Inc()
 	}
+}
+
+// count adds one tap event to the summary and returns the frame's type
+// name and its ARP packet (nil unless the payload decodes as ARP).
+func (s *Stats) count(ev netsim.TapEvent) (string, *arppkt.Packet) {
+	if s.ByType == nil {
+		s.ByType = make(map[string]uint64)
+		s.ARPOps = make(map[string]uint64)
+	}
+	typ := ev.Frame.Type.String()
+	s.Frames++
+	s.Bytes += uint64(ev.WireLen)
+	s.ByType[typ]++
+	if ev.Frame.IsBroadcast() {
+		s.Broadcast++
+	}
+	if ev.Frame.Type != frame.TypeARP {
+		return typ, nil
+	}
+	p, err := arppkt.DecodeFrame(ev.Frame)
+	if err != nil {
+		return typ, nil
+	}
+	s.ARPOps[p.Op.String()]++
+	if p.IsGratuitous() {
+		s.Gratuitous++
+	}
+	return typ, p
+}
+
+// snapshot returns a copy of the summary with its maps cloned and Dropped
+// set.
+func (s *Stats) snapshot(dropped uint64) Stats {
+	out := *s
+	out.Dropped = dropped
+	out.ByType = make(map[string]uint64, len(s.ByType))
+	for k, v := range s.ByType {
+		out.ByType[k] = v
+	}
+	out.ARPOps = make(map[string]uint64, len(s.ARPOps))
+	for k, v := range s.ARPOps {
+		out.ARPOps[k] = v
+	}
+	return out
+}
+
+// Tally is a capture that keeps only the summary: the same Stats a
+// Capture of the same bound would report, Dropped included, without
+// retaining a record or formatting a field. Use it where only Stats is
+// read.
+type Tally struct {
+	max   int
+	stats Stats
+}
+
+// NewTally creates a tally whose Stats count as dropped the frames a
+// Capture of bound max would have discarded (0 means the default of
+// 65536).
+func NewTally(max int) *Tally {
+	if max <= 0 {
+		max = 65536
+	}
+	return &Tally{max: max}
+}
+
+// Tap returns a netsim.TapFunc that feeds this tally.
+func (t *Tally) Tap() netsim.TapFunc {
+	return func(ev netsim.TapEvent) { t.stats.count(ev) }
+}
+
+// Stats returns a copy of the summary. Dropped is the count of frames
+// beyond the bound.
+func (t *Tally) Stats() Stats {
+	var dropped uint64
+	if t.stats.Frames > uint64(t.max) {
+		dropped = t.stats.Frames - uint64(t.max)
+	}
+	return t.stats.snapshot(dropped)
 }
 
 // Len returns the number of retained records.
@@ -159,19 +222,7 @@ func (c *Capture) each(fn func(Record) error) error {
 
 // Stats returns a copy of the capture summary, including how many records
 // the ring bound discarded.
-func (c *Capture) Stats() Stats {
-	out := c.stats
-	out.Dropped = c.dropped
-	out.ByType = make(map[string]uint64, len(c.stats.ByType))
-	for k, v := range c.stats.ByType {
-		out.ByType[k] = v
-	}
-	out.ARPOps = make(map[string]uint64, len(c.stats.ARPOps))
-	for k, v := range c.stats.ARPOps {
-		out.ARPOps[k] = v
-	}
-	return out
-}
+func (c *Capture) Stats() Stats { return c.stats.snapshot(c.dropped) }
 
 // Records returns the retained records, oldest first. The slice is a copy;
 // the frames inside are shared and must be treated as read-only.

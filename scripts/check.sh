@@ -5,7 +5,8 @@
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
 # (encode/decode, cache, CAM, unicast transit, broadcast fan-out,
-# background datagrams must stay at their pinned allocs/op), one fuzz
+# background datagrams must stay at their pinned allocs/op; sharded
+# windows at width 2 must not add allocations per RunUntil), one fuzz
 # loop over the native fuzz
 # targets (6 to 10 seconds each, 46 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
@@ -55,12 +56,12 @@ for bench in SteadyState DeepQueue; do
 	fi
 done
 
-echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host)"
+echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host, sharded windows)"
 # Capture first, then filter: piping straight into grep would take grep's
 # exit status, and grep succeeds on the "--- FAIL" lines themselves.
 if ! gates=$(go test -run 'AllocFree$' -count=1 -v \
 	./internal/frame ./internal/arppkt ./internal/ipv4pkt ./internal/denseidx ./internal/stack \
-	./internal/netsim ./internal/schemes/dai ./internal/replay ./internal/labnet 2>&1); then
+	./internal/netsim ./internal/schemes/dai ./internal/replay ./internal/labnet ./internal/sim 2>&1); then
 	echo "$gates" >&2
 	echo "allocation gates failed" >&2
 	exit 1
