@@ -1,6 +1,7 @@
 // Package denseidx is the repository's one hash index: it maps uint64 keys
-// to positions in a dense slice the caller owns. The ARP cache and the
-// resolver key it by IPv4 address; the switch CAM keys it by (VLAN, MAC).
+// to positions in a dense slice the caller owns. The ARP cache, the
+// resolver, a router interface's tables and arpwatch's pairing database
+// key it by IPv4 address; the switch CAM keys it by (VLAN, MAC).
 //
 // It is a small open-addressing table: a power-of-two cell array, a fixed
 // Fibonacci hash keeping the product's top bits, linear probing, and

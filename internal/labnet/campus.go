@@ -221,12 +221,18 @@ func NewCampus(cfg CampusConfig) *Campus {
 	}
 
 	// Full trunk mesh: every interface routes every remote subnet directly.
+	// The trunks live in one slice that Trunks and the routes point into.
+	edges := cfg.LANs * (cfg.LANs - 1)
+	trunks := make([]netsim.Trunk, 0, edges)
+	c.Trunks = make([]CampusTrunk, 0, edges)
 	for i := 0; i < cfg.LANs; i++ {
+		c.LANs[i].Router.ReserveRoutes(cfg.LANs - 1)
 		for j := 0; j < cfg.LANs; j++ {
 			if i == j {
 				continue
 			}
-			trunk := netsim.NewTrunk(ss.Link(i, j, cfg.TrunkLatency), c.LANs[j].Router)
+			trunks = append(trunks, netsim.NewTrunk(ss.Link(i, j, cfg.TrunkLatency), c.LANs[j].Router))
+			trunk := &trunks[len(trunks)-1]
 			c.LANs[i].Router.AddRoute(c.LANs[j].Subnet, trunk)
 			c.Trunks = append(c.Trunks, CampusTrunk{From: i, To: j, Trunk: trunk})
 		}
@@ -287,7 +293,10 @@ func (c *Campus) Sites() []*Site {
 // (each armed on its own shard) and one trunk view per backbone edge
 // (armed on the sending LAN's shard, which owns the partition flag).
 func (c *Campus) FaultEnv() faults.Env {
-	env := faults.Env{Sched: c.LANs[0].Sched, Registry: c.cfg.Telemetry}
+	env := faults.Env{
+		Sched: c.LANs[0].Sched, Registry: c.cfg.Telemetry,
+		Trunks: make([]faults.TrunkEnv, 0, len(c.Trunks)),
+	}
 	for _, s := range c.Sites() {
 		env.Sites = append(env.Sites, s.faultView())
 	}
@@ -330,11 +339,13 @@ func (c *Campus) Frames() uint64 {
 	return n
 }
 
-// Recycle returns every LAN's shard scheduler to the trial pool. The
-// campus is dead afterwards.
+// Recycle parks every LAN's reusable storage — its router's tables
+// included — on its shard scheduler and returns the schedulers to the
+// trial pool. The campus is dead afterwards.
 func (c *Campus) Recycle() {
 	for _, cl := range c.LANs {
 		if cl.Sched != nil {
+			cl.Router.Recycle()
 			cl.release()
 		}
 	}
@@ -358,7 +369,8 @@ type StationBank struct {
 	rng       *rand.Rand
 	stats     BankStats
 	overrides map[int]ethaddr.MAC
-	arena     *datagramArena
+	arps      *arppkt.Arena         // ARP replies and announcements
+	dgrams    *netsim.DatagramArena // background datagrams
 }
 
 // BankStats counts the bank's traffic.
@@ -386,7 +398,8 @@ func newStationBank(cl *CampusLAN, size int, gwMAC ethaddr.MAC) *StationBank {
 		trueGW:    gwMAC,
 		rng:       sh.DeriveRand(fmt.Sprintf("bank%d", cl.Index)),
 		overrides: make(map[int]ethaddr.MAC),
-		arena:     datagramArenaOf(sh),
+		arps:      arppkt.ArenaOf(sh),
+		dgrams:    netsim.DatagramArenaOf(sh),
 	}
 	cl.Switch.AddPort().Attach(b.nic)
 	b.nic.SetPromiscuous(true)
@@ -487,13 +500,14 @@ func (b *StationBank) handleARP(f *frame.Frame) {
 	// Claims — replies and gratuitous announcements, not plain who-has
 	// requests (whose sender happens to be the router resolving a station).
 	// Broadcast claims rebind the whole bank (shared-fate naive caches);
-	// unicast claims poison only the targeted station.
+	// unicast claims poison only the targeted station. Like a host cache,
+	// the bank never binds a broadcast, multicast or zero MAC.
 	if p.Op == arppkt.OpReply || p.IsGratuitous() {
-		if sip, smac := p.Binding(); sip == b.gwIP && !smac.IsBroadcast() {
+		if sip, smac := p.Binding(); sip == b.gwIP && smac.IsUnicast() {
 			if f.Dst.IsBroadcast() {
 				if smac != b.gwMAC {
 					b.gwMAC = smac
-					b.overrides = make(map[int]ethaddr.MAC)
+					clear(b.overrides)
 					b.stats.Repointed++
 				}
 			} else if idx, ok := b.stationForMAC(f.Dst); ok {
@@ -507,10 +521,7 @@ func (b *StationBank) handleARP(f *frame.Frame) {
 	if idx, ok := b.stationFor(p.TargetIP); ok {
 		b.stats.ARPAnswered++
 		reply := arppkt.NewReply(b.MAC(idx), p.TargetIP, p.SenderMAC, p.SenderIP)
-		b.send(&frame.Frame{
-			Dst: p.SenderMAC, Src: b.MAC(idx), Type: frame.TypeARP,
-			Payload: reply.Encode(),
-		})
+		b.send(b.arps.NewFrame(reply, b.MAC(idx), p.SenderMAC))
 	}
 }
 
@@ -538,10 +549,7 @@ func (b *StationBank) startBackground(c *Campus, period time.Duration, fanout in
 		}
 		i := b.rng.Intn(b.size)
 		g := arppkt.NewGratuitousReply(b.MAC(i), b.IP(i))
-		b.send(&frame.Frame{
-			Dst: ethaddr.BroadcastMAC, Src: b.MAC(i), Type: frame.TypeARP,
-			Payload: g.Encode(),
-		})
+		b.send(b.arps.NewFrame(g, b.MAC(i), ethaddr.BroadcastMAC))
 	})
 }
 
@@ -550,69 +558,19 @@ func (b *StationBank) startBackground(c *Campus, period time.Duration, fanout in
 // treats the same way — the interception measurement only cares about the
 // frame's next hop).
 func (b *StationBank) sendUDP(i int, dst ethaddr.IPv4, via ethaddr.MAC) {
-	d := b.arena.next()
+	f := b.dgrams.Frame(via, b.MAC(i))
 	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: bankPayload[:]}
 	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: b.IP(i), Dst: dst,
-		Payload: u.AppendEncode(d.wire[ipv4pkt.HeaderLen:ipv4pkt.HeaderLen])}
+		Payload: u.AppendEncode(f.Payload[ipv4pkt.HeaderLen:ipv4pkt.HeaderLen])}
 	// The UDP datagram already sits behind the header's room, so appending
-	// the packet at the front of wire writes the header and copies the
-	// datagram onto itself.
-	d.Frame = frame.Frame{Dst: via, Src: b.MAC(i), Type: frame.TypeIPv4, Payload: p.AppendEncode(d.wire[:0])}
-	b.send(&d.Frame)
+	// the packet at the front of the frame's wire room writes the header
+	// and copies the datagram onto itself.
+	f.Payload = p.AppendEncode(f.Payload)
+	b.send(f)
 }
 
 // bankPayload is the fixed background datagram body.
 var bankPayload = [8]byte{'b', 'g', 't', 'r', 'a', 'f', 'f', 'c'}
-
-// bankDatagram is one background datagram in a single object: the frame
-// and the IPv4+UDP wire bytes its Payload points into, which live and die
-// together with the frame.
-type bankDatagram struct {
-	frame.Frame
-	wire [ipv4pkt.HeaderLen + ipv4pkt.UDPHeaderLen + len(bankPayload)]byte
-}
-
-// datagramArena carves background datagrams from slabs the way
-// arppkt.Arena carves ARP frames: monotonically within a trial (a datagram
-// is never reused while the trial runs), and reset wholesale by
-// releaseScheduler when the trial's world is torn down, so the next trial
-// on the pooled shard scheduler rewrites the same slabs. A scheduler that
-// is never recycled stops carving at datagramMaxSlabs and falls back to the
-// heap.
-type datagramArena struct {
-	slabs [][]bankDatagram
-	n     int // datagrams handed out since the last reset
-}
-
-const (
-	datagramSlab     = 64  // datagrams per slab (~7 KiB)
-	datagramMaxSlabs = 256 // ~1.8 MiB per scheduler, then heap fallback
-)
-
-// datagramArenaOf returns the scheduler's datagram arena, installing one on
-// first use.
-func datagramArenaOf(s *sim.Scheduler) *datagramArena {
-	if a, ok := s.Scratch(sim.ScratchDatagrams).(*datagramArena); ok {
-		return a
-	}
-	a := &datagramArena{}
-	s.SetScratch(sim.ScratchDatagrams, a)
-	return a
-}
-
-// next hands out the next datagram slot, carving a slab when needed.
-func (a *datagramArena) next() *bankDatagram {
-	slab := a.n / datagramSlab
-	if slab >= len(a.slabs) {
-		if slab >= datagramMaxSlabs {
-			return new(bankDatagram)
-		}
-		a.slabs = append(a.slabs, make([]bankDatagram, datagramSlab))
-	}
-	d := &a.slabs[slab][a.n%datagramSlab]
-	a.n++
-	return d
-}
 
 // HostEquivalent reports the per-station cost the memory gate prices: the
 // bank adds no per-station state beyond overrides actually in use.

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arppkt"
 	"repro/internal/attack"
 	"repro/internal/ethaddr"
+	"repro/internal/frame"
 	"repro/internal/schemes/registry"
 	_ "repro/internal/schemes/registry/all"
 	"repro/internal/sim"
@@ -131,6 +133,34 @@ func TestCampusUnicastBankPoison(t *testing.T) {
 	}
 	if got := bank.GatewayMAC(8); got == atk.MAC() {
 		t.Fatal("unicast poison leaked to a neighbouring station")
+	}
+}
+
+// TestCampusBankIgnoresNonUnicastSender: the bank, like a host cache,
+// never binds a broadcast, multicast or zero MAC — neither bank-wide from a
+// broadcast claim nor per station from a unicast one.
+func TestCampusBankIgnoresNonUnicastSender(t *testing.T) {
+	c := NewCampus(CampusConfig{Seed: 6, LANs: 2, HostsPerLAN: 40})
+	defer c.Recycle()
+	lan0 := c.LANs[0]
+	bank, host := lan0.Bank, lan0.Hosts[1]
+	gwIP := lan0.Router.IP()
+	for k, bad := range []ethaddr.MAC{ethaddr.BroadcastMAC, ethaddr.MustParseMAC("01:00:5e:00:00:01"), {}} {
+		lan0.Sched.At(time.Duration(2000+k)*time.Millisecond, func() {
+			g := arppkt.NewGratuitousReply(bad, gwIP)
+			host.SendFrame(&frame.Frame{Dst: ethaddr.BroadcastMAC, Src: host.MAC(), Type: frame.TypeARP, Payload: g.Encode()})
+			r := arppkt.NewReply(bad, gwIP, bank.MAC(7), bank.IP(7))
+			host.SendFrame(&frame.Frame{Dst: bank.MAC(7), Src: host.MAC(), Type: frame.TypeARP, Payload: r.Encode()})
+		})
+	}
+	if err := c.Run(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st := bank.Stats(); st.Repointed != 0 {
+		t.Fatalf("bank repointed %d times by non-unicast claims", st.Repointed)
+	}
+	if got := bank.PoisonedCount(lan0.Router.MAC()); got != bank.Size() {
+		t.Fatalf("%d of %d bank stations still bind the router, want all", got, bank.Size())
 	}
 }
 

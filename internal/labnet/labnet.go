@@ -8,7 +8,7 @@
 package labnet
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -80,24 +80,45 @@ type Config struct {
 
 // schedPool recycles schedulers across trials. Each trial builds a fresh
 // LAN on a fresh-seeded scheduler; the event population and queue capacity
-// a scheduler grows during one trial are exactly what the next trial needs,
-// so Reset-and-reuse removes the dominant per-trial setup allocations.
-var schedPool sync.Pool
+// a scheduler grows during one trial, and the storage its trial parked on
+// it (see release), are exactly what the next trial needs, so
+// Reset-and-reuse removes the dominant per-trial setup allocations.
+//
+// It is a bounded free list, not a sync.Pool: a garbage collection may
+// empty a sync.Pool between two trials, and a campus-1e6 trial ran more
+// than one, so shards regrew their arenas, transit lists, CAM and caches
+// from scratch at random. schedPoolMax covers the 64 shards of a campus
+// trial on each of the evaluation's two workers; a scheduler released into
+// a full pool is left to the collector.
+var schedPool struct {
+	mu   sync.Mutex
+	free []*sim.Scheduler
+}
+
+const schedPoolMax = 128
 
 // acquireScheduler takes a recycled scheduler from the pool (reset for the
 // seed) or constructs a new one.
 func acquireScheduler(seed int64) *sim.Scheduler {
-	if s, ok := schedPool.Get().(*sim.Scheduler); ok {
-		s.Reset(seed)
-		return s
+	schedPool.mu.Lock()
+	var s *sim.Scheduler
+	if n := len(schedPool.free); n > 0 {
+		s = schedPool.free[n-1]
+		schedPool.free[n-1] = nil
+		schedPool.free = schedPool.free[:n-1]
 	}
-	return sim.NewScheduler(seed)
+	schedPool.mu.Unlock()
+	if s == nil {
+		return sim.NewScheduler(seed)
+	}
+	s.Reset(seed)
+	return s
 }
 
 // Recycle returns the LAN's scheduler to the trial pool. Call it (typically
 // deferred) once the trial is finished with the LAN and every component
 // built on it — afterwards the scheduler may restart at any moment under a
-// different seed.
+// different seed, and the LAN's hosts and switch must not be used.
 func (l *LAN) Recycle() {
 	if l.Sched == nil || l.external {
 		return
@@ -105,29 +126,42 @@ func (l *LAN) Recycle() {
 	l.release()
 }
 
-// release parks the switch's CAM storage and releases the scheduler.
+// release parks the LAN's reusable storage on its scheduler — the
+// switch's CAM and every host's ARP cache, monitor included — and releases
+// the scheduler.
 func (l *LAN) release() {
 	l.Switch.Recycle()
+	for _, h := range l.Hosts {
+		h.Recycle()
+	}
+	if l.Monitor != nil {
+		l.Monitor.Recycle()
+	}
 	releaseScheduler(l.Sched)
 	l.Sched = nil
 }
 
 // releaseScheduler resets a finished trial's scheduler and returns it to
-// the pool. The trial's ARP frames all came from the scheduler's arena and
-// nothing the trial returned can reference them (alerts, latencies and
-// traces carry values, not frame pointers), so they are reclaimed
-// wholesale and the next trial rewrites the same slabs. Resetting here, not
-// only on reuse, drops every pending event's callback and task, so a
-// pooled scheduler never keeps the finished topology reachable.
+// the pool. The trial's ARP frames and datagrams all came from the
+// scheduler's arenas and nothing the trial returned can reference them
+// (alerts, latencies and traces carry values, not frame pointers), so they
+// are reclaimed wholesale and the next trial rewrites the same slabs.
+// Resetting here, not only on reuse, drops every pending event's callback
+// and task, so a pooled scheduler never keeps the finished topology
+// reachable.
 func releaseScheduler(s *sim.Scheduler) {
 	if a, ok := s.Scratch(sim.ScratchFrames).(*arppkt.Arena); ok {
 		a.Reset()
 	}
-	if a, ok := s.Scratch(sim.ScratchDatagrams).(*datagramArena); ok {
-		a.n = 0
+	if a, ok := s.Scratch(sim.ScratchDatagrams).(*netsim.DatagramArena); ok {
+		a.Reset()
 	}
 	s.Reset(0)
-	schedPool.Put(s)
+	schedPool.mu.Lock()
+	if len(schedPool.free) < schedPoolMax {
+		schedPool.free = append(schedPool.free, s)
+	}
+	schedPool.mu.Unlock()
 }
 
 // LAN is the assembled environment.
@@ -218,7 +252,10 @@ func New(cfg Config) *LAN {
 	}
 
 	for i := 0; i < cfg.Hosts; i++ {
-		name := fmt.Sprintf("host%d", i)
+		// Not fmt.Sprintf: its printer pool empties at a GC, so a trial's
+		// allocation count would vary from run to run.
+		var buf [16]byte
+		name := string(strconv.AppendInt(append(buf[:0], "host"...), int64(i), 10))
 		ip := cfg.Subnet.Host(i + 1)
 		if i == 0 && !cfg.RouterGateway {
 			name = "gateway"
@@ -291,7 +328,8 @@ func (l *LAN) SeedMutualCaches() {
 // worse" with "attack got weaker". Callers add Registry and DHCP servers
 // themselves.
 func (l *LAN) FaultEnv() faults.Env {
-	links := append([]*netsim.Link(nil), l.Links...)
+	links := make([]*netsim.Link, len(l.Links), len(l.Links)+1)
+	copy(links, l.Links)
 	if l.MonitorLink != nil {
 		links = append(links, l.MonitorLink)
 	}

@@ -83,10 +83,12 @@ func TestCAMInsertEvictAllocFree(t *testing.T) {
 
 // TestRouterTrunkForwardAllocFree pins the routed path's allocations: a
 // unicast datagram entering LAN 0's router interface, crossing the trunk
-// to LAN 1 and leaving its router toward a resolved station costs exactly
-// three — the freshly encoded buffer that isolates the two shards' memory,
-// the trunk's cross-shard message, and the egress frame on LAN 1. Decoding
-// into a stack-held Packet keeps the ingress side free.
+// to LAN 1 and leaving its router toward a resolved station allocates
+// nothing beyond the arenas' slab carving (one slab per 64 packets).
+// The trunk packet comes from LAN 0's datagram arena and is staged as a
+// task, not a closure; LAN 1 copies its bytes into an egress frame from
+// its own arena. Decoding into a stack-held Packet keeps the ingress side
+// free.
 func TestRouterTrunkForwardAllocFree(t *testing.T) {
 	ss := sim.NewSharded(1, 2)
 	subnets := [2]ethaddr.Subnet{ethaddr.MustParseSubnet("10.0.0.0/16"), ethaddr.MustParseSubnet("10.1.0.0/16")}
@@ -103,9 +105,11 @@ func TestRouterTrunkForwardAllocFree(t *testing.T) {
 		sw.AddPort().Attach(nic)
 		ifaces[i] = NewRouterIface(sh, "rtr", nic, subnets[i].Host(254), subnets[i])
 	}
+	var trunks [2]Trunk
 	for i := range ifaces {
 		j := 1 - i
-		ifaces[i].AddRoute(subnets[j], NewTrunk(ss.Link(i, j, time.Millisecond), ifaces[j]))
+		trunks[i] = NewTrunk(ss.Link(i, j, time.Millisecond), ifaces[j])
+		ifaces[i].AddRoute(subnets[j], &trunks[i])
 	}
 	dst := subnets[1].Host(1)
 	ifaces[1].learn(dst, hostMAC[1])
@@ -127,8 +131,8 @@ func TestRouterTrunkForwardAllocFree(t *testing.T) {
 	if got := ifaces[1].Stats().DeliveredIn - before; got != 201 {
 		t.Fatalf("LAN 1 received %d of 201 forwarded packets", got)
 	}
-	if allocs != 3 {
-		t.Fatalf("router forward across a trunk: %v allocs/op, want exactly 3 (isolation buffer, cross-shard message, egress frame)", allocs)
+	if allocs != 0 {
+		t.Fatalf("router forward across a trunk: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -197,5 +201,50 @@ func TestFloodFanOutAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("broadcast fan-out: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRecycledRouterTablesAllocFree: an interface built on a scheduler
+// after another was recycled there starts with empty tables, the parked
+// resolution queues hold no frame, and relearning as many bindings as the
+// recycled interface held allocates only the interface and its NIC
+// handler.
+func TestRecycledRouterTablesAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	subnet := ethaddr.MustParseSubnet("10.0.0.0/16")
+	nic := NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 0xfe})
+	NewSwitch(s).AddPort().Attach(nic)
+	ip := func(i int) ethaddr.IPv4 { return subnet.Host(i + 1) }
+	mac := func(i int) ethaddr.MAC { return ethaddr.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)} }
+	r := NewRouterIface(s, "rtr", nic, subnet.Host(254), subnet)
+	for i := 0; i < 8; i++ { // resolutions still pending when the router is recycled
+		r.deliverLocal(ip(1000+i), r.dgrams.Frame(ethaddr.MAC{}, nic.MAC()))
+	}
+	for i := 0; i < 200; i++ {
+		r.learn(ip(i), mac(i))
+	}
+	r.Recycle()
+	for _, tb := range cacheOf(s).routers {
+		for _, p := range tb.pend[:cap(tb.pend)] {
+			for _, f := range p.queue[:cap(p.queue)] {
+				if f != nil {
+					t.Fatal("parked router tables still hold a queued frame")
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Recycle() // idempotent
+		r = NewRouterIface(s, "rtr", nic, subnet.Host(254), subnet)
+		if _, ok := r.Lookup(ip(7)); ok || r.FlushBindings() != 0 || len(r.pend) != 0 {
+			t.Fatal("recycled tables leaked state into a new interface")
+		}
+		for i := 0; i < 200; i++ {
+			r.learn(ip(i), mac(i))
+		}
+		r.Recycle()
+	})
+	if allocs > 2 {
+		t.Fatalf("rebuilding and refilling a recycled interface: %v allocs/op, want at most 2 (the RouterIface and its handler)", allocs)
 	}
 }

@@ -34,10 +34,12 @@ import (
 // so one scheduler-wide counter invalidates every plan a change could
 // touch without links or ports knowing which switches cached them.
 type transitCache struct {
-	free  *transit
-	flood *floodTransit
-	cams  []camTable // CAM storage parked by Switch.Recycle, reused by NewSwitch
-	gen   uint64
+	free    *transit
+	flood   *floodTransit
+	retries *routerRetry   // router resolution retry shells
+	cams    []camTable     // CAM storage parked by Switch.Recycle, reused by NewSwitch
+	routers []routerTables // ARP tables parked by RouterIface.Recycle
+	gen     uint64
 }
 
 // bump advances the topology generation, staling every cached flood plan.

@@ -29,7 +29,7 @@ type twoLAN struct {
 	ss     *sim.ShardedScheduler
 	hosts  [2]*stack.Host
 	ifaces [2]*netsim.RouterIface
-	trunks [2]*netsim.Trunk // trunks[i] leaves LAN i
+	trunks [2]netsim.Trunk // trunks[i] leaves LAN i
 }
 
 func buildTwoLAN(seed int64, workers int) *twoLAN {
@@ -57,9 +57,8 @@ func buildTwoLAN(seed int64, workers int) *twoLAN {
 	}
 	for i := 0; i < 2; i++ {
 		j := 1 - i
-		trunk := netsim.NewTrunk(ss.Link(i, j, time.Millisecond), tl.ifaces[j])
-		tl.trunks[i] = trunk
-		tl.ifaces[i].AddRoute(tl.ifaces[j].Subnet(), trunk)
+		tl.trunks[i] = netsim.NewTrunk(ss.Link(i, j, time.Millisecond), tl.ifaces[j])
+		tl.ifaces[i].AddRoute(tl.ifaces[j].Subnet(), &tl.trunks[i])
 	}
 	return tl
 }
@@ -181,6 +180,36 @@ func TestRouterPoisonable(t *testing.T) {
 	}
 	if mac, ok := rtr.Lookup(victim.IP()); !ok || mac != evil {
 		t.Fatalf("router binding after spoof = %v ok=%v, want attacker %v", mac, ok, evil)
+	}
+}
+
+// TestRouterIgnoresNonUnicastSender: like a host cache, the interface never
+// binds a broadcast, multicast or zero sender MAC. A forged claim with one
+// would otherwise turn the station's routed traffic into LAN floods.
+func TestRouterIgnoresNonUnicastSender(t *testing.T) {
+	tl := buildTwoLAN(8, 1)
+	victim, rtr := tl.hosts[1], tl.ifaces[1]
+	unbound := rtr.Subnet().Host(77)
+	tl.ss.Shard(1).At(10*time.Millisecond, func() { victim.SendGratuitous() })
+	for k, bad := range []ethaddr.MAC{ethaddr.BroadcastMAC, ethaddr.MustParseMAC("01:00:5e:00:00:01"), {}} {
+		tl.ss.Shard(1).At(time.Duration(20+k)*time.Millisecond, func() {
+			for _, ip := range []ethaddr.IPv4{victim.IP(), unbound} {
+				g := arppkt.NewGratuitousReply(bad, ip)
+				victim.SendFrame(&frame.Frame{
+					Dst: ethaddr.BroadcastMAC, Src: victim.MAC(), Type: frame.TypeARP,
+					Payload: g.Encode(),
+				})
+			}
+		})
+	}
+	if err := tl.ss.RunUntil(time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if mac, ok := rtr.Lookup(victim.IP()); !ok || mac != victim.MAC() {
+		t.Fatalf("router binding after non-unicast claims = %v ok=%v, want the victim's %v", mac, ok, victim.MAC())
+	}
+	if mac, ok := rtr.Lookup(unbound); ok {
+		t.Fatalf("router bound %v to non-unicast %v", unbound, mac)
 	}
 }
 

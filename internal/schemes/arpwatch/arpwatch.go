@@ -11,13 +11,15 @@ package arpwatch
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/arppkt"
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
 	"repro/internal/netsim"
@@ -27,6 +29,7 @@ import (
 
 // entry is one observed pairing.
 type entry struct {
+	ip       ethaddr.IPv4
 	mac      ethaddr.MAC
 	lastSeen time.Duration
 	flips    int
@@ -58,7 +61,8 @@ func WithFlipFlopThreshold(n int) Option {
 type Watcher struct {
 	sched         *sim.Scheduler
 	sink          *schemes.Sink
-	db            map[ethaddr.IPv4]*entry
+	db            []entry        // pairings by value, in first-seen order
+	dbIndex       denseidx.Index // IP → position in db
 	lastAlert     map[ethaddr.IPv4]time.Duration
 	holdDown      time.Duration
 	alertNew      bool
@@ -73,7 +77,6 @@ func New(s *sim.Scheduler, sink *schemes.Sink, opts ...Option) *Watcher {
 	w := &Watcher{
 		sched:         s,
 		sink:          sink,
-		db:            make(map[ethaddr.IPv4]*entry),
 		lastAlert:     make(map[ethaddr.IPv4]time.Duration),
 		holdDown:      20 * time.Second,
 		flipThreshold: 1,
@@ -81,7 +84,22 @@ func New(s *sim.Scheduler, sink *schemes.Sink, opts ...Option) *Watcher {
 	for _, opt := range opts {
 		opt(w)
 	}
+	w.dbIndex.Init(0)
 	return w
+}
+
+// lookup returns ip's pairing, or nil when the watcher has none.
+func (w *Watcher) lookup(ip ethaddr.IPv4) *entry {
+	if i := w.dbIndex.Get(uint64(ip.Uint32())); i >= 0 {
+		return &w.db[i]
+	}
+	return nil
+}
+
+// add records a pairing for an ip the watcher does not track yet.
+func (w *Watcher) add(ip ethaddr.IPv4, mac ethaddr.MAC, at time.Duration) {
+	w.dbIndex.Set(uint64(ip.Uint32()), len(w.db))
+	w.db = append(w.db, entry{ip: ip, mac: mac, lastSeen: at})
 }
 
 // Name implements schemes.Detector.
@@ -93,7 +111,11 @@ func (w *Watcher) DBLen() int { return len(w.db) }
 // Seed preloads the database (deployments often start from a known-good
 // snapshot to cover the cold-start blind spot).
 func (w *Watcher) Seed(ip ethaddr.IPv4, mac ethaddr.MAC) {
-	w.db[ip] = &entry{mac: mac, lastSeen: w.sched.Now()}
+	if e := w.lookup(ip); e != nil {
+		*e = entry{ip: ip, mac: mac, lastSeen: w.sched.Now()}
+		return
+	}
+	w.add(ip, mac, w.sched.Now())
 }
 
 // SaveDB writes the pairing database in the classic arp.dat line format
@@ -101,15 +123,11 @@ func (w *Watcher) Seed(ip ethaddr.IPv4, mac ethaddr.MAC) {
 // deployments persist the database across restarts precisely to keep the
 // cold-start blind spot closed.
 func (w *Watcher) SaveDB(out io.Writer) error {
-	ips := make([]ethaddr.IPv4, 0, len(w.db))
-	for ip := range w.db {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i].Uint32() < ips[j].Uint32() })
+	db := slices.Clone(w.db)
+	slices.SortFunc(db, func(a, b entry) int { return cmp.Compare(a.ip.Uint32(), b.ip.Uint32()) })
 	bw := bufio.NewWriter(out)
-	for _, ip := range ips {
-		e := w.db[ip]
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\n", e.mac, ip, int64(e.lastSeen/time.Second)); err != nil {
+	for _, e := range db {
+		if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\n", e.mac, e.ip, int64(e.lastSeen/time.Second)); err != nil {
 			return fmt.Errorf("write db: %w", err)
 		}
 	}
@@ -142,8 +160,8 @@ func (w *Watcher) LoadDB(in io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("load db line %d: %w", line, err)
 		}
-		if _, tracked := w.db[ip]; !tracked {
-			w.db[ip] = &entry{mac: mac, lastSeen: w.sched.Now()}
+		if w.lookup(ip) == nil {
+			w.add(ip, mac, w.sched.Now())
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -167,9 +185,9 @@ func (w *Watcher) Observe(ev netsim.TapEvent) {
 		return
 	}
 	now := ev.At
-	e, known := w.db[ip]
-	if !known {
-		w.db[ip] = &entry{mac: mac, lastSeen: now}
+	e := w.lookup(ip)
+	if e == nil {
+		w.add(ip, mac, now)
 		if w.alertNew {
 			w.sink.Report(schemes.Alert{
 				At: now, Scheme: w.Name(), Kind: schemes.AlertNewStation,

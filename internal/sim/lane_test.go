@@ -85,10 +85,6 @@ type laneAPI struct {
 	reset    func()
 }
 
-type funcTask func()
-
-func (f funcTask) Run() { f() }
-
 func schedulerAPI(s *Scheduler) laneAPI {
 	return laneAPI{
 		now:      s.Now,

@@ -59,13 +59,20 @@ func ShardSeed(seed int64, shard int) int64 {
 	return int64(h)
 }
 
-// crossMsg is one staged cross-shard delivery: fn runs on the destination
-// shard at virtual instant at.
+// crossMsg is one staged cross-shard delivery: task runs on the
+// destination shard at virtual instant at.
 type crossMsg struct {
-	at  time.Duration
-	dst int
-	fn  func()
+	at   time.Duration
+	dst  int
+	task Task
 }
+
+// funcTask adapts a closure sent with CrossLink.Send to the Task the
+// outbox carries. A func value is pointer-shaped, so the conversion to the
+// interface allocates nothing.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
 
 // mergeKey orders staged messages at the barrier: (timestamp, source
 // shard, send order within source). idx is the message's position in its
@@ -105,10 +112,17 @@ func (cl *CrossLink) Latency() time.Duration { return cl.latency }
 // Send stages fn for execution on the destination shard at source-now +
 // latency. It appends to the source shard's private outbox — no lock, no
 // shared state — and the coordinator injects it at the next barrier.
-func (cl *CrossLink) Send(fn func()) {
+func (cl *CrossLink) Send(fn func()) { cl.SendTask(funcTask(fn)) }
+
+// SendTask is Send without the closure: t.Run executes on the destination
+// shard at source-now + latency. t is handed to the other shard as is, so
+// the sender must not touch it again; netsim's trunks send packets carved
+// from the source shard's arena, which nothing rewrites before the trial
+// is recycled.
+func (cl *CrossLink) SendTask(t Task) {
 	ss := cl.ss
 	at := ss.shards[cl.src].Now() + cl.latency
-	ss.outbox[cl.src] = append(ss.outbox[cl.src], crossMsg{at: at, dst: cl.dst, fn: fn})
+	ss.outbox[cl.src] = append(ss.outbox[cl.src], crossMsg{at: at, dst: cl.dst, task: t})
 }
 
 // ShardedScheduler coordinates a set of per-shard Schedulers through
@@ -117,6 +131,7 @@ func (cl *CrossLink) Send(fn func()) {
 type ShardedScheduler struct {
 	shards    []*Scheduler
 	outbox    [][]crossMsg // staged cross messages, one slice per source shard
+	links     []CrossLink  // the current slab Link carves from
 	lookahead time.Duration
 	workers   int
 	stopped   atomic.Bool // set by Stop, possibly from a shard mid-window
@@ -206,8 +221,18 @@ func (ss *ShardedScheduler) Link(src, dst int, latency time.Duration) *CrossLink
 	if ss.lookahead == 0 || latency < ss.lookahead {
 		ss.lookahead = latency
 	}
-	return &CrossLink{ss: ss, src: src, dst: dst, latency: latency}
+	// A campus mesh registers LANs·(LANs−1) links; carving them from
+	// slabs costs one allocation per linkSlab instead of one each. A full
+	// slab is never appended to again, so every returned pointer is stable.
+	if len(ss.links) == cap(ss.links) {
+		ss.links = make([]CrossLink, 0, linkSlab)
+	}
+	ss.links = append(ss.links, CrossLink{ss: ss, src: src, dst: dst, latency: latency})
+	return &ss.links[len(ss.links)-1]
 }
+
+// linkSlab is how many CrossLinks Link carves per allocation.
+const linkSlab = 256
 
 // Lookahead returns the conservative window length: the minimum registered
 // link latency (zero when no links exist and shards are independent).
@@ -562,8 +587,8 @@ func (ss *ShardedScheduler) barrier(end time.Duration) {
 		m := ss.merged
 		slices.SortFunc(m, compareMergeKeys)
 		for i := range m {
-			ss.shards[m[i].msg.dst].At(m[i].msg.at, m[i].msg.fn)
-			m[i].msg.fn = nil // don't pin the closure past injection
+			ss.shards[m[i].msg.dst].AtTask(m[i].msg.at, m[i].msg.task)
+			m[i].msg.task = nil // don't pin the message past injection
 		}
 		ss.crossSent += uint64(len(m))
 		ss.mCross.Add(uint64(len(m)))

@@ -13,7 +13,9 @@ import (
 // work that schedules follow-up events and ships every third tick across
 // the ring's trunks, logging everything it executes. Per-shard logs are
 // appended only by that shard's events, so the combined transcript is a
-// pure function of per-shard execution order.
+// pure function of per-shard execution order. Every shard ticks on the
+// same 200 ms period, so each tick's window holds all n shards and a
+// width above 1 runs it on the worker set (see wideWindows).
 func buildShardWorkload(t *testing.T, seed int64, n, workers int) (*ShardedScheduler, []*strings.Builder) {
 	t.Helper()
 	ss := NewSharded(seed, n)
@@ -27,9 +29,8 @@ func buildShardWorkload(t *testing.T, seed int64, n, workers int) (*ShardedSched
 	for i := 0; i < n; i++ {
 		i := i
 		sh := ss.Shard(i)
-		period := time.Duration(200+17*i) * time.Millisecond
 		tick := 0
-		sh.Every(period, func() {
+		sh.Every(200*time.Millisecond, func() {
 			tick++
 			now := sh.Now()
 			jitter := sh.Int63n(1000) // exercise per-shard RNG isolation
@@ -50,13 +51,28 @@ func buildShardWorkload(t *testing.T, seed int64, n, workers int) (*ShardedSched
 	return ss, logs
 }
 
+// wideWindows returns how many windows the last RunUntil ran on the
+// worker set: its epoch counts released windows plus the final release
+// that joins the helpers.
+func wideWindows(ss *ShardedScheduler) uint64 {
+	if ss.pool == nil {
+		return 0
+	}
+	return ss.pool.epoch.Load() - 1
+}
+
 // transcript runs the workload to the horizon and concatenates the
-// per-shard logs in shard order.
+// per-shard logs in shard order. Above width 1 the worker set must have
+// run windows, or the parity it is compared for would be the inline
+// path's.
 func transcript(t *testing.T, seed int64, n, workers int, horizon time.Duration) string {
 	t.Helper()
 	ss, logs := buildShardWorkload(t, seed, n, workers)
 	if err := ss.RunUntil(horizon); err != nil {
 		t.Fatalf("RunUntil: %v", err)
+	}
+	if workers > 1 && wideWindows(ss) == 0 {
+		t.Fatalf("width %d: no window ran on the worker set", workers)
 	}
 	var all strings.Builder
 	for i, l := range logs {
@@ -175,6 +191,9 @@ func TestShardedTelemetry(t *testing.T) {
 	if ss.Rounds() == 0 || ss.SyncWaits() == 0 || ss.CrossMessages() == 0 {
 		t.Fatalf("engine counters did not move: rounds=%d waits=%d cross=%d",
 			ss.Rounds(), ss.SyncWaits(), ss.CrossMessages())
+	}
+	if wideWindows(ss) == 0 {
+		t.Fatal("no window ran on the worker set")
 	}
 	checks := map[string]uint64{
 		"shard_rounds_total":     ss.Rounds(),

@@ -281,7 +281,7 @@ type Scheduler struct {
 
 	// scratch holds opaque per-layer recycling caches owned by the layers
 	// built on this scheduler (netsim parks its transit free lists in one
-	// slot, arppkt its frame arena in another). Unlike every other field
+	// slot, arppkt its frame arena in another; see ScratchKey). Unlike every other field
 	// it survives Reset: the caches hold only inert recycled shells, and
 	// carrying them across trials is the point — a pooled scheduler's next
 	// LAN starts with warm free lists instead of re-carving them.
@@ -369,7 +369,7 @@ func (s *Scheduler) Instrument(reg *telemetry.Registry) {
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // ScratchKey names one of the scheduler's opaque recycling-cache slots.
-// Each layer that pools objects across Reset owns exactly one key.
+// Each slot belongs to the one layer that pools objects in it across Reset.
 type ScratchKey uint8
 
 const (
@@ -378,9 +378,11 @@ const (
 	ScratchTasks ScratchKey = iota
 	// ScratchFrames is arppkt's slot: the ARP frame arena.
 	ScratchFrames
-	// ScratchDatagrams is labnet's slot: the station banks' background
-	// datagram arena.
+	// ScratchDatagrams is netsim's second slot: the IPv4 frame and trunk
+	// packet arena.
 	ScratchDatagrams
+	// ScratchCaches is stack's slot: the storage of recycled ARP caches.
+	ScratchCaches
 
 	numScratchSlots
 )
@@ -654,6 +656,15 @@ func (s *Scheduler) At(at time.Duration, fn func()) Timer {
 		at = s.now
 	}
 	return s.schedule(at, -1, 0, fn, nil)
+}
+
+// AtTask schedules t.Run at absolute virtual time at: At without the
+// closure. The sharded engine injects cross-shard messages with it.
+func (s *Scheduler) AtTask(at time.Duration, t Task) Timer {
+	if at < s.now {
+		at = s.now
+	}
+	return s.schedule(at, -1, 0, nil, t)
 }
 
 // After schedules fn to run d after the current virtual instant.

@@ -171,3 +171,34 @@ func TestDeliverUDPAllocFree(t *testing.T) {
 		t.Fatalf("handler ran %d times for %d datagrams received", got, h.Stats().IPv4Rx)
 	}
 }
+
+// TestRecycledCacheRefillAllocFree: a cache built on a scheduler after
+// another cache was recycled there starts empty, and refilling it with as
+// many bindings as the recycled one held reuses its slot array and index:
+// only the Cache itself is allocated.
+func TestRecycledCacheRefillAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	ip := func(i int) ethaddr.IPv4 { return ethaddr.IPv4{10, 0, byte(i >> 8), byte(i)} }
+	fill := func(c *Cache) {
+		for i := 0; i < 200; i++ {
+			c.SetStatic(ip(i), ethaddr.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)})
+		}
+	}
+	c := NewCache(s, PolicyNaive, time.Minute)
+	fill(c)
+	allocs := testing.AllocsPerRun(20, func() {
+		c.recycle()
+		c.recycle() // idempotent
+		c = NewCache(s, PolicyNaive, time.Minute)
+		if _, ok := c.Get(ip(7)); ok || c.Len() != 0 || len(c.Snapshot()) != 0 {
+			t.Fatal("recycled storage leaked bindings into a new cache")
+		}
+		fill(c)
+	})
+	if allocs > 1 {
+		t.Fatalf("rebuilding and refilling a recycled cache: %v allocs/op, want at most 1 (the Cache)", allocs)
+	}
+	if c.Len() != 200 {
+		t.Fatalf("Len %d after refilling, want 200", c.Len())
+	}
+}

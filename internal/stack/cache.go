@@ -175,22 +175,72 @@ func NewCache(s *sim.Scheduler, policy Policy, ttl time.Duration) *Cache {
 	return newCache(s, policy, ttl, 8)
 }
 
-// newCache creates a cache with the slot array and its index pre-sized for
-// capacity entries (a full-mesh LAN would otherwise grow both through
-// repeated doublings; see WithCacheCapacity).
+// newCache creates a cache. When a recycled cache parked its storage on
+// the scheduler, the new cache takes that slot array and index over, empty,
+// whatever their size: a campus host learns dozens of bank announcements
+// per trial, and starting from the last trial's storage skips regrowing
+// both from eight slots. Otherwise both are pre-sized for capacity entries
+// (a full-mesh LAN would grow them through repeated doublings; see
+// WithCacheCapacity).
 func newCache(s *sim.Scheduler, policy Policy, ttl time.Duration, capacity int) *Cache {
-	if capacity < 8 {
-		capacity = 8
-	}
 	c := &Cache{
 		sched:  s,
 		policy: policy,
 		ttl:    ttl,
-		slots:  make([]cacheSlot, 0, capacity),
 		rec:    causal.Of(s),
 	}
+	if p, ok := s.Scratch(sim.ScratchCaches).(*cachePark); ok && len(p.parked) > 0 {
+		n := len(p.parked) - 1
+		c.slots, c.index = p.parked[n].slots, p.parked[n].index
+		p.parked[n] = cacheStorage{}
+		p.parked = p.parked[:n]
+		return c
+	}
+	capacity = max(capacity, 8)
+	c.slots = make([]cacheSlot, 0, capacity)
 	c.index.Init(capacity)
 	return c
+}
+
+// cachePark is the stack's slot on a scheduler (sim.ScratchCaches): the
+// emptied storage of the caches recycled there, for the next trial's
+// caches. Slots and index cells hold only addresses and times, so a parked
+// cache keeps nothing of its old topology reachable.
+type cachePark struct {
+	parked []cacheStorage
+}
+
+// cacheStorage is one parked cache's slot array (empty, its capacity kept)
+// and index (cleared, its size kept).
+type cacheStorage struct {
+	slots []cacheSlot
+	index denseidx.Index
+}
+
+// The park's bounds: a flat 128-host LAN recycles 129 caches, and a cache
+// that grew past maxParkedSlots (a flooded or capacity-sweep trial) is left
+// to the collector rather than pinned for every later trial.
+const (
+	maxParkedCaches = 256
+	maxParkedSlots  = 4096
+)
+
+// recycle parks the cache's storage on its scheduler; the cache must not
+// be used afterwards, and a second call does nothing.
+func (c *Cache) recycle() {
+	if c.slots == nil {
+		return
+	}
+	p, ok := c.sched.Scratch(sim.ScratchCaches).(*cachePark)
+	if !ok {
+		p = &cachePark{}
+		c.sched.SetScratch(sim.ScratchCaches, p)
+	}
+	if len(p.parked) < maxParkedCaches && cap(c.slots) <= maxParkedSlots {
+		c.index.Clear()
+		p.parked = append(p.parked, cacheStorage{slots: c.slots[:0], index: c.index})
+	}
+	c.slots, c.index = nil, denseidx.Index{}
 }
 
 // ipKey is an address's key in the cache and resolver indexes.

@@ -132,7 +132,8 @@ func WithCacheTTL(d time.Duration) Option {
 // WithCacheCapacity pre-sizes the ARP cache — its slot array and the IP
 // index beside it — for the expected number of peers. Purely an allocation
 // hint: a full-mesh LAN otherwise grows each host's cache through repeated
-// doublings of both.
+// doublings of both. A cache that takes over storage a recycled cache
+// parked on the scheduler keeps that storage's size instead.
 func WithCacheCapacity(n int) Option {
 	return func(h *Host) { h.cacheCap = n }
 }
@@ -241,6 +242,11 @@ func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, op
 	nic.SetHandler(h.handleFrame)
 	return h
 }
+
+// Recycle parks the host's ARP cache storage on its scheduler for the next
+// trial's hosts (see newCache). labnet calls it when the trial's world is
+// torn down; the host and its cache must not be used afterwards.
+func (h *Host) Recycle() { h.cache.recycle() }
 
 // Name returns the host's scenario name.
 func (h *Host) Name() string { return h.name }

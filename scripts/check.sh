@@ -5,8 +5,11 @@
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
 # (encode/decode, cache, CAM, unicast transit, broadcast fan-out,
-# background datagrams must stay at their pinned allocs/op; sharded
-# windows at width 2 must not add allocations per RunUntil), one fuzz
+# background datagrams, router trunk forward, recycled caches and router
+# tables, a small campus trial on recycled storage must stay at their
+# pinned allocs/op; sharded windows at width 2 must not add allocations
+# per RunUntil; the resolution storm's allocs/op must not vary across
+# runs), one fuzz
 # loop over the native fuzz
 # targets (6 to 10 seconds each, 46 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
@@ -56,7 +59,22 @@ for bench in SteadyState DeepQueue; do
 	fi
 done
 
-echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host, sharded windows)"
+echo "==> pooled trial storage survives GC (BenchmarkResolutionStorm allocs/op identical across -count 10)"
+# The trial pool is a free list a GC cannot empty, so every storm after the
+# first runs on the same recycled scheduler, arenas and caches and
+# allocates exactly the same. 20 ops per count absorb the odd runtime
+# allocation that lands inside the timed loop.
+storm=$(go test -run '^$' -bench 'BenchmarkResolutionStorm$' -benchmem -benchtime=20x -count=10 .)
+echo "$storm"
+storm_allocs=$(echo "$storm" | awk '$1 ~ /^BenchmarkResolutionStorm(-[0-9]+)?$/ {
+	for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)
+}' | sort -u)
+if [ "$(echo "$storm" | grep -c '^BenchmarkResolutionStorm')" != "10" ] || [ "$(echo "$storm_allocs" | grep -c .)" != "1" ]; then
+	echo "BenchmarkResolutionStorm allocs/op differ across runs: $(echo $storm_allocs)" >&2
+	exit 1
+fi
+
+echo "==> frame hot path allocation gates (encode/decode, index, cache, resolver, CAM, unicast transit, broadcast fan-out, router forward, DAI, bank datagrams, replay steady state, campus bytes/host, recycled caches, router tables and campus trials, sharded windows)"
 # Capture first, then filter: piping straight into grep would take grep's
 # exit status, and grep succeeds on the "--- FAIL" lines themselves.
 if ! gates=$(go test -run 'AllocFree$' -count=1 -v \
