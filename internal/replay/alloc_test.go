@@ -70,3 +70,50 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state replay: %.3f allocs/frame, budget 0.5", perFrame)
 	}
 }
+
+// TestReplayShardedAllocFree gates the sharded NDJSON pipeline the same
+// way at width 2: once a first Run has pooled its round storage and
+// warmed the engine, a second Run parses into the pooled rounds' wire
+// slabs and must stay within 0.05 allocations per record — per Run and
+// per round costs only, nothing per record.
+func TestReplayShardedAllocFree(t *testing.T) {
+	const (
+		warmFrames = 20000
+		hotFrames  = 40000
+		sources    = 32
+		spacing    = time.Millisecond
+	)
+	warm := synthNDJSON(t, warmFrames, sources, 0, spacing)
+	hot := synthNDJSON(t, hotFrames, sources, time.Duration(warmFrames)*spacing+15*time.Second, spacing)
+
+	st, err := registry.ParseStack(registry.NameArpwatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(Config{Stack: st, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(NewNDJSONSource(bytes.NewReader(warm))); err != nil {
+		t.Fatal(err)
+	}
+	hotSrc := NewNDJSONSource(bytes.NewReader(hot))
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	stats, err := eng.Run(hotSrc)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Frames != warmFrames+hotFrames {
+		t.Fatalf("injected %d frames, want %d", stats.Frames, warmFrames+hotFrames)
+	}
+	perRecord := float64(m1.Mallocs-m0.Mallocs) / hotFrames
+	t.Logf("sharded steady state: %.4f allocs/record (%d allocs / %d records)",
+		perRecord, m1.Mallocs-m0.Mallocs, hotFrames)
+	if perRecord > 0.05 {
+		t.Fatalf("sharded replay: %.4f allocs/record, budget 0.05", perRecord)
+	}
+}

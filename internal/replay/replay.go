@@ -78,8 +78,10 @@ type Config struct {
 	Gateway, Victim Station
 	// Monitor overrides the synthetic appliance identity (rarely needed).
 	Monitor Station
-	// Workers sets the ingest shard width; ≤1 replays inline on the
-	// caller's goroutine. Output is byte-identical at any width.
+	// Workers sets the ingest width: ≤1 replays inline on the caller's
+	// goroutine; above 1, parsing runs on min(Workers, GOMAXPROCS)
+	// goroutines, the caller's included, while the caller injects. Output
+	// is byte-identical at any width.
 	Workers int
 	// Drain is extra virtual time appended after the last record so
 	// verification windows and correlation buckets settle (default 10s).
@@ -272,7 +274,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Run replays src to completion: every record is injected in capture order
 // at its capture timestamp, then the clock runs Drain past the final record
 // so outstanding verification windows and correlation buckets settle.
-// Workers >1 shards record parsing across a worker pool; injection stays
+// Workers >1 shards record parsing (see runSharded); injection stays
 // sequential, so output is byte-identical at any width.
 func (e *Engine) Run(src Source) (Stats, error) {
 	var err error

@@ -11,8 +11,9 @@ import (
 
 // Source is a capture stream split at the seam sharded ingest needs: a
 // strictly sequential raw read (one item = one undecoded record) and a
-// pure, concurrency-safe parse. ReadRaw runs on the reader goroutine only;
-// Parse may run on any worker, on distinct items, concurrently.
+// pure, concurrency-safe parse. ReadRaw is called by one goroutine at a
+// time, in stream order — whichever holds the pipeline's fill turn; Parse
+// may run on any of them, on distinct items, concurrently.
 type Source interface {
 	// ReadRaw appends the next raw item to buf and returns the extended
 	// slice, plus the record timestamp when the framing carries it outside
@@ -21,6 +22,9 @@ type Source interface {
 	ReadRaw(buf []byte) ([]byte, time.Duration, error)
 	// Parse decodes one raw item (as returned by ReadRaw) into rec,
 	// reusing rec.Wire. It must not retain item or touch Source state.
+	// The sharded pipeline hands it a rec.Wire with room for len(item)
+	// bytes, so a Parse whose output is no longer than its input
+	// allocates nothing.
 	Parse(item []byte, at time.Duration, rec *trace.WireRecord) error
 }
 

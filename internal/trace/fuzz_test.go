@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"testing"
 	"time"
@@ -90,31 +89,15 @@ func fuzzCapture(data []byte) *Capture {
 }
 
 // FuzzNDJSONLine checks ParseNDJSONLine, fast scan included, against
-// encoding/json: a line it accepts must decode to the same at and wire
-// bytes, a line the decoder rejects must be rejected, and a line the
-// decoder reads with wire bytes must be accepted. The seed corpus in
+// encoding/json (see checkNDJSONLine). The seed corpus in
 // testdata/fuzz/FuzzNDJSONLine holds WriteNDJSON lines and lines that
 // once read differently on the two paths: an overflowing or zero-led at,
-// and an at nested in another member or duplicated.
+// and an at nested in another member or duplicated. The edge table of
+// scan_test.go seeds it too: quotes, escapes, control and non-ASCII bytes
+// at every offset around the word-at-a-time scans' word boundaries.
 func FuzzNDJSONLine(f *testing.F) {
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var rec WireRecord
-		perr := ParseNDJSONLine(line, &rec)
-		var nr NDJSONRecord
-		if jerr := json.Unmarshal(line, &nr); jerr != nil {
-			if perr == nil {
-				t.Fatalf("accepted (at %d, %d wire bytes) a line the decoder rejects: %v", rec.At, len(rec.Wire), jerr)
-			}
-			return
-		}
-		if perr != nil {
-			if len(nr.Wire) > 0 {
-				t.Fatalf("rejected a line the decoder reads (at %d, %d wire bytes): %v", nr.At, len(nr.Wire), perr)
-			}
-			return
-		}
-		if rec.At != nr.At || !bytes.Equal(rec.Wire, nr.Wire) {
-			t.Fatalf("read at %d, wire %x; the decoder reads at %d, wire %x", rec.At, rec.Wire, nr.At, nr.Wire)
-		}
-	})
+	for _, line := range edgeLines() {
+		f.Add(line)
+	}
+	f.Fuzz(checkNDJSONLine)
 }

@@ -107,3 +107,64 @@ func TestVerdictColumn(t *testing.T) {
 		t.Errorf("pair summary missing\n%s", out.String())
 	}
 }
+
+// TestVerdictAcrossSets pins the summary over several sets: a verdict
+// every set gives is printed, one the sets split on reads "disagree", and
+// a metric every set calls within is left out.
+func TestVerdictAcrossSets(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{
+		"end_to_end": [
+			{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+			{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+			{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+		]
+	}`
+	specPath := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := map[string][]float64{
+		"op_p50_ms": series(100, 1),
+		"ops_per_s": series(10, 0.1),
+		"setup_s":   series(1, 0.01),
+	}
+	// Set 1 calls op_p50_ms a gain; set 2's gain is inside A's IQR. Both
+	// sets find ops_per_s worse than its bound and setup_s within.
+	b1 := map[string][]float64{"op_p50_ms": series(80, 1), "ops_per_s": series(7, 0.07), "setup_s": series(1, 0.01)}
+	b2 := map[string][]float64{"op_p50_ms": series(99, 1), "ops_per_s": series(7, 0.07), "setup_s": series(1, 0.01)}
+	var dirs []string
+	for k, b := range []map[string][]float64{b1, b2} {
+		da, db := filepath.Join(dir, fmt.Sprint(k), "a"), filepath.Join(dir, fmt.Sprint(k), "b")
+		writeRuns(t, da, a)
+		writeRuns(t, db, b)
+		dirs = append(dirs, da, db)
+	}
+
+	var out bytes.Buffer
+	if err := run(&out, specPath, dirs...); err != nil {
+		t.Fatal(err)
+	}
+	_, summary, ok := strings.Cut(out.String(), "==> verdicts over 2 sets")
+	if !ok {
+		t.Fatalf("no summary over sets\n%s", out.String())
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(summary, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "wl" {
+			got[f[1]] = f[2] + " " + f[3]
+		}
+	}
+	want := map[string]string{
+		"op_p50_ms": "gain,within disagree",
+		"ops_per_s": "worse>bound,worse>bound worse>bound",
+	}
+	if len(got) != len(want) {
+		t.Errorf("summary rows %v, want %v\n%s", got, want, out.String())
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s: summary %q, want %q\n%s", name, got[name], v, out.String())
+		}
+	}
+}

@@ -5,7 +5,10 @@
 #
 # internal/replay under -race covers the golden MITM replay at shard widths
 # 1/2/8 — the byte-identical-at-any-width determinism contract — with the
-# sharded reader/worker/merger pipeline actually racing. internal/sim,
+# sharded ingest pipeline's injector and helpers actually racing, and the
+# pipeline parity tests: widths 2/3/8 at GOMAXPROCS 1 and 2 against the
+# inline path, malformed lines on chunk and round edges, a read error
+# mid-round, and back-to-back Runs on recycled round storage. internal/sim,
 # internal/labnet, and internal/scenario put the sharded campus engine's
 # worker pool under the detector the same way: figure9, figure10 (the
 # faulted per-deployment sweep), the campus MITM scenario, and the
