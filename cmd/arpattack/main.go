@@ -1,6 +1,8 @@
 // Command arpattack runs one ARP cache poisoning attack variant against a
 // simulated LAN and narrates the outcome: whose cache ended up where, how
-// much traffic the attacker intercepted, and what the wire looked like.
+// much traffic the attacker intercepted, and what the wire looked like. The
+// run itself is a scenario.Run; the variant's victim traffic and the
+// narration ride on the scenario's topology hook.
 //
 // Usage:
 //
@@ -16,9 +18,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/ethaddr"
-	"repro/internal/labnet"
+	"repro/internal/scenario"
 	"repro/internal/schemes/kernelpolicy"
 	"repro/internal/trace"
 )
@@ -28,6 +29,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arpattack:", err)
 		os.Exit(1)
 	}
+}
+
+// variants maps -variant to its scenario action. Everything launches at
+// t=0 except the port theft, which first lets the gateway's warm-up
+// resolution teach the switch the victim's true port.
+var variants = map[string]scenario.AttackSpec{
+	"gratuitous":        {Type: "poison", Variant: "gratuitous"},
+	"unsolicited-reply": {Type: "poison", Variant: "unsolicited-reply"},
+	"request-spoof":     {Type: "poison", Variant: "request-spoof"},
+	"reply-race":        {Type: "poison", Variant: "reply-race"},
+	"mitm":              {Type: "mitm"},
+	"blackhole":         {Type: "blackhole"},
+	"port-steal":        {Type: "port-steal", AtSeconds: 1, PeriodSeconds: 0.1},
+	"scan":              {Type: "scan", Count: 254},
 }
 
 func run(w io.Writer, args []string) error {
@@ -40,95 +55,69 @@ func run(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	prof := kernelpolicy.ByName(*policy)
-	l := labnet.New(labnet.Config{
-		Seed:         *seed,
-		Policy:       prof.Policy,
-		WithAttacker: true,
-		WithMonitor:  true,
-	})
-	cap := trace.NewCapture(0)
-	l.Switch.AddTap(cap.Tap())
-
-	gw, victim := l.Gateway(), l.Victim()
-	fmt.Fprintf(w, "LAN %s: gateway %s (%s), victim %s (%s), attacker %s (%s)\n",
-		l.Subnet, gw.IP(), gw.MAC(), victim.IP(), victim.MAC(), l.Attacker.IP(), l.Attacker.MAC())
-	fmt.Fprintf(w, "victim cache policy: %s — %s\n\n", prof.Name, prof.Description)
-
-	delivered := 0
-	gw.HandleUDP(80, func(_ ethaddr.IPv4, _ uint16, _ []byte) { delivered++ })
-
-	switch *variant {
-	case "gratuitous", "unsolicited-reply", "request-spoof":
-		var v attack.Variant
-		for _, cand := range attack.Variants() {
-			if cand.String() == *variant {
-				v = cand
-			}
-		}
-		l.Attacker.Poison(v, gw.IP(), l.Attacker.MAC(), victim.MAC(), victim.IP())
-	case "reply-race":
-		l.Attacker.ArmReplyRace(gw.IP(), victim.IP(), 0)
-		victim.Resolve(gw.IP(), nil)
-	case "mitm":
-		l.Attacker.PoisonPeriodically(2*time.Second,
-			victim.MAC(), victim.IP(), gw.MAC(), gw.IP())
-		l.Attacker.RelayBetween(victim.MAC(), victim.IP(), gw.MAC(), gw.IP())
-		l.Sched.Every(500*time.Millisecond, func() {
-			victim.SendUDP(gw.IP(), 2000, 80, []byte("session-cookie=SECRET"))
-		})
-	case "blackhole":
-		l.Attacker.Poison(attack.VariantUnsolicitedReply, gw.IP(), l.Attacker.MAC(),
-			victim.MAC(), victim.IP())
-		l.Attacker.BlackholeTraffic(gw.IP())
-		l.Sched.Every(500*time.Millisecond, func() {
-			victim.SendUDP(gw.IP(), 2000, 80, []byte("ping"))
-		})
-	case "port-steal":
-		// Teach the switch the victim's true port first, then steal it.
-		gw.Resolve(victim.IP(), nil)
-		l.Sched.At(time.Second, func() {
-			l.Attacker.StealPort(victim.MAC(), victim.IP(), 100*time.Millisecond, true)
-		})
-		l.Sched.Every(500*time.Millisecond, func() {
-			gw.SendUDP(victim.IP(), 2000, 80, []byte("downlink to the victim"))
-		})
-	case "scan":
-		l.Attacker.Scan(l.Subnet, 1, 254, 20*time.Millisecond)
-	default:
+	attackSpec, ok := variants[*variant]
+	if !ok {
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
+	prof := kernelpolicy.ByName(*policy)
+	spec := &scenario.Spec{Seed: *seed, Policy: prof.Name, DurationSeconds: 10, Attacks: []scenario.AttackSpec{attackSpec}}
 
-	if err := l.Run(10 * time.Second); err != nil {
-		return err
-	}
+	hook := func(d *scenario.Deployment) func() {
+		l := d.Sites[0].LAN
+		gw, victim, atk := l.Gateway(), l.Victim(), l.Attacker
+		fmt.Fprintf(w, "LAN %s: gateway %s (%s), victim %s (%s), attacker %s (%s)\n",
+			l.Subnet, gw.IP(), gw.MAC(), victim.IP(), victim.MAC(), atk.IP(), atk.MAC())
+		fmt.Fprintf(w, "victim cache policy: %s — %s\n\n", prof.Name, prof.Description)
 
-	fmt.Fprintf(w, "after 10s of simulated time:\n")
-	if mac, ok := victim.Cache().Lookup(gw.IP()); ok {
-		verdict := "GENUINE"
-		if mac == l.Attacker.MAC() {
-			verdict = "POISONED"
+		capture := trace.NewCapture(0)
+		l.Switch.AddTap(capture.Tap())
+		// Count the victim's datagrams only: every other station's
+		// background traffic reaches the gateway on the same port.
+		delivered := 0
+		gw.HandleUDP(80, func(src ethaddr.IPv4, _ uint16, _ []byte) {
+			if src == victim.IP() {
+				delivered++
+			}
+		})
+		switch *variant {
+		case "mitm":
+			l.Sched.Every(500*time.Millisecond, func() { victim.SendUDP(gw.IP(), 2000, 80, []byte("session-cookie=SECRET")) })
+		case "blackhole":
+			l.Sched.Every(500*time.Millisecond, func() { victim.SendUDP(gw.IP(), 2000, 80, []byte("ping")) })
+		case "port-steal":
+			// A stolen port intercepts traffic headed to the victim.
+			gw.Resolve(victim.IP(), nil)
+			l.Sched.Every(500*time.Millisecond, func() {
+				gw.SendUDP(victim.IP(), 2000, 80, []byte("downlink to the victim"))
+			})
 		}
-		fmt.Fprintf(w, "  victim's binding for the gateway: %s  [%s]\n", mac, verdict)
-	} else {
-		fmt.Fprintf(w, "  victim has no binding for the gateway\n")
-	}
-	st := l.Attacker.Stats()
-	fmt.Fprintf(w, "  attacker: %d forged packets, %d frames relayed, %d dropped, %d payload bytes sniffed\n",
-		st.Forged, st.Relayed, st.Dropped, st.Sniffed)
-	if *variant == "mitm" || *variant == "blackhole" {
-		fmt.Fprintf(w, "  victim→gateway datagrams delivered: %d\n", delivered)
-	}
-	cs := cap.Stats()
-	fmt.Fprintf(w, "  wire: %d frames (%d ARP: %v, %d gratuitous)\n",
-		cs.Frames, cs.ByType["ARP"], cs.ARPOps, cs.Gratuitous)
 
-	if *showTrace {
-		fmt.Fprintln(w, "\ncaptured ARP trace:")
-		for _, r := range cap.ARPOnly() {
-			fmt.Fprintf(w, "  %12v port%d %s\n", r.At, r.Port, r.Info)
+		return func() {
+			fmt.Fprintf(w, "after 10s of simulated time:\n")
+			if mac, ok := victim.Cache().Lookup(gw.IP()); !ok {
+				fmt.Fprintf(w, "  victim has no binding for the gateway\n")
+			} else if mac == atk.MAC() {
+				fmt.Fprintf(w, "  victim's binding for the gateway: %s  [POISONED]\n", mac)
+			} else {
+				fmt.Fprintf(w, "  victim's binding for the gateway: %s  [GENUINE]\n", mac)
+			}
+			st := atk.Stats()
+			fmt.Fprintf(w, "  attacker: %d forged packets, %d frames relayed, %d dropped, %d payload bytes sniffed\n",
+				st.Forged, st.Relayed, st.Dropped, st.Sniffed)
+			if *variant == "mitm" || *variant == "blackhole" {
+				fmt.Fprintf(w, "  victim→gateway datagrams delivered: %d\n", delivered)
+			}
+			cs := capture.Stats()
+			fmt.Fprintf(w, "  wire: %d frames (%d ARP: %v, %d gratuitous)\n",
+				cs.Frames, cs.ByType["ARP"], cs.ARPOps, cs.Gratuitous)
+			if *showTrace {
+				fmt.Fprintln(w, "\ncaptured ARP trace:")
+				for _, r := range capture.ARPOnly() {
+					fmt.Fprintf(w, "  %12v port%d %s\n", r.At, r.Port, r.Info)
+				}
+			}
 		}
 	}
-	return nil
+	_, err := scenario.Run(spec, scenario.WithHook(hook))
+	return err
 }

@@ -260,6 +260,12 @@ func (n Subnet) Host(i int) IPv4 {
 	return IPv4FromUint32(n.Base.Uint32() + uint32(i))
 }
 
+// HostCount returns how many host addresses lie between the network and
+// broadcast addresses: Host(1) through Host(HostCount()).
+func (n Subnet) HostCount() int {
+	return max(1<<(32-n.Bits)-2, 0)
+}
+
 // Broadcast returns the subnet's directed broadcast address.
 func (n Subnet) Broadcast() IPv4 {
 	if n.Bits >= 32 {

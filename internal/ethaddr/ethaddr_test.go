@@ -164,6 +164,11 @@ func TestSubnet(t *testing.T) {
 	if got, want := n.Broadcast(), MustParseIPv4("192.168.88.255"); got != want {
 		t.Errorf("Broadcast = %v, want %v", got, want)
 	}
+	for cidr, want := range map[string]int{"192.168.88.0/24": 254, "10.3.0.0/16": 65534, "10.0.0.0/30": 2, "10.0.0.0/31": 0, "10.0.0.1/32": 0} {
+		if got := MustParseSubnet(cidr).HostCount(); got != want {
+			t.Errorf("%s HostCount = %d, want %d", cidr, got, want)
+		}
+	}
 }
 
 func TestSubnetNormalizesBase(t *testing.T) {

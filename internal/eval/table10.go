@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/stats"
@@ -112,6 +113,34 @@ func AttributeFirstDetection(rec *causal.Recorder, after time.Duration, ips ...s
 		return out, tot, true
 	}
 	return nil, 0, false
+}
+
+// WriteDetectionTrace renders the causal evidence a traced run left in
+// reg: the span tree of the first injected attack and, when an alert
+// naming one of ips chains back to it, the detection latency charged per
+// stage. The attribution is also observed into reg, so a metrics snapshot
+// (or a live /metrics scrape) carries detection_stage_seconds{scheme,stage}
+// for the same run.
+func WriteDetectionTrace(w io.Writer, reg *telemetry.Registry, scheme string, ips ...string) {
+	rec := reg.Causal()
+	fmt.Fprintf(w, "\ncausal trace (%d spans recorded, %d dropped):\n", rec.Started(), rec.Dropped())
+	for _, root := range rec.Roots() {
+		if root.Kind == "attack" {
+			rec.WriteTree(w, root.ID)
+			break // the first injected attack is the story; the rest repeat it
+		}
+	}
+	stages, total, ok := AttributeFirstDetection(rec, 0, ips...)
+	if !ok {
+		fmt.Fprintln(w, "no alert chains back to an injected attack frame")
+		return
+	}
+	ObserveDetectionStages(reg, scheme, stages, total)
+	fmt.Fprintf(w, "detection latency %v:", total)
+	for _, stage := range detectionStages {
+		fmt.Fprintf(w, " %s=%v", stage, stages[stage])
+	}
+	fmt.Fprintln(w)
 }
 
 // stageCell renders one stage-latency quantile in ms (µs-scale hops keep

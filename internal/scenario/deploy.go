@@ -6,6 +6,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
@@ -54,26 +55,55 @@ func hostOptions(d LANDeployment) ([]stack.Option, error) {
 	return opts, nil
 }
 
-// deployment accumulates what the plane installed: every instance that
-// folds incidents (for incident accounting) and every stack instance (for
-// correlation accounting).
-type deployment struct {
-	guards     []*registry.Instance
-	stackInsts []*registry.StackInstance
+// Deployment is a run's sites and what the plane installed onto them:
+// every instance that folds incidents (for incident accounting) and every
+// stack instance (for correlation accounting). A WithHook hook reads it.
+type Deployment struct {
+	Sites  []*labnet.Site
+	Guards []*registry.Instance
+	Stacks []*registry.StackInstance
 }
 
 // note records a deployed instance when it folds incidents.
-func (d *deployment) note(inst *registry.Instance) {
+func (d *Deployment) note(inst *registry.Instance) {
 	if inst.FoldsIncidents() {
-		d.guards = append(d.guards, inst)
+		d.Guards = append(d.Guards, inst)
 	}
+}
+
+// runsScheme reports whether the spec deploys the named scheme on segment
+// li, standalone or as a stack member.
+func (spec *Spec) runsScheme(li int, name string) bool {
+	n := 1
+	if spec.Campus != nil {
+		n = spec.Campus.lans()
+	}
+	for _, layer := range spec.layers() {
+		lans, _ := parseLANSelector(layer.LANs, n) // Validate vouched
+		if !slices.Contains(lans, li) {
+			continue
+		}
+		for _, s := range layer.Schemes {
+			if s.Name == name {
+				return true
+			}
+		}
+		for _, st := range layer.Stacks {
+			for _, sel := range st.Schemes {
+				if sel.Name == name {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // deployOnto installs a layer's schemes and stacks onto every site it
 // selects, in spec order, schemes before stacks. Construction-only schemes
 // are skipped here — their host options were applied while the topology
 // was assembled.
-func deployOnto(sites []*labnet.Site, layer LANDeployment, d *deployment) error {
+func deployOnto(sites []*labnet.Site, layer LANDeployment, d *Deployment) error {
 	lans, _ := parseLANSelector(layer.LANs, len(sites)) // Validate vouched
 	for _, s := range layer.Schemes {
 		f, ok := registry.Lookup(s.Name)
@@ -97,7 +127,7 @@ func deployOnto(sites []*labnet.Site, layer LANDeployment, d *deployment) error 
 			if err != nil {
 				return siteErr(sites[li], err)
 			}
-			d.stackInsts = append(d.stackInsts, si)
+			d.Stacks = append(d.Stacks, si)
 			for _, m := range si.Members {
 				d.note(m)
 			}
@@ -116,8 +146,8 @@ func siteErr(s *labnet.Site, err error) error {
 }
 
 // guardResults sums incident accounting over every deployed guard.
-func (d *deployment) guardResults(res *Result) {
-	for _, g := range d.guards {
+func (d *Deployment) guardResults(res *Result) {
+	for _, g := range d.Guards {
 		for _, inc := range g.Incidents() {
 			res.GuardIncidents++
 			if inc.Confirmed {
@@ -130,10 +160,10 @@ func (d *deployment) guardResults(res *Result) {
 // stackResults aggregates correlation stats by stack label — a campus
 // deploys one instance per segment, and the campus-wide answer is their
 // sum.
-func (d *deployment) stackResults() []StackResult {
+func (d *Deployment) stackResults() []StackResult {
 	idx := make(map[string]int)
 	var out []StackResult
-	for _, si := range d.stackInsts {
+	for _, si := range d.Stacks {
 		cs := si.Correlation()
 		label := si.Stack.Label()
 		j, ok := idx[label]

@@ -14,14 +14,18 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/arppkt"
 	"repro/internal/attack"
 	"repro/internal/ethaddr"
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/labnet"
 	"repro/internal/schemes"
 	"repro/internal/schemes/kernelpolicy"
 	"repro/internal/schemes/registry"
 	_ "repro/internal/schemes/registry/all" // link every scheme factory
+	"repro/internal/schemes/sarp"
+	"repro/internal/schemes/tarp"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -178,7 +182,9 @@ type AttackSpec struct {
 	// Variant selects the poisoning delivery for type "poison"
 	// (gratuitous | unsolicited-reply | request-spoof | reply-race).
 	Variant string `json:"variant,omitempty"`
-	// Count sizes flooding attacks (default 500, max 100000).
+	// Count sizes flooding attacks (default 500, max 100000). A scan
+	// sweeps hosts 1..Count of the attacker's segment, stopping at the
+	// subnet's last host address (254 on the flat /24).
 	Count int `json:"count,omitempty"`
 	// PeriodSeconds paces periodic actions (default 2, minimum 0.001).
 	PeriodSeconds float64 `json:"periodSeconds,omitempty"`
@@ -342,6 +348,8 @@ type runConfig struct {
 	registry    *telemetry.Registry
 	eventStream io.Writer
 	eventMin    telemetry.Severity
+	tracing     bool
+	hook        func(*Deployment) func()
 }
 
 // WithRegistry uses the supplied registry instead of a run-private one, so
@@ -354,6 +362,22 @@ func WithRegistry(reg *telemetry.Registry) RunOption {
 // while the scenario runs (the CLI's -v flag).
 func WithEventStream(w io.Writer, min telemetry.Severity) RunOption {
 	return func(c *runConfig) { c.eventStream, c.eventMin = w, min }
+}
+
+// WithTracing enables causal span tracing on a flat LAN (see
+// labnet.Config.Tracing): the run's registry then carries the recorder,
+// reachable through Registry.Causal. Campus runs ignore it.
+func WithTracing() RunOption {
+	return func(c *runConfig) { c.tracing = true }
+}
+
+// WithHook hands the deployed topology to hook once schemes, the attack
+// timeline, faults and background traffic are armed, just before the run:
+// the hook may add taps, handlers and events of its own. The func it
+// returns, when not nil, is called after the run and before the topology
+// is recycled — the last moment hosts, caches and sinks can be read.
+func WithHook(hook func(*Deployment) func()) RunOption {
+	return func(c *runConfig) { c.hook = hook }
 }
 
 // Render writes a human-readable summary.
@@ -431,7 +455,7 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	}
 
 	layers := spec.layers()
-	top, err := spec.assemble(layers, reg)
+	top, err := spec.assemble(layers, reg, rc.tracing)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +465,7 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 	sites[0].LAN.Switch.AddTap(capture.Tap())
 	sites[0].Sink.Instrument(reg)
 
-	var dep deployment
+	dep := Deployment{Sites: sites}
 	for k, layer := range layers {
 		if err := deployOnto(sites, layer, &dep); err != nil {
 			return nil, layerErr(k, err)
@@ -483,9 +507,16 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 		}
 	}
 
+	var after func()
+	if rc.hook != nil {
+		after = rc.hook(&dep)
+	}
 	duration := time.Duration(spec.DurationSeconds * float64(time.Second))
 	if err := top.Run(duration); err != nil {
 		return nil, err
+	}
+	if after != nil {
+		after()
 	}
 
 	gwIP, _ := atkSite.Gateway()
@@ -538,7 +569,7 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 // labnet.Single, or the routed campus. The top-level layer's construction
 // host options reach every segment, a campus deployment's only the LANs
 // it selects.
-func (spec *Spec) assemble(layers []LANDeployment, reg *telemetry.Registry) (labnet.Topology, error) {
+func (spec *Spec) assemble(layers []LANDeployment, reg *telemetry.Registry, tracing bool) (labnet.Topology, error) {
 	prof, _ := kernelpolicy.Find(spec.Policy) // Validate vouched for the name
 	shared, err := hostOptions(layers[0])
 	if err != nil {
@@ -554,6 +585,7 @@ func (spec *Spec) assemble(layers []LANDeployment, reg *telemetry.Registry) (lab
 			WithMonitor:  true,
 			HostOptions:  shared,
 			Telemetry:    reg,
+			Tracing:      tracing,
 		})
 		return &labnet.Single{LAN: l, Sink: schemes.NewSink(), Registry: reg}, nil
 	}
@@ -611,6 +643,8 @@ func armAttacks(spec *Spec, site *labnet.Site) error {
 			if err != nil {
 				return err
 			}
+			signed := spec.runsScheme(site.Index, registry.NameSARP)
+			tagged := spec.runsScheme(site.Index, registry.NameTARP)
 			action = func() {
 				if variant == attack.VariantReplyRace {
 					atk.ArmReplyRace(gwIP, victim.IP(), 0)
@@ -619,6 +653,18 @@ func armAttacks(spec *Spec, site *labnet.Site) error {
 					return
 				}
 				atk.Poison(variant, gwIP, atk.MAC(), victim.MAC(), victim.IP())
+				// S-ARP and TARP hosts ignore plain ARP: also forge the
+				// segment's secured reply so those schemes have something
+				// to reject.
+				if signed {
+					m := &sarp.Message{ARP: arppkt.NewReply(atk.MAC(), gwIP, victim.MAC(), victim.IP()),
+						Timestamp: site.LAN.Sched.Now(), Sig: []byte("forged")}
+					atk.NIC().Send(&frame.Frame{Dst: victim.MAC(), Src: atk.MAC(), Type: frame.TypeSARP, Payload: m.Encode()})
+				}
+				if tagged {
+					m := &tarp.Message{ARP: arppkt.NewReply(atk.MAC(), gwIP, victim.MAC(), victim.IP())}
+					atk.NIC().Send(&frame.Frame{Dst: victim.MAC(), Src: atk.MAC(), Type: frame.TypeTARP, Payload: m.Encode()})
+				}
 			}
 		case "mitm":
 			action = func() {
@@ -640,8 +686,9 @@ func armAttacks(spec *Spec, site *labnet.Site) error {
 				atk.FloodCache(ethaddr.NewGen(spec.Seed+17), subnet, count, time.Millisecond)
 			}
 		case "scan":
+			last := min(count, subnet.HostCount())
 			action = func() {
-				atk.Scan(subnet, 1, count%255, 10*time.Millisecond)
+				atk.Scan(subnet, 1, last, 10*time.Millisecond)
 			}
 		case "port-steal":
 			action = func() {

@@ -401,3 +401,47 @@ func TestFaultSectionValidatedAtRun(t *testing.T) {
 		t.Fatalf("err = %v, want dhcp-outage rejection (scenarios deploy no DHCP server)", err)
 	}
 }
+
+// TestScanCountClampsToSubnet: a scan walks hosts 1..count, stopping at the
+// last host address of the attacker's segment — a /24 has 254 — however
+// large the count.
+func TestScanCountClampsToSubnet(t *testing.T) {
+	for _, tt := range []struct{ count, want int }{{254, 254}, {255, 254}, {256, 254}, {500, 254}} {
+		spec := &Spec{
+			DurationSeconds: 5,
+			Attacks:         []AttackSpec{{Type: "scan", Count: tt.count}},
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AttackerForged != uint64(tt.want) {
+			t.Fatalf("count %d forged %d scan requests, want %d", tt.count, res.AttackerForged, tt.want)
+		}
+	}
+}
+
+// TestPoisonAgainstCryptoSchemes: S-ARP and TARP hosts ignore plain ARP, so
+// a poison on their segment also forges a secured reply — each scheme must
+// reject and report it, and no host may end up poisoned.
+func TestPoisonAgainstCryptoSchemes(t *testing.T) {
+	for _, scheme := range []string{"s-arp", "tarp"} {
+		for _, variant := range []string{"gratuitous", "unsolicited-reply", "request-spoof"} {
+			spec := &Spec{
+				DurationSeconds: 10,
+				Schemes:         []SchemeSpec{{Name: scheme}},
+				Attacks:         []AttackSpec{{AtSeconds: 2, Type: "poison", Variant: variant}},
+			}
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AlertsByScheme[scheme] == 0 {
+				t.Fatalf("%s vs %s raised no alert: %v", scheme, variant, res.AlertsByScheme)
+			}
+			if res.PoisonedHosts != 0 {
+				t.Fatalf("%s vs %s poisoned %d hosts", scheme, variant, res.PoisonedHosts)
+			}
+		}
+	}
+}

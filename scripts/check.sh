@@ -1,7 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's CI gate, runnable locally.
 #
-# Runs, in order: formatting check, vet, build, the full test suite, a
+# Runs, in order: formatting check, vet, build, the full test suite, vet
+# and tests of the nested bench/ module (root ./... skips it, so an API
+# change that breaks the benchmark driver would otherwise pass), a
 # race-detector pass over the packages that exercise the whole stack at
 # once (scripts/race.sh, also `make race`), the hot-path allocation gates
 # (encode/decode, cache, CAM, unicast transit, broadcast fan-out,
@@ -40,6 +42,9 @@ go build ./...
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> bench module: go vet ./... && go test ./..."
+(cd bench && go vet ./... && go test ./...)
 
 ./scripts/race.sh
 
