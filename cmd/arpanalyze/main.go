@@ -51,7 +51,7 @@ func run(w io.Writer, args []string) error {
 	gateway := fs.String("gateway", "", "hosted gateway identity as ip=mac (default: workbench convention)")
 	victim := fs.String("victim", "", "hosted victim identity as ip=mac (default: workbench convention)")
 	seed := fs.Int64("seed", 1, "workbench seed the capture was taken with (derives default identities)")
-	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address (e.g. localhost:6060)")
+	httpAddr := ops.Flag(fs)
 	list := fs.Bool("list", false, "list registered schemes and exit")
 	verbose := fs.Bool("v", false, "stream telemetry events to stderr as NDJSON")
 	if err := fs.Parse(args); err != nil {
@@ -124,22 +124,13 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	if *httpAddr != "" {
-		srv, err := ops.Serve(*httpAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", srv.Addr())
-		// Re-render /metrics once per simulated second, from the replay
-		// clock's goroutine (the registry has a single owner), and leave a
-		// final snapshot plus a flight dump behind.
-		eng.Scheduler().Every(time.Second, func() { srv.Publish(reg) })
-		defer func() {
-			srv.Publish(reg)
-			srv.PublishFlight(reg, eng.Scheduler().Now(), "final", "end of replay")
-		}()
+	// No sink is watched: the engine's alert slot feeds the NDJSON stream.
+	srv, err := ops.Start(*httpAddr, reg)
+	if err != nil {
+		return err
 	}
+	defer func() { srv.Finish(eng.Scheduler().Now(), "end of replay") }()
+	srv.Watch(eng.Scheduler(), nil)
 
 	src, err := openSource(*in, *format)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -170,5 +171,43 @@ func TestIsPCAPMagic(t *testing.T) {
 		if got := isPCAPMagic(tc.b); got != tc.want {
 			t.Errorf("isPCAPMagic(% x) = %v, want %v", tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestHTTPParity pins that serving -http leaves a replay alone: the alert
+// stream is byte-identical, and so is the summary once its host-timed
+// throughput is masked.
+func TestHTTPParity(t *testing.T) {
+	timing := regexp.MustCompile(` in \S+ \(\d+ frames/s\)`)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"arpwatch", []string{"-scheme", "arpwatch"}},
+		{"stack-sharded", []string{"-scheme", "dai+arpwatch+port-security", "-workers", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "alerts.ndjson")
+			runOnce := func(extra ...string) (string, string) {
+				var summary bytes.Buffer
+				args := append([]string{"-in", replayTestdata(t, "mitm.pcap"), "-out", out}, tc.args...)
+				if err := run(&summary, append(args, extra...)); err != nil {
+					t.Fatal(err)
+				}
+				alerts, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(alerts), timing.ReplaceAllString(summary.String(), "")
+			}
+			alerts, summary := runOnce()
+			alertsWith, summaryWith := runOnce("-http", "127.0.0.1:0")
+			if alertsWith != alerts {
+				t.Fatalf("serving ops changed the alert stream:\nwith:\n%s\nwithout:\n%s", alertsWith, alerts)
+			}
+			if summaryWith != summary {
+				t.Fatalf("serving ops changed the summary:\nwith:\n%s\nwithout:\n%s", summaryWith, summary)
+			}
+		})
 	}
 }

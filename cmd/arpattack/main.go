@@ -59,10 +59,11 @@ func run(w io.Writer, args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
-	prof := kernelpolicy.ByName(*policy)
-	spec := &scenario.Spec{Seed: *seed, Policy: prof.Name, DurationSeconds: 10, Attacks: []scenario.AttackSpec{attackSpec}}
+	// scenario.Validate rejects an unknown -policy and lists the valid ones.
+	spec := &scenario.Spec{Seed: *seed, Policy: *policy, DurationSeconds: 10, Attacks: []scenario.AttackSpec{attackSpec}}
 
 	hook := func(d *scenario.Deployment) func() {
+		prof, _ := kernelpolicy.Find(spec.Policy)
 		l := d.Sites[0].LAN
 		gw, victim, atk := l.Gateway(), l.Victim(), l.Attacker
 		fmt.Fprintf(w, "LAN %s: gateway %s (%s), victim %s (%s), attacker %s (%s)\n",

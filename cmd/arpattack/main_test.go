@@ -83,3 +83,16 @@ func TestUnknownVariant(t *testing.T) {
 		t.Fatal("unknown variant accepted")
 	}
 }
+
+// TestUnknownPolicy pins that a misspelt -policy is an error naming the
+// valid profiles, not a silent run on the naive baseline.
+func TestUnknownPolicy(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, []string{"-policy", "bogus"})
+	if err == nil {
+		t.Fatalf("unknown policy accepted:\n%s", buf.String())
+	}
+	if !strings.Contains(err.Error(), "solicited-only") {
+		t.Fatalf("error does not list the valid policies: %v", err)
+	}
+}

@@ -169,7 +169,7 @@ func run(w io.Writer, args []string) error {
 	cache := fs.Bool("cache", false, "memoize per-trial results across experiments in this run; hit/miss counts go to -metrics telemetry and stderr")
 	recommend := fs.String("recommend", "", "print the ranked schemes and scoring rationale for an environment: soho | enterprise | open-wifi | lab-static")
 	metricsPath := fs.String("metrics", "", "write per-experiment runtime metrics (wall time, allocations, GC) to this file as JSON")
-	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address while experiments run (e.g. localhost:6060)")
+	httpAddr := ops.Flag(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the run to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
@@ -211,34 +211,19 @@ func run(w io.Writer, args []string) error {
 	}
 	eval.SetParallelism(*parallel)
 
-	var tel *telemetry.Registry
+	// Trial registries are per-trial and private: the published registry
+	// carries the harness's own counters, e.g. the result cache's hits and
+	// misses, re-rendered after every finished experiment.
+	tel := telemetry.New()
 	if *cache {
-		tel = telemetry.New()
 		eval.EnableResultCache(tel)
 		defer eval.DisableResultCache()
 	}
-
-	var srv *ops.Server
-	if *httpAddr != "" {
-		if tel == nil {
-			tel = telemetry.New() // something to publish even without -cache
-		}
-		s, err := ops.Serve(*httpAddr)
-		if err != nil {
-			return err
-		}
-		srv = s
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", srv.Addr())
-		// The pprof endpoints profile the live run; /metrics re-renders
-		// after every finished experiment (trial registries are per-trial
-		// and private — the published registry carries the harness's own
-		// counters, e.g. the result cache's hits and misses).
-		defer func() {
-			srv.Publish(tel)
-			srv.PublishFlight(tel, 0, "final", "all experiments rendered")
-		}()
+	srv, err := ops.Start(*httpAddr, tel)
+	if err != nil {
+		return err
 	}
+	defer srv.Finish(0, "all experiments rendered")
 
 	selected, err := selection(*runIDs, *table, *figure)
 	if err != nil {

@@ -204,3 +204,25 @@ func TestTable9ParallelByteIdentical(t *testing.T) {
 		t.Fatalf("missing best-single rows:\n%s", seq.String())
 	}
 }
+
+// TestHTTPParity pins that serving -http leaves the rendered experiments
+// alone: text and JSON output are byte-identical with and without it.
+func TestHTTPParity(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "table1"},
+		{"-run", "table1,table3", "-trials", "2", "-json", "-cache"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var without, with bytes.Buffer
+			if err := run(&without, args); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(&with, append(args, "-http", "127.0.0.1:0")); err != nil {
+				t.Fatal(err)
+			}
+			if with.String() != without.String() {
+				t.Fatalf("serving ops changed the output:\nwith:\n%s\nwithout:\n%s", with.String(), without.String())
+			}
+		})
+	}
+}

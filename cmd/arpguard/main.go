@@ -23,7 +23,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ops"
 	"repro/internal/scenario"
-	"repro/internal/schemes"
 	"repro/internal/schemes/registry"
 	"repro/internal/telemetry"
 )
@@ -60,7 +59,7 @@ func run(w io.Writer, args []string) error {
 	listSchemes := fs.Bool("schemes", false, "print the scheme catalogue (name, vantage, cost, default params) and exit")
 	atk := fs.String("attack", "mitm", "gratuitous | unsolicited-reply | request-spoof | mitm | scan")
 	metricsPath := fs.String("metrics", "", "write the telemetry snapshot to this file (JSON, or Prometheus text with a .prom suffix)")
-	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address for the run (e.g. localhost:6060)")
+	httpAddr := ops.Flag(fs)
 	traceRun := fs.Bool("trace", false, "enable causal tracing: print the attack's span tree and its detection-latency stage attribution")
 	verbose := fs.Bool("v", false, "stream telemetry events to stderr as NDJSON")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -92,42 +91,35 @@ func run(w io.Writer, args []string) error {
 	}
 
 	reg := telemetry.New()
-	opts := []scenario.RunOption{scenario.WithRegistry(reg)}
 	if *verbose {
-		opts = append(opts, scenario.WithEventStream(os.Stderr, telemetry.SevDebug))
+		reg.Events().StreamTo(os.Stderr, telemetry.SevDebug)
 	}
+	opts := []scenario.RunOption{scenario.WithRegistry(reg)}
 	if *traceRun {
 		opts = append(opts, scenario.WithTracing())
 	}
-	var srv *ops.Server
-	if *httpAddr != "" {
-		if srv, err = ops.Serve(*httpAddr); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", srv.Addr())
+	srv, err := ops.Start(*httpAddr, reg)
+	if err != nil {
+		return err
 	}
+	var end time.Duration
+	defer func() { srv.Finish(end, "end of run, no alerts") }()
 
 	fmt.Fprintf(w, "scheme %s vs attack %s (victims run the naive cache policy)\n\n", st.Label(), *atk)
 	opts = append(opts, scenario.WithHook(func(d *scenario.Deployment) func() {
 		site := d.Sites[0]
 		l := site.LAN
 		gw, victim := l.Gateway(), l.Victim()
-		if srv != nil {
-			l.Sched.Every(time.Second, func() { srv.Publish(reg) })
-			// Every alert trips the flight recorder: the dump holds the
-			// spans and events leading up to the detection, queryable
-			// while the run is live and after it ends.
-			site.Sink.OnAlert(func(a schemes.Alert) {
-				srv.PublishFlight(reg, l.Sched.Now(), "alert", a.Scheme+": "+a.Detail)
-			})
-		}
+		// Every alert trips the flight recorder: the dump holds the spans
+		// and events leading up to the detection.
+		srv.Watch(l.Sched, site.Sink)
 		// A victim that never resolved its gateway has nothing worth
 		// hijacking: warm the cache with one legitimate resolution, so a
 		// late legit reply cannot cure the poison. (Crypto LANs ignore the
 		// plain request; their nodes resolve out of band.)
 		victim.Resolve(gw.IP(), nil)
 		return func() {
+			end = l.Sched.Now()
 			verdict := "clean"
 			if mac, ok := victim.Cache().Lookup(gw.IP()); ok && mac == l.Attacker.MAC() {
 				verdict = fmt.Sprintf("POISONED (gateway → %s)", mac)
@@ -149,12 +141,6 @@ func run(w io.Writer, args []string) error {
 			}
 			if *traceRun {
 				eval.WriteDetectionTrace(w, reg, st.Label(), gw.IP().String(), victim.IP().String())
-			}
-			if srv != nil {
-				srv.Publish(reg)
-				if _, ok := srv.LastFlight(); !ok {
-					srv.PublishFlight(reg, l.Sched.Now(), "final", "end of run, no alerts")
-				}
 			}
 		}
 	}))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -203,23 +204,39 @@ func TestTraceFlag(t *testing.T) {
 	}
 }
 
-// TestHTTPFlag runs a guarded attack with the ops server bound to an
-// ephemeral port and scrapes it mid-run-state: metrics exposition and the
-// alert-triggered flight dump.
-func TestHTTPFlag(t *testing.T) {
-	// The run completes before we can scrape, so probe through the handler
-	// state the deferred final publish leaves behind — via a real GET in
-	// the ops package's own tests; here assert the flag is accepted and the
-	// run is unperturbed by serving.
-	var with, without bytes.Buffer
-	if err := run(&without, []string{"-scheme", "arpwatch", "-attack", "mitm"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&with, []string{"-scheme", "arpwatch", "-attack", "mitm", "-http", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	if with.String() != without.String() {
-		t.Fatalf("serving ops changed the run:\nwith:\n%s\nwithout:\n%s", with.String(), without.String())
+// TestHTTPParity pins that serving -http leaves a run alone: the
+// narration is byte-identical, and the -metrics snapshot differs only in
+// the two families the virtual-second publish tick moves.
+func TestHTTPParity(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		metrics string
+	}{
+		{"arpwatch-mitm", []string{"-scheme", "arpwatch", "-attack", "mitm"}, "m.prom"},
+		{"hybrid-guard-mitm-trace", []string{"-scheme", "hybrid-guard", "-attack", "mitm", "-trace"}, "m.json"},
+		{"stack-gratuitous", []string{"-scheme", "dai+arpwatch+port-security", "-attack", "gratuitous"}, "m.prom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.metrics)
+			runOnce := func(extra ...string) (string, string) {
+				var buf bytes.Buffer
+				if err := run(&buf, append(append([]string{"-metrics", path}, tc.args...), extra...)); err != nil {
+					t.Fatal(err)
+				}
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return buf.String(), string(blob)
+			}
+			without, metricsWithout := runOnce()
+			with, metricsWith := runOnce("-http", "127.0.0.1:0")
+			if with != without {
+				t.Fatalf("serving ops changed the narration:\nwith:\n%s\nwithout:\n%s", with, without)
+			}
+			tickOnly(t, "-metrics "+tc.metrics, metricsWithout, metricsWith)
+		})
 	}
 }
 
@@ -230,5 +247,23 @@ func TestUnknownSchemeAndAttack(t *testing.T) {
 	}
 	if err := run(&buf, []string{"-attack", "nonsense"}); err == nil {
 		t.Fatal("unknown attack accepted")
+	}
+}
+
+// tickFigures matches the values of the two metric families the -http
+// publish tick moves (one more scheduler event per virtual second, a queue
+// up to one deeper), in Prometheus text and in an indented JSON snapshot.
+var tickFigures = regexp.MustCompile(`(sim_events_executed_total|sim_queue_depth_highwater)(",\s*"value":)? \d+`)
+
+// tickOnly fails t unless with differs from without in tickFigures values
+// and nowhere else.
+func tickOnly(t *testing.T, what, without, with string) {
+	t.Helper()
+	if with == without {
+		t.Fatalf("%s: identical with -http; the publish tick never ran", what)
+	}
+	masked := func(s string) string { return tickFigures.ReplaceAllString(s, "$1 N") }
+	if masked(with) != masked(without) {
+		t.Fatalf("%s differs outside the tick's two families:\nwith:\n%s\nwithout:\n%s", what, with, without)
 	}
 }

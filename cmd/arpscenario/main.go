@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/ops"
 	"repro/internal/scenario"
@@ -30,7 +31,7 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("arpscenario", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
-	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address for the run (e.g. localhost:6060)")
+	httpAddr := ops.Flag(fs)
 	metricsPath := fs.String("metrics", "", "write the telemetry snapshot to this file (JSON, or Prometheus text with a .prom suffix)")
 	verbose := fs.Bool("v", false, "stream telemetry events to stderr as NDJSON")
 	if err := fs.Parse(args); err != nil {
@@ -54,26 +55,26 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	reg := telemetry.New()
-	opts := []scenario.RunOption{scenario.WithRegistry(reg)}
 	if *verbose {
-		opts = append(opts, scenario.WithEventStream(os.Stderr, telemetry.SevDebug))
+		reg.Events().StreamTo(os.Stderr, telemetry.SevDebug)
 	}
-	var srv *ops.Server
-	if *httpAddr != "" {
-		if srv, err = ops.Serve(*httpAddr); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", srv.Addr())
-	}
-	res, err := scenario.Run(spec, opts...)
+	srv, err := ops.Start(*httpAddr, reg)
 	if err != nil {
 		return err
 	}
-	// The scenario engine owns its scheduler internally, so the ops surface
-	// publishes once with the completed run's registry state.
-	srv.Publish(reg)
-	srv.PublishFlight(reg, 0, "final", "scenario complete")
+	var end time.Duration
+	defer func() { srv.Finish(end, "scenario complete") }()
+	// Site 0 is the registry's one writer (a campus instruments LAN 0's
+	// time domain only), so its scheduler publishes and its sink trips
+	// the flight recorder.
+	res, err := scenario.Run(spec, scenario.WithRegistry(reg), scenario.WithHook(func(d *scenario.Deployment) func() {
+		site := d.Sites[0]
+		srv.Watch(site.LAN.Sched, site.Sink)
+		return func() { end = site.LAN.Sched.Now() }
+	}))
+	if err != nil {
+		return err
+	}
 	if *metricsPath != "" {
 		if err := reg.WriteFile(*metricsPath); err != nil {
 			return err

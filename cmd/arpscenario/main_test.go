@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,43 @@ func TestMetricsFlag(t *testing.T) {
 	}
 }
 
+// TestHTTPParity pins that serving -http leaves every bundled scenario
+// alone, campus ones included: the text result is byte-identical, and the
+// -json result and the -metrics exposition differ only in the two families
+// site 0's virtual-second publish tick moves.
+func TestHTTPParity(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bundled scenarios: %v", err)
+	}
+	for _, scen := range paths {
+		t.Run(filepath.Base(scen), func(t *testing.T) {
+			prom := filepath.Join(t.TempDir(), "m.prom")
+			runOnce := func(args ...string) (string, string) {
+				var buf bytes.Buffer
+				if err := run(&buf, append(append([]string{"-metrics", prom}, args...), scen)); err != nil {
+					t.Fatal(err)
+				}
+				blob, err := os.ReadFile(prom)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return buf.String(), string(blob)
+			}
+			const serve = "-http=127.0.0.1:0"
+			text, metrics := runOnce()
+			textWith, metricsWith := runOnce(serve)
+			if textWith != text {
+				t.Fatalf("serving ops changed the result:\nwith:\n%s\nwithout:\n%s", textWith, text)
+			}
+			tickOnly(t, "-metrics", metrics, metricsWith)
+			js, _ := runOnce("-json")
+			jsWith, _ := runOnce("-json", serve)
+			tickOnly(t, "-json", js, jsWith)
+		})
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, nil); err == nil {
@@ -150,5 +188,23 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if err := run(&buf, []string{"/nonexistent.json"}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// tickFigures matches the values of the two metric families the -http
+// publish tick moves (one more scheduler event per virtual second, a queue
+// up to one deeper), in Prometheus text and in an indented JSON snapshot.
+var tickFigures = regexp.MustCompile(`(sim_events_executed_total|sim_queue_depth_highwater)(",\s*"value":)? \d+`)
+
+// tickOnly fails t unless with differs from without in tickFigures values
+// and nowhere else.
+func tickOnly(t *testing.T, what, without, with string) {
+	t.Helper()
+	if with == without {
+		t.Fatalf("%s: identical with -http; the publish tick never ran", what)
+	}
+	masked := func(s string) string { return tickFigures.ReplaceAllString(s, "$1 N") }
+	if masked(with) != masked(without) {
+		t.Fatalf("%s differs outside the tick's two families:\nwith:\n%s\nwithout:\n%s", what, with, without)
 	}
 }

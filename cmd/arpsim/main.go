@@ -42,7 +42,7 @@ func run(w io.Writer, args []string) error {
 	pcapPath := fs.String("pcap", "", "write the packet capture to this file as a Wireshark-compatible pcap")
 	ndjsonPath := fs.String("ndjson", "", "write the packet capture as an NDJSON stream (\"-\" for stdout, pipeable into arpanalyze)")
 	metricsPath := fs.String("metrics", "", "write the telemetry snapshot to this file (JSON, or Prometheus text with a .prom suffix)")
-	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address for the run (e.g. localhost:6060)")
+	httpAddr := ops.Flag(fs)
 	verbose := fs.Bool("v", false, "stream telemetry events to stderr as NDJSON")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	if err := fs.Parse(args); err != nil {
@@ -65,22 +65,13 @@ func run(w io.Writer, args []string) error {
 		WithMonitor:  false,
 		Telemetry:    reg,
 	})
-	if *httpAddr != "" {
-		srv, err := ops.Serve(*httpAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", srv.Addr())
-		// Re-render /metrics once per simulated second (from the scheduler
-		// goroutine — the registry has a single owner) and leave a final
-		// snapshot plus a flight dump behind when the run completes.
-		l.Sched.Every(time.Second, func() { srv.Publish(reg) })
-		defer func() {
-			srv.Publish(reg)
-			srv.PublishFlight(reg, l.Sched.Now(), "final", "end of run")
-		}()
+	srv, err := ops.Start(*httpAddr, reg)
+	if err != nil {
+		return err
 	}
+	defer func() { srv.Finish(l.Sched.Now(), "end of run") }()
+	srv.Watch(l.Sched, nil)
+
 	cap := trace.NewCapture(0)
 	cap.Instrument(reg)
 	l.Switch.AddTap(cap.Tap())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -64,5 +65,58 @@ func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-no-such-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestHTTPParity pins that serving -http leaves a run alone: the summary
+// is byte-identical, and the -metrics snapshot differs only in the two
+// families the virtual-second publish tick moves.
+func TestHTTPParity(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		metrics string
+	}{
+		{"mesh", []string{"-hosts", "6", "-duration", "10s"}, "m.prom"},
+		{"dhcp", []string{"-hosts", "4", "-duration", "5s", "-dhcp"}, "m.json"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.metrics)
+			runOnce := func(extra ...string) (string, string) {
+				var buf bytes.Buffer
+				if err := run(&buf, append(append([]string{"-metrics", path}, tc.args...), extra...)); err != nil {
+					t.Fatal(err)
+				}
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return buf.String(), string(blob)
+			}
+			without, metricsWithout := runOnce()
+			with, metricsWith := runOnce("-http", "127.0.0.1:0")
+			if with != without {
+				t.Fatalf("serving ops changed the summary:\nwith:\n%s\nwithout:\n%s", with, without)
+			}
+			tickOnly(t, "-metrics "+tc.metrics, metricsWithout, metricsWith)
+		})
+	}
+}
+
+// tickFigures matches the values of the two metric families the -http
+// publish tick moves (one more scheduler event per virtual second, a queue
+// up to one deeper), in Prometheus text and in an indented JSON snapshot.
+var tickFigures = regexp.MustCompile(`(sim_events_executed_total|sim_queue_depth_highwater)(",\s*"value":)? \d+`)
+
+// tickOnly fails t unless with differs from without in tickFigures values
+// and nowhere else.
+func tickOnly(t *testing.T, what, without, with string) {
+	t.Helper()
+	if with == without {
+		t.Fatalf("%s: identical with -http; the publish tick never ran", what)
+	}
+	masked := func(s string) string { return tickFigures.ReplaceAllString(s, "$1 N") }
+	if masked(with) != masked(without) {
+		t.Fatalf("%s differs outside the tick's two families:\nwith:\n%s\nwithout:\n%s", what, with, without)
 	}
 }

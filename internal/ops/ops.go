@@ -4,13 +4,17 @@
 // flight-recorder dump of the most recent causal spans and telemetry
 // events.
 //
+// Every CLI wires it the same way, with no branch on the flag: Flag, then
+// Start (nil without -http; every method is a no-op on nil), Watch on the
+// scheduler that owns the registry, and a deferred Finish. That is one
+// publish policy: /metrics every virtual second, a flight dump on each
+// alert of a watched sink, and both once more at the end.
+//
 // The simulation is single-threaded and its telemetry registry is owned by
 // that one goroutine, so HTTP handlers never touch the registry. Instead
-// the owning goroutine calls Publish (and PublishFlight) at points it
-// chooses — on a periodic virtual-time tick, on an alert, on a fault, at
-// the end of the run — each of which renders the state to bytes and swaps
-// them into an atomic cell the handlers serve. Readers always get a
-// complete, consistent document; the simulation never blocks on a scrape.
+// the owning goroutine renders the state to bytes (Publish, PublishFlight)
+// and swaps them into an atomic cell the handlers serve. Readers always get
+// a complete, consistent document; the simulation never blocks on a scrape.
 //
 // Endpoints:
 //
@@ -23,13 +27,17 @@ package ops
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/schemes"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/causal"
 )
@@ -49,8 +57,9 @@ type FlightDump struct {
 }
 
 // Server is the ops HTTP server. The zero value is not usable; construct
-// with New (handler only) or Serve (bound listener).
+// with Start (bound listener) or New (handler only).
 type Server struct {
+	reg     *telemetry.Registry // what Watch and Finish publish (Start)
 	mux     *http.ServeMux
 	metrics atomic.Value // []byte: last published Prometheus exposition
 	flight  atomic.Value // []byte: last published flight dump (JSON)
@@ -89,22 +98,68 @@ func New() *Server {
 	return s
 }
 
-// Serve binds addr (host:port; :0 picks a free port) and serves the ops
-// surface on a background goroutine until Close.
-func Serve(addr string) (*Server, error) {
-	s := New()
+// Flag registers -http on fs: the one place the flag is defined.
+func Flag(fs *flag.FlagSet) *string {
+	return fs.String("http", "", "serve /metrics, /healthz, /debug/pprof and /debug/flight on this address for the run (e.g. localhost:6060)")
+}
+
+// Start serves reg's ops surface on addr (host:port; :0 picks a free port)
+// until Finish and announces the bound address on stderr. An empty addr
+// serves nothing and returns nil.
+func Start(addr string, reg *telemetry.Registry) (*Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ops: listen %s: %w", addr, err)
 	}
-	s.ln = ln
+	s := New()
+	s.reg, s.ln = reg, ln
 	s.httpSrv = &http.Server{Handler: s.mux}
 	go s.httpSrv.Serve(ln)
+	fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", s.Addr())
 	return s, nil
 }
 
+// Watch republishes /metrics every virtual second of sched and, when sink
+// is non-nil, dumps a flight with reason "alert" on each alert, taking the
+// sink's one OnAlert slot. Call it before the run, on the scheduler whose
+// goroutine owns the registry. The tick is a scheduler event, so a watched
+// run executes one more event per virtual second and its queue can run one
+// deeper: sim_events_executed_total and sim_queue_depth_highwater are the
+// only metrics -http moves.
+func (s *Server) Watch(sched *sim.Scheduler, sink *schemes.Sink) {
+	if s == nil {
+		return
+	}
+	sched.Every(time.Second, func() { s.Publish(s.reg) })
+	if sink != nil {
+		sink.OnAlert(func(a schemes.Alert) {
+			s.PublishFlight(s.reg, sched.Now(), "alert", a.Scheme+": "+a.Detail)
+		})
+	}
+}
+
+// Finish publishes /metrics once more, dumps a flight with reason "final"
+// at virtual time now unless one was already dumped, and stops the
+// listener; published state stays readable through Handler. Defer it, so
+// every return path closes.
+func (s *Server) Finish(now time.Duration, note string) {
+	if s == nil {
+		return
+	}
+	s.Publish(s.reg)
+	if len(s.flight.Load().([]byte)) == 0 {
+		s.PublishFlight(s.reg, now, "final", note)
+	}
+	if s.httpSrv != nil {
+		s.httpSrv.Close()
+	}
+}
+
 // Addr returns the bound listen address ("" without a listener) — the
-// resolved port when Serve was given :0.
+// resolved port when Start was given :0.
 func (s *Server) Addr() string {
 	if s == nil || s.ln == nil {
 		return ""
@@ -115,18 +170,9 @@ func (s *Server) Addr() string {
 // Handler returns the ops mux for mounting or for httptest.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the listener. Published state stays readable through the
-// handler for callers holding it (tests).
-func (s *Server) Close() error {
-	if s == nil || s.httpSrv == nil {
-		return nil
-	}
-	return s.httpSrv.Close()
-}
-
 // Publish renders reg's current state to Prometheus text and makes it the
 // document /metrics serves. Call from the goroutine that owns the registry
-// — typically on a periodic simulation tick and once after the run.
+// — Watch's tick, Finish, or between experiments (arpbench).
 func (s *Server) Publish(reg *telemetry.Registry) {
 	if s == nil || reg == nil {
 		return
@@ -142,7 +188,7 @@ func (s *Server) Publish(reg *telemetry.Registry) {
 // events plus, with tracing enabled, the causal recorder's retained spans,
 // both bounded by their rings — and makes it the document /debug/flight
 // serves. reason and note say what tripped the capture. Call from the
-// owning goroutine (an alert callback, a fault hook, end of run).
+// owning goroutine (Watch's alert hook, Finish).
 func (s *Server) PublishFlight(reg *telemetry.Registry, now time.Duration, reason, note string) {
 	if s == nil || reg == nil {
 		return
@@ -161,21 +207,4 @@ func (s *Server) PublishFlight(reg *telemetry.Registry, now time.Duration, reaso
 		return
 	}
 	s.flight.Store(b)
-}
-
-// LastFlight decodes the currently published flight dump; ok is false when
-// nothing has been published yet.
-func (s *Server) LastFlight() (FlightDump, bool) {
-	if s == nil {
-		return FlightDump{}, false
-	}
-	b := s.flight.Load().([]byte)
-	if len(b) == 0 {
-		return FlightDump{}, false
-	}
-	var d FlightDump
-	if err := json.Unmarshal(b, &d); err != nil {
-		return FlightDump{}, false
-	}
-	return d, true
 }

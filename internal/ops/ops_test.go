@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/labnet"
+	"repro/internal/scenario"
 	"repro/internal/schemes"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -174,9 +177,6 @@ func TestFlightDumpRoundTrips(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(body) != "{}" {
 		t.Fatalf("unpublished /debug/flight: %d %q", resp.StatusCode, body)
 	}
-	if _, ok := s.LastFlight(); ok {
-		t.Fatal("LastFlight ok before any publish")
-	}
 
 	reg := tracedRun(t)
 	s.PublishFlight(reg, 5*time.Second, "alert", "test trigger")
@@ -207,11 +207,17 @@ func TestFlightDumpRoundTrips(t *testing.T) {
 	if !found {
 		t.Fatal("no attack root span in the flight dump")
 	}
+}
 
-	got, ok := s.LastFlight()
-	if !ok || got.Reason != "alert" || len(got.Spans) != len(dump.Spans) {
-		t.Fatalf("LastFlight = %+v ok=%v", got.Reason, ok)
+// flight decodes the flight dump s serves.
+func flight(t *testing.T, s *Server) FlightDump {
+	t.Helper()
+	_, body := get(t, s.Handler(), "/debug/flight")
+	var dump FlightDump
+	if err := json.Unmarshal([]byte(body), &dump); err != nil {
+		t.Fatalf("flight dump is not valid JSON: %v", err)
 	}
+	return dump
 }
 
 func TestPprofEndpointsRespond(t *testing.T) {
@@ -225,7 +231,7 @@ func TestPprofEndpointsRespond(t *testing.T) {
 }
 
 func TestServeBindsAndCloses(t *testing.T) {
-	s, err := Serve("127.0.0.1:0")
+	s, err := Start("127.0.0.1:0", telemetry.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +247,135 @@ func TestServeBindsAndCloses(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz over TCP: %d", resp.StatusCode)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s.Finish(0, "end of run")
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
-		t.Fatal("server still reachable after Close")
+		t.Fatal("server still reachable after Finish")
+	}
+	if dump := flight(t, s); dump.Reason != "final" || dump.Note != "end of run" {
+		t.Fatalf("Finish with no alert dumped %q (%q), want a final flight", dump.Reason, dump.Note)
 	}
 }
 
 func TestNilServerIsNoOp(t *testing.T) {
-	var s *Server
+	s, err := Start("", telemetry.New())
+	if s != nil || err != nil {
+		t.Fatalf("Start without an address = %v, %v; want nil, nil", s, err)
+	}
 	s.Publish(telemetry.New())
 	s.PublishFlight(telemetry.New(), 0, "x", "")
 	if s.Addr() != "" {
 		t.Fatal("nil Addr")
 	}
-	if err := s.Close(); err != nil {
+	s.Finish(0, "end of run")
+}
+
+// TestNilWatchSchedulesNothing pins that a CLI run without -http is the
+// run it was before the ops wiring: a nil server's Watch arms no tick and
+// takes no alert slot, and its Finish does nothing.
+func TestNilWatchSchedulesNothing(t *testing.T) {
+	var s *Server
+	sched := sim.NewScheduler(1)
+	sched.At(3*time.Second, func() {})
+	before := sched.Executed()
+	s.Watch(sched, schemes.NewSink())
+	if err := sched.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LastFlight(); ok {
-		t.Fatal("nil LastFlight ok")
+	if got := sched.Executed() - before; got != 1 {
+		t.Fatalf("executed %d events, want the 1 the test scheduled", got)
+	}
+	s.Finish(sched.Now(), "end of run")
+}
+
+// watchedRun runs spec the way arpscenario does with -http: Start, Watch
+// on site 0's scheduler and sink, Finish after the run. probe, when not
+// nil, is called at virtual second 2 with the server live.
+func watchedRun(t *testing.T, spec *scenario.Spec, probe func(*Server)) (*scenario.Result, FlightDump, string) {
+	t.Helper()
+	reg := telemetry.New()
+	s, err := Start("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end time.Duration
+	res, err := scenario.Run(spec, scenario.WithRegistry(reg), scenario.WithHook(func(d *scenario.Deployment) func() {
+		site := d.Sites[0]
+		s.Watch(site.LAN.Sched, site.Sink)
+		if probe != nil {
+			site.LAN.Sched.At(2*time.Second, func() { probe(s) })
+		}
+		return func() { end = site.LAN.Sched.Now() }
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Finish(end, "scenario complete")
+	_, body := get(t, s.Handler(), "/metrics")
+	return res, flight(t, s), body
+}
+
+// TestWatchPublishesMidRun is the live view a long scenario needs: a scrape
+// at virtual second 2 finds /metrics already rendered, an alert after it
+// dumps a flight with reason "alert", and Finish keeps that dump instead of
+// overwriting it with a "final" one.
+func TestWatchPublishesMidRun(t *testing.T) {
+	spec, err := scenario.Load(strings.NewReader(`{
+		"seed": 1, "hosts": 4, "durationSeconds": 6,
+		"schemes": [{"name": "arpwatch"}],
+		"attacks": [{"atSeconds": 3, "type": "mitm"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var midRun string
+	_, dump, final := watchedRun(t, spec, func(s *Server) {
+		resp, err := http.Get("http://" + s.Addr() + "/metrics")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		midRun = string(b)
+	})
+	if !strings.Contains(midRun, "sim_events_executed_total") {
+		t.Fatalf("/metrics at virtual second 2 = %q, want the running registry", midRun)
+	}
+	if dump.Reason != "alert" || !strings.HasPrefix(dump.Note, "arpwatch: ") || dump.At < 3*time.Second {
+		t.Fatalf("flight after the attack = %s at %v (%q), want an arpwatch alert after 3s", dump.Reason, dump.At, dump.Note)
+	}
+	if final == midRun || !strings.Contains(final, "sim_events_executed_total") {
+		t.Fatal("Finish did not republish /metrics")
+	}
+}
+
+// TestWatchCampusShardParity watches site 0 of a two-LAN campus while the
+// shards run on two workers: under -race this pins that the publish tick
+// and the alert dump only touch the registry from LAN 0's time domain, and
+// the Result matches the one-worker run.
+func TestWatchCampusShardParity(t *testing.T) {
+	run := func(workers int) (*scenario.Result, FlightDump) {
+		spec, err := scenario.Load(strings.NewReader(`{
+			"seed": 3, "durationSeconds": 20,
+			"campus": {"lans": 2, "hostsPerLAN": 24},
+			"schemes": [{"name": "arpwatch", "params": {"seedGateway": false}}],
+			"attacks": [{"atSeconds": 5, "type": "mitm"}]
+		}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Campus.Workers = workers
+		res, dump, _ := watchedRun(t, spec, nil)
+		// Engine counters such as sync waits depend on worker interleaving.
+		res.Telemetry = telemetry.Snapshot{}
+		return res, dump
+	}
+	ref, refDump := run(1)
+	got, gotDump := run(2)
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("result differs at 2 workers:\n%+v\n%+v", ref, got)
+	}
+	if refDump.Reason != "alert" || gotDump.Reason != refDump.Reason || gotDump.At != refDump.At || gotDump.Note != refDump.Note {
+		t.Fatalf("flight dumps differ: 1 worker %s at %v, 2 workers %s at %v", refDump.Reason, refDump.At, gotDump.Reason, gotDump.At)
 	}
 }

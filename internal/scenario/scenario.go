@@ -345,23 +345,16 @@ type StackResult struct {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	registry    *telemetry.Registry
-	eventStream io.Writer
-	eventMin    telemetry.Severity
-	tracing     bool
-	hook        func(*Deployment) func()
+	registry *telemetry.Registry
+	tracing  bool
+	hook     func(*Deployment) func()
 }
 
 // WithRegistry uses the supplied registry instead of a run-private one, so
-// callers can export the metrics themselves (e.g. Prometheus text).
+// callers can export the metrics themselves (e.g. Prometheus text) and
+// stream its events (Registry.Events().StreamTo, the CLIs' -v flag).
 func WithRegistry(reg *telemetry.Registry) RunOption {
 	return func(c *runConfig) { c.registry = reg }
-}
-
-// WithEventStream mirrors telemetry events at or above min to w as NDJSON
-// while the scenario runs (the CLI's -v flag).
-func WithEventStream(w io.Writer, min telemetry.Severity) RunOption {
-	return func(c *runConfig) { c.eventStream, c.eventMin = w, min }
 }
 
 // WithTracing enables causal span tracing on a flat LAN (see
@@ -437,9 +430,6 @@ func Run(spec *Spec, opts ...RunOption) (*Result, error) {
 		rc.registry = telemetry.New()
 	}
 	reg := rc.registry
-	if rc.eventStream != nil {
-		reg.Events().StreamTo(rc.eventStream, rc.eventMin)
-	}
 
 	if spec.Campus == nil && spec.Hosts == 0 {
 		spec.Hosts = 4

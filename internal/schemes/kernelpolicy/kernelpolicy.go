@@ -44,15 +44,6 @@ func Profiles() []Profile {
 	}
 }
 
-// ByName returns the named profile, defaulting to the naive baseline for
-// unknown names. Callers that want typos rejected use Find.
-func ByName(name string) Profile {
-	if p, ok := Find(name); ok {
-		return p
-	}
-	return Profiles()[0]
-}
-
 // Find returns the named profile, reporting whether it exists.
 func Find(name string) (Profile, bool) {
 	for _, p := range Profiles() {

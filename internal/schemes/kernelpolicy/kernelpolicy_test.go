@@ -29,13 +29,23 @@ func TestProfilesOrderedAndNamed(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if ByName("solicited-only").Policy != stack.PolicySolicitedOnly {
+func TestFind(t *testing.T) {
+	if p, ok := Find("solicited-only"); !ok || p.Policy != stack.PolicySolicitedOnly {
 		t.Fatal("lookup failed")
 	}
-	if ByName("nonsense").Name != "naive" {
-		t.Fatal("unknown name should default to the naive baseline")
+	if _, ok := Find("nonsense"); ok {
+		t.Fatal("unknown name found")
 	}
+}
+
+// profile is Find for names the table below knows exist.
+func profile(t *testing.T, name string) Profile {
+	t.Helper()
+	p, ok := Find(name)
+	if !ok {
+		t.Fatalf("no profile %q", name)
+	}
+	return p
 }
 
 // TestHardeningMonotonicity is the behavioural heart of the policy matrix:
@@ -69,7 +79,7 @@ func TestHardeningMonotonicity(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.profile+"/"+tt.variant.String(), func(t *testing.T) {
-			if got := vulnerable(ByName(tt.profile), tt.variant); got != tt.want {
+			if got := vulnerable(profile(t, tt.profile), tt.variant); got != tt.want {
 				t.Fatalf("vulnerable = %v, want %v", got, tt.want)
 			}
 		})
@@ -77,7 +87,7 @@ func TestHardeningMonotonicity(t *testing.T) {
 }
 
 func TestNoOverwriteProtectsEstablishedBinding(t *testing.T) {
-	l := labnet.New(labnet.Config{Policy: ByName("no-overwrite").Policy, WithAttacker: true, WithMonitor: false})
+	l := labnet.New(labnet.Config{Policy: profile(t, "no-overwrite").Policy, WithAttacker: true, WithMonitor: false})
 	gw := l.Gateway()
 	l.Victim().Resolve(gw.IP(), nil) // establish the genuine binding first
 	if err := l.Run(time.Second); err != nil {
