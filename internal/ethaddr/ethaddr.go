@@ -92,6 +92,13 @@ func (m MAC) IsLocallyAdministered() bool { return m[0]&0x02 != 0 }
 // first three octets of the address.
 func (m MAC) OUI() [3]byte { return [3]byte{m[0], m[1], m[2]} }
 
+// Uint64 returns the address as a big-endian integer in the low 48 bits,
+// a key for the dense indexes that map stations to slots.
+func (m MAC) Uint64() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 // ParseMAC parses a MAC address in colon- or hyphen-separated hexadecimal
 // form ("aa:bb:cc:dd:ee:ff" or "aa-bb-cc-dd-ee-ff"), case-insensitively.
 func ParseMAC(s string) (MAC, error) {

@@ -144,6 +144,15 @@ func TestIPv4Uint32RoundTrip(t *testing.T) {
 	}
 }
 
+func TestMACUint64(t *testing.T) {
+	if got := MustParseMAC("01:23:45:67:89:ab").Uint64(); got != 0x0123456789ab {
+		t.Errorf("Uint64 = %#x, want 0x0123456789ab", got)
+	}
+	if got := BroadcastMAC.Uint64(); got != 1<<48-1 {
+		t.Errorf("broadcast Uint64 = %#x, want 48 one bits", got)
+	}
+}
+
 func TestSubnet(t *testing.T) {
 	n := MustParseSubnet("192.168.88.0/24")
 	if got := n.String(); got != "192.168.88.0/24" {

@@ -17,8 +17,7 @@ import (
 // station learned in one VLAN is invisible to forwarding in another. The
 // VLAN ID above the 48-bit MAC makes one index key.
 func camKey(vlan uint16, mac ethaddr.MAC) uint64 {
-	return uint64(vlan)<<48 | uint64(mac[0])<<40 | uint64(mac[1])<<32 |
-		uint64(mac[2])<<24 | uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
+	return uint64(vlan)<<48 | mac.Uint64()
 }
 
 // camEntry is one learned (VLAN, MAC)→port association with an expiry

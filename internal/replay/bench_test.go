@@ -15,7 +15,8 @@ import (
 // read, parse, normalize into pooled frames, inject through the switch
 // with arpwatch deployed. Single-thread vs sharded is the BENCH_PR8
 // comparison; NDJSON is parse-bound (JSON + base64), which is what
-// sharding parallelizes, while pcap is already a near-memcpy read.
+// sharding parallelizes, while a pcap record is copied once, out of the
+// reader's buffered window.
 const (
 	benchFrames  = 120_000
 	benchSources = 64

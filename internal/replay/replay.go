@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/arppkt"
+	"repro/internal/denseidx"
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
 	"repro/internal/netsim"
@@ -116,10 +117,12 @@ type Engine struct {
 	inst  *registry.StackInstance
 	log   *alertLog
 
-	// nics maps a capture source MAC to the NIC that injects its frames:
-	// the hosted gateway/victim NICs for their identities, lazily-attached
-	// injector NICs for everything else.
-	nics map[ethaddr.MAC]*netsim.NIC
+	// nics holds the NIC that injects each capture source MAC's frames:
+	// the hosted gateway, victim and monitor NICs for their identities,
+	// lazily-attached injector NICs for everything else. nicIdx maps a
+	// MAC's 48 bits to its position, as the switch CAM keys stations.
+	nics   []*netsim.NIC
+	nicIdx denseidx.Index
 
 	arenas arenaRing
 	ring   frameRing
@@ -166,8 +169,9 @@ func New(cfg Config) (*Engine, error) {
 		sched: s,
 		sw:    sw,
 		sink:  schemes.NewSink(),
-		nics:  make(map[ethaddr.MAC]*netsim.NIC, 64),
+		nics:  make([]*netsim.NIC, 0, 64),
 	}
+	e.nicIdx.Init(64)
 	e.arenas.init()
 	if cfg.Telemetry != nil {
 		sw.Instrument(cfg.Telemetry)
@@ -199,7 +203,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Telemetry != nil {
 			h.Instrument(cfg.Telemetry)
 		}
-		e.nics[st.MAC] = nic
+		e.addNIC(nic)
 		return h, port
 	}
 	gwHost, gwPort := hosted("gateway", cfg.Gateway)
@@ -211,7 +215,7 @@ func New(cfg Config) (*Engine, error) {
 	mon := stack.NewHost(s, "monitor", monNIC, cfg.Monitor.IP, opts...)
 	monNIC.SetPromiscuous(true)
 	sw.MirrorAllTo(monPort)
-	e.nics[cfg.Monitor.MAC] = monNIC
+	e.addNIC(monNIC)
 
 	e.env = registry.Env{
 		Sched:       s,
@@ -248,14 +252,20 @@ func New(cfg Config) (*Engine, error) {
 // port, so broadcasts skip them and unicast frames addressed to them end
 // at the switch — the mirror copy is all the monitor needs.
 func (e *Engine) nicFor(src ethaddr.MAC) *netsim.NIC {
-	if nic, ok := e.nics[src]; ok {
-		return nic
+	if i := e.nicIdx.Get(src.Uint64()); i >= 0 {
+		return e.nics[i]
 	}
 	nic := netsim.NewNIC(e.sched, src)
 	e.sw.AddPort().Attach(nic, netsim.WithLatency(0), netsim.SendOnly())
-	e.nics[src] = nic
+	e.addNIC(nic)
 	e.stats.Stations++
 	return nic
+}
+
+// addNIC makes nic the injection NIC for its MAC.
+func (e *Engine) addNIC(nic *netsim.NIC) {
+	e.nicIdx.Set(nic.MAC().Uint64(), len(e.nics))
+	e.nics = append(e.nics, nic)
 }
 
 // Scheduler exposes the replay clock, e.g. to schedule periodic metric

@@ -73,51 +73,85 @@ func (c *Capture) WriteNDJSON(w io.Writer) error {
 }
 
 // maxNDJSONLine bounds one stream line; a frame is at most ~1.5 KiB so a
-// megabyte line is corruption, not capture data.
+// megabyte line is corruption, not capture data. A line must be shorter
+// than this, counting a trailing CR but not the LF.
 const maxNDJSONLine = 1 << 20
 
-// NDJSONReader streams WireRecords from an NDJSON capture.
+// errLineTooLong reports a line that reaches maxNDJSONLine.
+var errLineTooLong = fmt.Errorf("line of %d bytes or more", maxNDJSONLine)
+
+// NDJSONReader streams WireRecords from an NDJSON capture. It splits lines
+// itself on a 64 KiB bufio.Reader, so AppendLine copies a line once, from
+// the reader's window into the caller's buffer.
 type NDJSONReader struct {
-	s *bufio.Scanner
-	n int
+	r    *bufio.Reader
+	n    int    // lines returned so far, for error positions
+	err  error  // the read error that ended the stream, io.EOF included
+	line []byte // Next's line buffer
 }
 
-// NewNDJSONReader wraps r; lines beyond maxNDJSONLine fail the read.
+// NewNDJSONReader wraps r; lines of maxNDJSONLine bytes or more fail the
+// read.
 func NewNDJSONReader(r io.Reader) *NDJSONReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64<<10), maxNDJSONLine)
-	return &NDJSONReader{s: s}
+	return &NDJSONReader{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// Next fills rec from the next non-empty line. io.EOF marks the end.
+// Next fills rec from the next non-blank line. io.EOF marks the end.
 func (r *NDJSONReader) Next(rec *WireRecord) error {
-	line, err := r.ReadLine()
-	if err != nil {
+	var err error
+	if r.line, err = r.AppendLine(r.line[:0]); err != nil {
 		return err
 	}
-	return ParseNDJSONLine(line, rec)
+	return ParseNDJSONLine(r.line, rec)
 }
 
-// ReadLine returns the next non-empty raw line (valid until the following
-// call), for callers that parse lines elsewhere — the replay engine
-// copies raw lines into its rounds and calls ParseNDJSONLine on whichever
-// goroutine claims them.
-func (r *NDJSONReader) ReadLine() ([]byte, error) {
-	for r.s.Scan() {
-		line := r.s.Bytes()
-		if len(trimSpace(line)) == 0 {
+// AppendLine appends the next non-blank line to buf and returns the
+// extended slice, for callers that parse lines elsewhere: the replay
+// engine reads lines straight into its rounds and calls ParseNDJSONLine on
+// whichever goroutine claims them. io.EOF marks the end.
+//
+// A line ends at LF, and one CR before the LF is dropped. A line holding
+// only spaces, tabs and CRs is skipped; a final line without an LF is
+// kept; a line of maxNDJSONLine bytes or more fails the read. A read
+// error ends the stream after the partial line read before it, which is
+// returned first if it is not blank. These are bufio.Scanner's ScanLines
+// rules; TestNDJSONSplitMatchesScanner holds the two to the same lines.
+func (r *NDJSONReader) AppendLine(buf []byte) ([]byte, error) {
+	off := len(buf)
+	for r.err == nil {
+		frag, err := r.r.ReadSlice('\n')
+		n := len(buf) - off + len(frag) // the line's length so far
+		if err == nil {
+			n-- // ReadSlice stopped at the LF
+		}
+		if n >= maxNDJSONLine {
+			r.err = errLineTooLong
+			break
+		}
+		buf = append(buf, frag...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if err != nil {
+			r.err = err
+		}
+		if n > 0 && buf[off+n-1] == '\r' {
+			n--
+		}
+		if len(trimSpace(buf[off:off+n])) == 0 {
+			buf = buf[:off]
 			continue
 		}
 		r.n++
-		return line, nil
+		return buf[:off+n], nil
 	}
-	if err := r.s.Err(); err != nil {
-		return nil, fmt.Errorf("ndjson line %d: %w", r.n, err)
+	if r.err == io.EOF {
+		return buf[:off], io.EOF
 	}
-	return nil, io.EOF
+	return buf[:off], fmt.Errorf("ndjson line %d: %w", r.n, r.err)
 }
 
-// trimSpace is a minimal ASCII space/CR trim (scanner already strips LF).
+// trimSpace is a minimal ASCII space/CR trim (AppendLine already strips LF).
 func trimSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
 		b = b[1:]

@@ -85,7 +85,7 @@ func TestParseNDJSONFastPath(t *testing.T) {
 	}
 	r := NewNDJSONReader(bytes.NewReader(buf.Bytes()))
 	for i := 0; ; i++ {
-		line, err := r.ReadLine()
+		line, err := r.AppendLine(nil)
 		if err == io.EOF {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 )
 
@@ -35,12 +36,13 @@ const (
 // nanosecond 0xa1b23c4d) are accepted.
 type PCAPReader struct {
 	r     *bufio.Reader
-	order binary.ByteOrder
+	big   bool // header fields are big-endian
 	nanos bool
 	n     int // records returned so far, for error positions
-	// hdr is the record-header scratch; a local would escape through the
-	// io.ReadFull interface call and cost one heap allocation per record.
-	hdr [16]byte
+	// win is the part of r's buffer past the records returned so far, and
+	// used the bytes before it that r has not been told to Discard.
+	win  []byte
+	used int
 }
 
 // NewPCAPReader consumes the 24-octet global header and returns a reader
@@ -51,24 +53,16 @@ func NewPCAPReader(r io.Reader) (*PCAPReader, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap header: %w", err)
 	}
-	p := &PCAPReader{r: br}
 	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	switch magic {
+	p := &PCAPReader{r: br, big: magic != pcapMagic && magic != pcapMagicNanos}
+	switch p.u32(hdr[0:4]) {
 	case pcapMagic:
-		p.order = binary.LittleEndian
 	case pcapMagicNanos:
-		p.order, p.nanos = binary.LittleEndian, true
+		p.nanos = true
 	default:
-		switch binary.BigEndian.Uint32(hdr[0:4]) {
-		case pcapMagic:
-			p.order = binary.BigEndian
-		case pcapMagicNanos:
-			p.order, p.nanos = binary.BigEndian, true
-		default:
-			return nil, fmt.Errorf("pcap header: bad magic %#x", magic)
-		}
+		return nil, fmt.Errorf("pcap header: bad magic %#x", magic)
 	}
-	if link := p.order.Uint32(hdr[20:24]); link != pcapEthernet {
+	if link := p.u32(hdr[20:24]); link != pcapEthernet {
 		return nil, fmt.Errorf("pcap header: link type %d (want Ethernet)", link)
 	}
 	return p, nil
@@ -87,38 +81,93 @@ func (p *PCAPReader) Next(rec *WireRecord) error {
 // zero-copy seam for batched readers that pack many records into one
 // arena buffer; Next is a convenience over it. io.EOF marks a clean end;
 // a record truncated mid-header or mid-frame is an ErrUnexpectedEOF.
+//
+// A record is copied once, from the bufio.Reader's window into buf. A
+// record that lies wholly in the window peeked last is read from it with
+// no call into the bufio.Reader; any other takes one Peek of its header
+// and one of its frame, each followed by a Discard, and a frame longer
+// than the window is read through it.
 func (p *PCAPReader) ReadAppend(buf []byte) ([]byte, time.Duration, error) {
-	hdr := p.hdr[:]
-	if _, err := io.ReadFull(p.r, hdr[:1]); err != nil {
-		return buf, 0, io.EOF // clean end before any header byte
+	if len(p.win) >= 16 {
+		capLen := int(p.u32(p.win[8:12]))
+		if n := 16 + capLen; capLen <= maxPCAPRecord && n <= len(p.win) {
+			at := p.stamp(p.win)
+			off := len(buf)
+			buf = extend(buf, capLen)
+			copy(buf[off:], p.win[16:n])
+			p.win, p.used, p.n = p.win[n:], p.used+n, p.n+1
+			return buf, at, nil
+		}
 	}
-	if _, err := io.ReadFull(p.r, hdr[1:]); err != nil {
+	p.r.Discard(p.used)
+	p.win, p.used = nil, 0
+	buf, at, err := p.readRecord(buf)
+	if err == nil {
+		p.win, _ = p.r.Peek(p.r.Buffered())
+	}
+	return buf, at, err
+}
+
+// readRecord reads the next record through the bufio.Reader.
+func (p *PCAPReader) readRecord(buf []byte) ([]byte, time.Duration, error) {
+	hdr, err := p.r.Peek(16)
+	if err != nil {
+		if len(hdr) == 0 {
+			return buf, 0, io.EOF // clean end before any header byte
+		}
+		p.r.Discard(len(hdr))
 		return buf, 0, fmt.Errorf("pcap record %d header: %w", p.n, noEOF(err))
 	}
-	sec := p.order.Uint32(hdr[0:4])
-	frac := p.order.Uint32(hdr[4:8])
-	capLen := p.order.Uint32(hdr[8:12])
+	at := p.stamp(hdr)
+	capLen := int(p.u32(hdr[8:12]))
+	p.r.Discard(16)
 	if capLen > maxPCAPRecord {
 		return buf, 0, fmt.Errorf("pcap record %d: captured length %d exceeds %d", p.n, capLen, maxPCAPRecord)
 	}
-	at := time.Duration(sec) * time.Second
-	if p.nanos {
-		at += time.Duration(frac) * time.Nanosecond
-	} else {
-		at += time.Duration(frac) * time.Microsecond
-	}
 	off := len(buf)
-	if cap(buf)-off < int(capLen) {
-		grown := make([]byte, off, off+int(capLen))
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:off+int(capLen)]
-	if _, err := io.ReadFull(p.r, buf[off:]); err != nil {
+	buf = extend(buf, capLen)
+	if capLen <= p.r.Size() {
+		wire, err := p.r.Peek(capLen)
+		p.r.Discard(copy(buf[off:], wire))
+		if err != nil {
+			return buf[:off], 0, fmt.Errorf("pcap record %d: %w", p.n, noEOF(err))
+		}
+	} else if _, err := io.ReadFull(p.r, buf[off:]); err != nil {
 		return buf[:off], 0, fmt.Errorf("pcap record %d: %w", p.n, noEOF(err))
 	}
 	p.n++
 	return buf, at, nil
+}
+
+// stamp returns the timestamp of the record header hdr.
+func (p *PCAPReader) stamp(hdr []byte) time.Duration {
+	at := time.Duration(p.u32(hdr[0:4])) * time.Second
+	if p.nanos {
+		return at + time.Duration(p.u32(hdr[4:8]))*time.Nanosecond
+	}
+	return at + time.Duration(p.u32(hdr[4:8]))*time.Microsecond
+}
+
+// extend returns buf lengthened by n bytes. When buf lacks the room it
+// grows to exactly the new length, so a record buffer is never larger
+// than the records read into it.
+func extend(buf []byte, n int) []byte {
+	off := len(buf)
+	if cap(buf)-off < n {
+		grown := make([]byte, off, off+n)
+		copy(grown, buf)
+		buf = grown
+	}
+	return buf[:off+n]
+}
+
+// u32 reads a header field in the capture's byte order.
+func (p *PCAPReader) u32(b []byte) uint32 {
+	v := binary.LittleEndian.Uint32(b)
+	if p.big {
+		return bits.ReverseBytes32(v)
+	}
+	return v
 }
 
 // noEOF maps a bare EOF inside a record to ErrUnexpectedEOF so callers can

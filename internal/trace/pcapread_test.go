@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/arppkt"
@@ -164,6 +168,154 @@ func TestPCAPReaderReusesBuffer(t *testing.T) {
 		}
 		if &rec.Wire[0] != p0 {
 			t.Fatal("reader reallocated a sufficient buffer")
+		}
+	}
+}
+
+// appendPCAPRecord appends one little-endian record header claiming
+// capLen captured bytes, then body, which may be shorter (a truncation).
+func appendPCAPRecord(b []byte, sec uint32, capLen int, body []byte) []byte {
+	var rh [16]byte
+	binary.LittleEndian.PutUint32(rh[0:4], sec)
+	binary.LittleEndian.PutUint32(rh[4:8], 250) // microseconds
+	binary.LittleEndian.PutUint32(rh[8:12], uint32(capLen))
+	binary.LittleEndian.PutUint32(rh[12:16], uint32(capLen))
+	return append(append(b, rh[:]...), body...)
+}
+
+// readAllPCAP reads every record of data through the reader that wrap
+// builds over it, each into a fresh WireRecord, and returns the records,
+// the buffer capacity the failing read left, and the error that ended
+// them.
+func readAllPCAP(t *testing.T, data []byte, wrap func(io.Reader) io.Reader) ([]WireRecord, int, error) {
+	t.Helper()
+	r, err := NewPCAPReader(wrap(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatalf("NewPCAPReader: %v", err)
+	}
+	var recs []WireRecord
+	for {
+		var rec WireRecord
+		if err := r.Next(&rec); err != nil {
+			return recs, cap(rec.Wire), err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestPCAPReaderChunking pins that the reader's records and errors do not
+// depend on how the underlying reader chunks the bytes: whole, one byte at
+// a time, half of each request, with EOF on the last data, or behind a
+// 64 KiB bufio.Reader as arpanalyze wraps its input. The captures end
+// cleanly, inside a record header at every length from 1 to 15 bytes,
+// inside a frame, at a captured length past maxPCAPRecord, and in or
+// after a record longer than the reader's 64 KiB window.
+func TestPCAPReaderChunking(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fixtureCapture().WritePCAP(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	const goodRecs = 4
+	long := make([]byte, 200<<10)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	withLong := appendPCAPRecord(bytes.Clone(good), 9, len(long), long)
+	withLong = appendPCAPRecord(withLong, 10, 60, make([]byte, 60))
+
+	type tc struct {
+		name string
+		data []byte
+		recs int
+		err  string // "" for a clean io.EOF
+	}
+	cases := []tc{
+		{"clean", good, goodRecs, ""},
+		{"frame cut", good[:len(good)-10], goodRecs - 1, "pcap record 3: unexpected EOF"},
+		{"cap past max", appendPCAPRecord(bytes.Clone(good), 9, maxPCAPRecord+1, make([]byte, 100)), goodRecs,
+			"pcap record 4: captured length 262145 exceeds 262144"},
+		{"long record", withLong, goodRecs + 2, ""},
+		{"long record cut", withLong[:len(good)+16+len(long)-1], goodRecs, "pcap record 4: unexpected EOF"},
+		{"after long record cut", withLong[:len(withLong)-1], goodRecs + 1, "pcap record 5: unexpected EOF"},
+	}
+	full := appendPCAPRecord(bytes.Clone(good), 9, 60, make([]byte, 60))
+	for k := 1; k < 16; k++ {
+		cases = append(cases, tc{fmt.Sprintf("header cut at %d", k), full[:len(good)+k], goodRecs,
+			"pcap record 4 header: unexpected EOF"})
+	}
+	wraps := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"one byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data+EOF", iotest.DataErrReader},
+		{"bufio 64KiB", func(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 64<<10) }},
+	}
+	for _, c := range cases {
+		want, failCap, wantErr := readAllPCAP(t, c.data, wraps[0].wrap)
+		if len(want) != c.recs {
+			t.Errorf("%s: %d records, want %d", c.name, len(want), c.recs)
+		}
+		switch {
+		case c.err == "" && wantErr != io.EOF:
+			t.Errorf("%s: ended with %v, want io.EOF", c.name, wantErr)
+		case c.err != "" && (wantErr == nil || wantErr.Error() != c.err):
+			t.Errorf("%s: ended with %v, want %q", c.name, wantErr, c.err)
+		}
+		if c.name == "cap past max" && failCap != 0 {
+			t.Errorf("%s: rejected after allocating %d bytes", c.name, failCap)
+		}
+		if c.recs > goodRecs && !bytes.Equal(want[goodRecs].Wire, long) {
+			t.Errorf("%s: the long record did not round-trip", c.name)
+		}
+		for _, w := range wraps[1:] {
+			got, _, gotErr := readAllPCAP(t, c.data, w.wrap)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || errors.Is(gotErr, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
+				t.Errorf("%s through %s: ended with %v, whole reads end with %v", c.name, w.name, gotErr, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s through %s: %d records, whole reads give %d", c.name, w.name, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i].At != want[i].At || !bytes.Equal(got[i].Wire, want[i].Wire) {
+					t.Errorf("%s through %s: record %d differs", c.name, w.name, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPCAPReadAppend prices the per-record read: 10,000 minimum-size
+// Ethernet records appended into one reused buffer, as the inline replay
+// path reads them.
+func BenchmarkPCAPReadAppend(b *testing.B) {
+	const records = 10000
+	var hdr [24]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], pcapMagic)
+	binary.LittleEndian.PutUint32(hdr[20:24], pcapEthernet)
+	blob := hdr[:]
+	for i := 0; i < records; i++ {
+		blob = appendPCAPRecord(blob, uint32(i), frame.MinFrameLen, make([]byte, frame.MinFrameLen))
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		r, err := NewPCAPReader(bytes.NewReader(blob))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if buf, _, err = r.ReadAppend(buf[:0]); err != nil {
+				break
+			}
+		}
+		if err != io.EOF {
+			b.Fatal(err)
 		}
 	}
 }

@@ -13,7 +13,7 @@
 # per RunUntil; the resolution storm's allocs/op must not vary across
 # runs), one fuzz
 # loop over the native fuzz
-# targets (6 to 10 seconds each, 46 in all), an experiment-registry
+# targets (4 to 10 seconds each, 50 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
 # experiment, diffed against the arpbench -list catalogue), and an
 # evaluation golden leg (a -trials 10 pass diffed against the committed
@@ -103,7 +103,10 @@ echo "$gates" | grep -E '^(--- |ok|FAIL)'
 #                 panic or a record buffer past the 256 KiB cap), and
 #                 WritePCAP captures must read back unchanged;
 #   FuzzNDJSONLine ParseNDJSONLine, byte-scan fast path included, against
-#                 encoding/json: same at and wire bytes, same rejections.
+#                 encoding/json: same at and wire bytes, same rejections;
+#   FuzzNDJSONSplit NDJSONReader's line splitter against bufio.Scanner
+#                 through whole, one-byte and half reads: same lines, same
+#                 errors.
 # -fuzzminimizetime caps minimizing each new input at 1s: with the default
 # (60s) FuzzCacheOps spent most of its leg minimizing rather than executing.
 for spec in \
@@ -111,7 +114,8 @@ for spec in \
 	internal/scenario:FuzzScenario:10 \
 	internal/ipv4pkt:FuzzIPv4:10 \
 	internal/trace:FuzzPCAPReader:10 \
-	internal/trace:FuzzNDJSONLine:6; do
+	internal/trace:FuzzNDJSONLine:6 \
+	internal/trace:FuzzNDJSONSplit:4; do
 	pkg=${spec%%:*}
 	rest=${spec#*:}
 	target=${rest%%:*}
