@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt bench benchfull regen profile
+.PHONY: check build test race vet fmt bench regen profile
 
 check:
 	./scripts/check.sh
@@ -24,24 +24,19 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# bench runs the experiment-sized benchmarks once (and the micro-benchmarks
-# at a fixed iteration count) and records (name, ns/op, allocs/op) to
-# BENCH_PR10.json — the perf trajectory later PRs diff against — then prints
-# a delta table vs BENCH_PR9.json (BENCH_PR2/PR5/PR6/PR7/PR8/PR9.json are
-# the earlier recorded points).
+# bench runs every go-test benchmark of the root, replay and trace packages
+# ten times, so each one reports a spread rather than a single sample.
+# End-to-end perf claims go through scripts/ab.sh, which pairs base and
+# working-tree runs of the bench/ workloads.
 bench:
-	./scripts/bench.sh
-
-# benchfull is the statistically meaningful run (multiple iterations).
-benchfull:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -run '^$$' -bench . -benchmem -count 10 . ./internal/replay ./internal/trace
 
 # profile regenerates the heaviest experiment under the CPU and heap
 # profilers; inspect with `go tool pprof cpu.prof` (or mem.prof). For live
 # profiling of a long run, use `arpbench -http localhost:6060` and hit
 # /debug/pprof instead.
 profile:
-	$(GO) run ./cmd/arpbench -run table3 -trials 5 -cache \
+	$(GO) run ./cmd/arpbench -run table3 -trials 5 \
 		-cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
@@ -50,4 +45,4 @@ profile:
 # host timings, so a regenerated evaluation_output.txt differs from the
 # committed one in those artifacts even on the same machine.
 regen:
-	$(GO) run ./cmd/arpbench -trials 10 -cache > evaluation_output.txt
+	$(GO) run ./cmd/arpbench -trials 10 > evaluation_output.txt

@@ -11,7 +11,6 @@
 //	arpbench -figure 2            # numeric alias for -run figure2
 //	arpbench -run figure3 -params '{"sizes":[4,8],"horizonSeconds":30}'
 //	arpbench -trials 20           # more trials per experiment
-//	arpbench -cache               # memoize trial results across experiments
 //	arpbench -csv                 # machine-readable output
 //	arpbench -json                # JSON documents instead of aligned text
 //	arpbench -parallel 1          # force sequential trial execution
@@ -166,7 +165,6 @@ func run(w io.Writer, args []string) error {
 	shards := fs.Int("shards", 0, "shard worker goroutines for the campus engine (figure9, figure10; 0 = one, the engine default; output is identical at any width)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := fs.Bool("json", false, "emit JSON documents instead of aligned text")
-	cache := fs.Bool("cache", false, "memoize per-trial results across experiments in this run; hit/miss counts go to -metrics telemetry and stderr")
 	recommend := fs.String("recommend", "", "print the ranked schemes and scoring rationale for an environment: soho | enterprise | open-wifi | lab-static")
 	metricsPath := fs.String("metrics", "", "write per-experiment runtime metrics (wall time, allocations, GC) to this file as JSON")
 	httpAddr := ops.Flag(fs)
@@ -211,15 +209,10 @@ func run(w io.Writer, args []string) error {
 	}
 	eval.SetParallelism(*parallel)
 
-	// Trial registries are per-trial and private: the published registry
-	// carries the harness's own counters, e.g. the result cache's hits and
-	// misses, re-rendered after every finished experiment.
-	tel := telemetry.New()
-	if *cache {
-		eval.EnableResultCache(tel)
-		defer eval.DisableResultCache()
-	}
-	srv, err := ops.Start(*httpAddr, tel)
+	// Trial registries are per-trial and private, so the harness's own
+	// registry stays empty: -http serves pprof and the final flight dump,
+	// and its /metrics carries no counters.
+	srv, err := ops.Start(*httpAddr, telemetry.New())
 	if err != nil {
 		return err
 	}
@@ -286,7 +279,6 @@ func run(w io.Writer, args []string) error {
 		}
 		m.Parallel = eval.Parallelism()
 		collected = append(collected, m)
-		srv.Publish(tel)
 		return nil
 	}
 
@@ -297,10 +289,6 @@ func run(w io.Writer, args []string) error {
 		if err := runOne(d); err != nil {
 			return err
 		}
-	}
-	if *cache {
-		hits, misses := eval.ResultCacheStats()
-		fmt.Fprintf(os.Stderr, "result cache: %d hits, %d misses\n", hits, misses)
 	}
 	return writeMetrics()
 }

@@ -97,21 +97,6 @@ func TestParamsFlag(t *testing.T) {
 	}
 }
 
-func TestCacheFlag(t *testing.T) {
-	// A cached run renders the same bytes as an uncached one.
-	var plain, cached bytes.Buffer
-	if err := run(&plain, []string{"-table", "5", "-trials", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&cached, []string{"-table", "5", "-trials", "1", "-cache"}); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != cached.String() {
-		t.Fatalf("-cache changed rendered output:\n--- plain ---\n%s--- cached ---\n%s",
-			plain.String(), cached.String())
-	}
-}
-
 func TestRecommendFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-recommend", "enterprise"}); err != nil {
@@ -210,7 +195,7 @@ func TestTable9ParallelByteIdentical(t *testing.T) {
 func TestHTTPParity(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "table1"},
-		{"-run", "table1,table3", "-trials", "2", "-json", "-cache"},
+		{"-run", "table1,table3", "-trials", "2", "-json"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var without, with bytes.Buffer

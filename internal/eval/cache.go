@@ -1,187 +1,13 @@
 package eval
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"sync"
+import "repro/internal/telemetry"
 
-	"repro/internal/telemetry"
-)
+// EnableResultCache does nothing. The eval package keeps no result cache:
+// every experiment renders once per process, so a seed-addressed cache
+// never hit. The function remains only because the benchmark's eval-suite
+// workload (bench/evalsuite.go) still calls it.
+func EnableResultCache(*telemetry.Registry) {}
 
-// The seed-addressed result cache memoizes individual trial results under
-// (experiment ID, canonical parameter hash, cell key), where the cell key is
-// the trial seed for seed-swept experiments and the canonical serialization
-// of the trial config for grid-swept ones. Because every trial is a pure
-// function of its seed and parameters (the per-trial isolation invariant the
-// parallel runner already relies on), a warm cache lets arpbench re-render an
-// artifact, or re-run a sweep with one knob changed, executing only the
-// cells whose parameterization actually changed — an unchanged experiment
-// re-renders with zero new trials.
-//
-// The cache is process-wide and disabled by default; CachedTrials/CachedMap
-// degenerate to RunTrials/Map (no locks, no keys) while it is off.
-
-// Telemetry metric names the cache reports through when enabled with a
-// registry (label: experiment).
-const (
-	MetricCacheHits   = "eval_result_cache_hits_total"
-	MetricCacheMisses = "eval_result_cache_misses_total"
-)
-
-// Scope names one experiment execution context for the cache: the
-// experiment ID plus the canonical serialization of every parameter that
-// shapes a trial but is not part of the per-cell key (horizons, grid
-// constants, deployment overlays). Trial seeds and grid configs are appended
-// per cell, so growing a sweep reuses every previously computed cell.
-type Scope struct {
-	Experiment string
-	Params     string
-}
-
-// key builds the full cache key for one cell: the experiment ID, the hash of
-// the canonical scope parameters, and the cell's own key.
-func (sc Scope) key(cell string) string {
-	sum := sha256.Sum256([]byte(sc.Params))
-	return sc.Experiment + "\x00" + hex.EncodeToString(sum[:12]) + "\x00" + cell
-}
-
-// resultCache is one enabled cache generation.
-type resultCache struct {
-	mu      sync.Mutex
-	entries map[string]any
-	hits    uint64
-	misses  uint64
-	tel     *telemetry.Registry
-}
-
-var (
-	cacheMu     sync.RWMutex
-	activeCache *resultCache
-)
-
-// EnableResultCache installs a fresh, empty result cache. tel, when
-// non-nil, receives hit/miss counters (MetricCacheHits/MetricCacheMisses,
-// labelled by experiment); the registry is only ever touched under the
-// cache's own lock, so the single-owner telemetry contract holds even with
-// trials fanned out across the worker pool.
-func EnableResultCache(tel *telemetry.Registry) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	activeCache = &resultCache{entries: make(map[string]any), tel: tel}
-}
-
-// DisableResultCache removes the active cache; subsequent runs execute
-// every trial again.
-func DisableResultCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	activeCache = nil
-}
-
-// ResultCacheStats reports the active cache's lifetime hit and miss counts
-// (both zero when no cache is enabled).
-func ResultCacheStats() (hits, misses uint64) {
-	c := currentCache()
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// currentCache returns the active cache, nil when caching is off.
-func currentCache() *resultCache {
-	cacheMu.RLock()
-	defer cacheMu.RUnlock()
-	return activeCache
-}
-
-// cacheGet looks one cell up, counting a hit or miss. A stored value of the
-// wrong type (two call sites colliding on a key) is treated as a miss so the
-// caller recomputes rather than panicking on the assertion.
-func cacheGet[R any](c *resultCache, experiment, key string) (R, bool) {
-	var zero R
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.entries[key]; ok {
-		if r, ok := v.(R); ok {
-			c.hits++
-			c.tel.Counter(MetricCacheHits, telemetry.L("experiment", experiment)).Inc()
-			return r, true
-		}
-	}
-	c.misses++
-	c.tel.Counter(MetricCacheMisses, telemetry.L("experiment", experiment)).Inc()
-	return zero, false
-}
-
-// cachePut stores one computed cell.
-func (c *resultCache) put(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[key] = v
-}
-
-// CachedTrials is RunTrials through the result cache: seeds whose results
-// are cached under sc are returned without running; only the missing seeds
-// fan out across the worker pool. With the cache disabled it is exactly
-// RunTrials.
-func CachedTrials[R any](sc Scope, trials int, trial func(seed int64) R) []R {
-	c := currentCache()
-	if c == nil {
-		return RunTrials(trials, trial)
-	}
-	if trials < 0 {
-		trials = 0
-	}
-	out := make([]R, trials)
-	var missIdx []int
-	var missKey []string
-	for i := 0; i < trials; i++ {
-		key := sc.key(fmt.Sprintf("seed=%d", int64(i)+1))
-		if r, ok := cacheGet[R](c, sc.Experiment, key); ok {
-			out[i] = r
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missKey = append(missKey, key)
-	}
-	forIndexed(len(missIdx), func(j int) {
-		i := missIdx[j]
-		r := trial(int64(i) + 1)
-		out[i] = r
-		c.put(missKey[j], r)
-	})
-	return out
-}
-
-// CachedMap is Map through the result cache: each config's cell key is its
-// canonical serialization, so re-running a sweep recomputes only the cells
-// whose config changed. With the cache disabled it is exactly Map.
-func CachedMap[C, R any](sc Scope, cfgs []C, run func(C) R) []R {
-	c := currentCache()
-	if c == nil {
-		return Map(cfgs, run)
-	}
-	out := make([]R, len(cfgs))
-	var missIdx []int
-	var missKey []string
-	for i := range cfgs {
-		key := sc.key(fmt.Sprintf("%+v", cfgs[i]))
-		if r, ok := cacheGet[R](c, sc.Experiment, key); ok {
-			out[i] = r
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missKey = append(missKey, key)
-	}
-	forIndexed(len(missIdx), func(j int) {
-		i := missIdx[j]
-		r := run(cfgs[i])
-		out[i] = r
-		c.put(missKey[j], r)
-	})
-	return out
-}
+// DisableResultCache does nothing; like EnableResultCache it remains only
+// because bench/evalsuite.go calls it.
+func DisableResultCache() {}

@@ -52,7 +52,7 @@ func Table3Detection(trials int) *Table {
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table3"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	for si, scheme := range DetectionSchemes() {
 		var detected, fps, churns int
 		var latencies []float64
@@ -114,7 +114,7 @@ func Figure1LatencyCDF(trials int) *Figure {
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "figure1"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	for si, scheme := range DetectionSchemes() {
 		var latencies []float64
 		for _, res := range results[si*trials : (si+1)*trials] {
@@ -166,7 +166,7 @@ func Figure4ChurnFalsePositives(trialsPerPoint int) *Figure {
 			}
 		}
 	}
-	results := CachedMap(Scope{Experiment: "figure4"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	cell := 0
 	for _, scheme := range schemesSwept {
 		for _, churnsPerRun := range churnRates {

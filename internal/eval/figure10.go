@@ -81,8 +81,7 @@ func Figure10FaultedCampus(sizes []int, trialsPerPoint, workers int, horizon tim
 			}
 		}
 	}
-	scope := Scope{Experiment: "figure10", Params: fmt.Sprintf("horizon=%v", horizon)}
-	results := CachedMap(scope, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	cell := 0
 	for _, d := range deployments {
 		for _, size := range sizes {

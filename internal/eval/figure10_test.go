@@ -69,7 +69,7 @@ func TestFigure10StackDeploysAtScale(t *testing.T) {
 
 // TestFigure10ByteIdenticalAcrossWidths is the cross-shard determinism
 // contract for the faulted sweep: rendered output is byte-identical across
-// both the trial pool width (CachedMap parallelism) and the shard worker
+// both the trial pool width (Map parallelism) and the shard worker
 // width, fault plan and all.
 func TestFigure10ByteIdenticalAcrossWidths(t *testing.T) {
 	assertByteIdenticalAcrossWidths(t, func() Artifact { return figure10Small(1) })

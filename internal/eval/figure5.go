@@ -43,8 +43,7 @@ func Figure5CamFlood(rates []float64, horizon time.Duration) *Figure {
 			cells = append(cells, cell{protected, rate})
 		}
 	}
-	scope := Scope{Experiment: "figure5", Params: fmt.Sprintf("horizon=%v", horizon)}
-	fractions := CachedMap(scope, cells, func(c cell) float64 {
+	fractions := Map(cells, func(c cell) float64 {
 		return camFloodPoint(c.rate, horizon, c.protected)
 	})
 	for i, c := range cells {

@@ -43,8 +43,7 @@ func Figure6WindowAblation(attemptsPerPoint int) *Figure {
 			cells = append(cells, cell{window, loss})
 		}
 	}
-	scope := Scope{Experiment: "figure6", Params: fmt.Sprintf("attempts=%d", attemptsPerPoint)}
-	rates := CachedMap(scope, cells, func(c cell) float64 {
+	rates := Map(cells, func(c cell) float64 {
 		return windowAblationPoint(c.window, c.loss, attemptsPerPoint)
 	})
 	for i, c := range cells {
@@ -93,6 +92,7 @@ func windowAblationPoint(window time.Duration, loss float64, attempts int) float
 		st := g.Stats()
 		committed += st.Committed
 		rejected += st.Rejected
+		l.Recycle()
 	}
 	total := committed + rejected
 	if total == 0 {

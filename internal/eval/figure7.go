@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/attack"
@@ -47,8 +46,7 @@ func Figure7DefenseWar(samplesPerCell int) *Figure {
 			cells = append(cells, cell{defended, period})
 		}
 	}
-	scope := Scope{Experiment: "figure7", Params: fmt.Sprintf("samples=%d", samplesPerCell)}
-	fracs := CachedMap(scope, cells, func(c cell) float64 {
+	fracs := Map(cells, func(c cell) float64 {
 		return defenseWarPoint(c.period, c.defended, samplesPerCell)
 	})
 	for i, c := range cells {
@@ -74,6 +72,7 @@ func defenseWarPoint(period time.Duration, defended bool, samples int) float64 {
 		WithMonitor:  false,
 		HostOptions:  hostOpts,
 	})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 	victim.Resolve(gw.IP(), nil)
 

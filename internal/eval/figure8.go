@@ -46,7 +46,7 @@ func Figure8FaultIntensitySweep(trialsPerPoint int) *Figure {
 			}
 		}
 	}
-	results := CachedMap(Scope{Experiment: "figure8"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	cell := 0
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range intensities {

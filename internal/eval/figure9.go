@@ -38,8 +38,7 @@ func Figure9CampusScaling(sizes []int, trialsPerPoint, workers int, horizon time
 			})
 		}
 	}
-	scope := Scope{Experiment: "figure9", Params: fmt.Sprintf("horizon=%v", horizon)}
-	results := CachedMap(scope, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	for si, size := range sizes {
 		var latencies, rates []float64
 		for _, res := range results[si*trialsPerPoint : (si+1)*trialsPerPoint] {

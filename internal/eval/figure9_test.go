@@ -49,7 +49,7 @@ func TestFigure9DetectsTheMITM(t *testing.T) {
 
 // TestFigure9ByteIdenticalAcrossWidths is the cross-shard determinism
 // contract end to end: rendered output is byte-identical across both the
-// trial pool width (CachedMap parallelism) and the shard worker width.
+// trial pool width (Map parallelism) and the shard worker width.
 func TestFigure9ByteIdenticalAcrossWidths(t *testing.T) {
 	assertByteIdenticalAcrossWidths(t, func() Artifact { return figure9Small(1) })
 	ref := renderAtWidth(t, 1, func() Artifact { return figure9Small(1) })

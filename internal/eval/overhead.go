@@ -35,6 +35,7 @@ var overheadParams = map[string]registry.P{
 // victim under one scheme and returns the mean per-resolution cost.
 func measureResolutions(scheme string, rounds int) resolutionCost {
 	l := labnet.New(labnet.Config{Hosts: 4, WithAttacker: false, WithMonitor: true})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 	sink := schemes.NewSink()
 
@@ -163,8 +164,7 @@ func Table4Overhead(rounds int) (*Table, error) {
 	for i, s := range schemesUnderTest {
 		names[i] = s.name
 	}
-	scope := Scope{Experiment: "table4", Params: fmt.Sprintf("rounds=%d", rounds)}
-	costs := CachedMap(scope, names, func(name string) resolutionCost {
+	costs := Map(names, func(name string) resolutionCost {
 		return measureResolutions(name, rounds)
 	})
 	for i, s := range schemesUnderTest {
@@ -203,8 +203,7 @@ func Figure3Scaling(sizes []int, horizon time.Duration) *Figure {
 			cells = append(cells, cell{scheme, n})
 		}
 	}
-	scope := Scope{Experiment: "figure3", Params: fmt.Sprintf("horizon=%v", horizon)}
-	loads := CachedMap(scope, cells, func(c cell) float64 {
+	loads := Map(cells, func(c cell) float64 {
 		return measureScalingPoint(c.scheme, c.n, horizon)
 	})
 	for i, c := range cells {
@@ -222,6 +221,7 @@ func measureScalingPoint(scheme string, n int, horizon time.Duration) float64 {
 		WithMonitor:  false,
 		CacheTTL:     8 * time.Second,
 	})
+	defer l.Recycle()
 	sink := schemes.NewSink()
 
 	// Every station runs the scheme here — scaling is the whole question.

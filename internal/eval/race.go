@@ -40,10 +40,7 @@ func Figure2RaceWindow(trialsPerPoint int) *Figure {
 	for _, p := range policies {
 		for delayMS := 0.0; delayMS <= 5.0; delayMS += 0.5 {
 			delay := time.Duration(delayMS * float64(time.Millisecond))
-			scope := Scope{Experiment: "figure2", Params: fmt.Sprintf(
-				"policy=%s established=false delay=%v extra=%v jitter=%v",
-				p.name, delay, ownerExtra, jitter)}
-			wins := runRaceTrial(scope, p.policy, false, trialsPerPoint, delay, ownerExtra, jitter)
+			wins := runRaceTrial(p.policy, false, trialsPerPoint, delay, ownerExtra, jitter)
 			prob := stats.NewProportion(wins, trialsPerPoint)
 			f.AddPoint(p.name, delayMS, prob.P)
 		}

@@ -188,7 +188,7 @@ func Table10StageAttribution(trials int) *Table {
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table10"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 
 	for si, scheme := range DetectionSchemes() {
 		attributed := 0

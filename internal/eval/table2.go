@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/attack"
@@ -40,23 +39,18 @@ func Table2PolicyMatrix() *Table {
 	}
 	profiles := kernelpolicy.Profiles()
 	variants := attack.Variants()
-	type cell struct {
-		ProfIdx, VarIdx int
-		Profile         string
-		Variant         string
-	}
+	type cell struct{ profIdx, varIdx int }
 	var cells []cell
-	for pi, prof := range profiles {
-		for vi, v := range variants {
-			cells = append(cells, cell{pi, vi, prof.Name, fmt.Sprint(v)})
+	for pi := range profiles {
+		for vi := range variants {
+			cells = append(cells, cell{pi, vi})
 		}
 	}
-	marks := CachedMap(Scope{Experiment: "table2"}, cells, func(c cell) string {
-		prof := profiles[c.ProfIdx]
-		v := variants[c.VarIdx]
-		sc := Scope{Experiment: "table2", Params: "race " + c.Profile}
-		create := runPolicyTrial(sc, prof.Policy, v, false)
-		overwrite := runPolicyTrial(sc, prof.Policy, v, true)
+	marks := Map(cells, func(c cell) string {
+		prof := profiles[c.profIdx]
+		v := variants[c.varIdx]
+		create := runPolicyTrial(prof.Policy, v, false)
+		overwrite := runPolicyTrial(prof.Policy, v, true)
 		return mark(create) + "/" + mark(overwrite)
 	})
 	i := 0
@@ -72,18 +66,17 @@ func Table2PolicyMatrix() *Table {
 }
 
 // runPolicyTrial runs one attack trial and reports whether the victim's
-// cache ends up bound to the attacker. sc scopes any race sub-trials in
-// the result cache.
-func runPolicyTrial(sc Scope, policy stack.Policy, v attack.Variant, established bool) bool {
+// cache ends up bound to the attacker.
+func runPolicyTrial(policy stack.Policy, v attack.Variant, established bool) bool {
 	if v == attack.VariantReplyRace {
-		sc.Params += fmt.Sprintf(" established=%v", established)
-		return runRaceTrial(sc, policy, established, 1, 0, 2*time.Millisecond, 0) > 0
+		return runRaceTrial(policy, established, 1, 0, 2*time.Millisecond, 0) > 0
 	}
 	l := labnet.New(labnet.Config{
 		Policy:       policy,
 		WithAttacker: true,
 		WithMonitor:  false,
 	})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 	if established {
 		victim.Resolve(gw.IP(), nil)
@@ -100,13 +93,13 @@ func runPolicyTrial(sc Scope, policy stack.Policy, v attack.Variant, established
 }
 
 // runRaceTrial runs `trials` independent reply-race attempts (fanned out
-// across the trial worker pool, cached per seed under sc) and returns how
-// many the attacker won (the victim cached the forged binding).
+// across the trial worker pool) and returns how many the attacker won (the
+// victim cached the forged binding).
 // ownerExtraLatency handicaps the genuine owner's link; attackerDelay is
 // the forger's reaction delay; jitter randomizes both links.
-func runRaceTrial(sc Scope, policy stack.Policy, established bool, trials int, attackerDelay, ownerExtraLatency, jitter time.Duration) int {
+func runRaceTrial(policy stack.Policy, established bool, trials int, attackerDelay, ownerExtraLatency, jitter time.Duration) int {
 	wins := 0
-	for _, won := range CachedTrials(sc, trials, func(seed int64) bool {
+	for _, won := range RunTrials(trials, func(seed int64) bool {
 		return raceOnce(policy, established, seed, attackerDelay, ownerExtraLatency, jitter)
 	}) {
 		if won {

@@ -23,6 +23,7 @@ type ablationOutcome struct {
 // parameterization (nil params = no guard at all).
 func runAblation(seed int64, params registry.P) ablationOutcome {
 	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 8})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 
 	var inst *registry.Instance
@@ -96,9 +97,8 @@ func Table5Ablation(trials int) *Table {
 	}
 	for _, cfg := range configs {
 		params := cfg.params
-		scope := Scope{Experiment: "table5", Params: fmt.Sprintf("%s %+v", cfg.name, params)}
 		var detected, confirmed, fps, held int
-		for _, out := range CachedTrials(scope, trials, func(seed int64) ablationOutcome {
+		for _, out := range RunTrials(trials, func(seed int64) ablationOutcome {
 			return runAblation(seed, params)
 		}) {
 			if out.detected {

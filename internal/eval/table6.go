@@ -44,9 +44,8 @@ func Table6EvasiveAttacker(trials int) *Table {
 	}
 	for _, scheme := range evasiveSchemes {
 		scheme := scheme
-		scope := Scope{Experiment: "table6", Params: scheme}
 		var deceived, flagged int
-		for _, out := range CachedTrials(scope, trials, func(seed int64) [2]bool {
+		for _, out := range RunTrials(trials, func(seed int64) [2]bool {
 			d, f := runEvasiveTrial(scheme, seed)
 			return [2]bool{d, f}
 		}) {
@@ -74,6 +73,7 @@ var evasiveParams = map[string]registry.P{
 // reports (victim deceived, attack flagged).
 func runEvasiveTrial(scheme string, seed int64) (bool, bool) {
 	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 6})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 	sink := schemes.NewSink()
 

@@ -50,9 +50,8 @@ func Table7PortStealing(trials int) *Table {
 	}
 	for _, dep := range stealDeployments() {
 		dep := dep
-		scope := Scope{Experiment: "table7", Params: fmt.Sprintf("%+v", dep)}
 		var intercepted, flagged int
-		for _, out := range CachedTrials(scope, trials, func(seed int64) [2]bool {
+		for _, out := range RunTrials(trials, func(seed int64) [2]bool {
 			i, f := runStealTrial(dep, seed)
 			return [2]bool{i, f}
 		}) {
@@ -73,6 +72,7 @@ func Table7PortStealing(trials int) *Table {
 // reports (traffic intercepted, attack flagged).
 func runStealTrial(dep stealDeployment, seed int64) (bool, bool) {
 	l := newAttackLAN(labnet.Config{Seed: seed, Hosts: 4})
+	defer l.Recycle()
 	gw, victim := l.Gateway(), l.Victim()
 	sink := schemes.NewSink()
 

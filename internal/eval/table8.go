@@ -75,7 +75,7 @@ func Table8FaultRobustness(trials int) *Table {
 			}
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table8"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 	cell := 0
 	for _, scheme := range DetectionSchemes() {
 		for _, x := range table8Intensities {

@@ -116,7 +116,7 @@ func Table9Stacks(trials int) *Table {
 			})
 		}
 	}
-	results := CachedMap(Scope{Experiment: "table9"}, cfgs, runTrial)
+	results := Map(cfgs, runTrial)
 
 	rowStats := make([]stackRowStats, len(deployments))
 	for di := range deployments {

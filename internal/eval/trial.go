@@ -38,8 +38,7 @@ const (
 // noChurn skips the churn step, and the shuffle it draws, altogether.
 const noChurn = -1
 
-// trialConfig parameterizes one trial. It stays free of pointers and funcs:
-// CachedMap keys cells by its %+v rendering.
+// trialConfig parameterizes one trial.
 type trialConfig struct {
 	scheme string         // a single detection scheme, with its detectionParams overrides
 	stack  registry.Stack // non-empty: deploy this stack instead

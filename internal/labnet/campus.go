@@ -47,12 +47,9 @@ type CampusConfig struct {
 	// spin briefly between windows only while the width is at most
 	// GOMAXPROCS (see sim.ShardedScheduler.SetWorkers).
 	Workers int
-	// Policy, CacheTTL, HostOptions, CAMCapacity mirror Config and apply
-	// to every LAN.
+	// Policy and HostOptions mirror Config and apply to every LAN.
 	Policy      stack.Policy
-	CacheTTL    time.Duration
 	HostOptions []stack.Option
-	CAMCapacity int
 	// WithAttacker attaches an attacker station to exactly one LAN — the
 	// evaluation convention: one compromised machine inside one segment.
 	WithAttacker bool
@@ -129,6 +126,11 @@ func SizeCampus(totalHosts int) (lans, hostsPerLAN int) {
 	return lans, hostsPerLAN
 }
 
+// campusCAMCapacity bounds each access LAN's CAM table: room for every
+// speaking station (actives, router, attacker) and the bank MACs the
+// background traffic rotates through.
+const campusCAMCapacity = 4096
+
 // NewCampus assembles the campus per cfg.
 func NewCampus(cfg CampusConfig) *Campus {
 	if cfg.Seed == 0 {
@@ -161,12 +163,6 @@ func NewCampus(cfg CampusConfig) *Campus {
 	if cfg.AttackerLAN < 0 || cfg.AttackerLAN >= cfg.LANs {
 		panic(fmt.Sprintf("labnet: attacker LAN %d outside [0, %d)", cfg.AttackerLAN, cfg.LANs))
 	}
-	if cfg.CAMCapacity == 0 {
-		// Room for every speaking station: actives, router, attacker, and
-		// the bank MACs the background traffic rotates through.
-		cfg.CAMCapacity = 4096
-	}
-
 	// Shard schedulers come from the trial pool (Recycle returns them), so
 	// repeat campus builds — a -trials 10 regen builds ~110 across figure9
 	// and figure10 — reuse the slab and queue capacity grown by the first.
@@ -200,11 +196,10 @@ func NewCampus(cfg CampusConfig) *Campus {
 			Hosts:         cfg.ActiveHostsPerLAN,
 			RouterGateway: true,
 			Policy:        cfg.Policy,
-			CacheTTL:      cfg.CacheTTL,
 			Subnet:        CampusSubnet(i),
 			WithAttacker:  cfg.WithAttacker && i == cfg.AttackerLAN,
 			WithMonitor:   true,
-			CAMCapacity:   cfg.CAMCapacity,
+			CAMCapacity:   campusCAMCapacity,
 			HostOptions:   hostOpts,
 			Telemetry:     reg,
 		})

@@ -47,15 +47,14 @@ type Config struct {
 	// Subnet is the LAN prefix (default 192.168.88.0/24, the workbench
 	// router's network).
 	Subnet ethaddr.Subnet
-	// WithAttacker attaches an attacker station (default true).
+	// WithAttacker attaches an attacker station (default false; Default
+	// sets it).
 	WithAttacker bool
 	// WithMonitor attaches a promiscuous appliance host on a port that
-	// mirrors all traffic (default true).
+	// mirrors all traffic (default false; Default sets it).
 	WithMonitor bool
 	// CAMCapacity bounds the switch CAM table (default 1024).
 	CAMCapacity int
-	// LinkLatency is the per-attachment one-way delay (default 50µs).
-	LinkLatency time.Duration
 	// LinkJitter adds a uniform random delay in [0, LinkJitter) per
 	// transmission (default 0, fully deterministic timing).
 	LinkJitter time.Duration
@@ -186,6 +185,9 @@ type LAN struct {
 	external bool
 }
 
+// linkLatency is every attachment's one-way delay.
+const linkLatency = 50 * time.Microsecond
+
 // New assembles a LAN per cfg.
 func New(cfg Config) *LAN {
 	if cfg.Seed == 0 {
@@ -205,9 +207,6 @@ func New(cfg Config) *LAN {
 	}
 	if cfg.CacheTTL == 0 {
 		cfg.CacheTTL = 60 * time.Second
-	}
-	if cfg.LinkLatency == 0 {
-		cfg.LinkLatency = 50 * time.Microsecond
 	}
 
 	s := cfg.Sched
@@ -243,7 +242,7 @@ func New(cfg Config) *LAN {
 		stack.WithCacheCapacity(cfg.Hosts + 2),
 	}, cfg.HostOptions...)
 
-	link := []netsim.LinkOption{netsim.WithLatency(cfg.LinkLatency)}
+	link := []netsim.LinkOption{netsim.WithLatency(linkLatency)}
 	if cfg.LinkJitter > 0 {
 		link = append(link, netsim.WithJitter(cfg.LinkJitter))
 	}

@@ -13,8 +13,8 @@ import (
 
 // Replay throughput benchmarks: frames/sec through the full engine —
 // read, parse, normalize into pooled frames, inject through the switch
-// with arpwatch deployed. Single-thread vs sharded is the BENCH_PR8
-// comparison; NDJSON is parse-bound (JSON + base64), which is what
+// with arpwatch deployed. Each format runs single-thread and sharded;
+// NDJSON is parse-bound (JSON + base64), which is what
 // sharding parallelizes, while a pcap record is copied once, out of the
 // reader's buffered window.
 const (

@@ -62,12 +62,13 @@ func WorkbenchStations(seed int64) (gw, victim Station) {
 	return gw, victim
 }
 
-// Monitor defaults: an address and locally-administered MAC chosen to stay
-// clear of labnet's conventions (hosts low, attacker .66, monitor .250), so
-// a replayed workbench capture cannot collide with the live appliance.
+// The synthetic appliance's identity: an address and locally-administered
+// MAC chosen to stay clear of labnet's conventions (hosts low, attacker
+// .66, monitor .250), so a replayed workbench capture cannot collide with
+// the live appliance.
 var (
-	defaultMonitorIP  = ethaddr.MustParseIPv4("192.168.88.251")
-	defaultMonitorMAC = ethaddr.MustParseMAC("06:ab:ab:ab:ab:01")
+	monitorIP  = ethaddr.MustParseIPv4("192.168.88.251")
+	monitorMAC = ethaddr.MustParseMAC("06:ab:ab:ab:ab:01")
 )
 
 // Config assembles an Engine.
@@ -77,8 +78,6 @@ type Config struct {
 	// Gateway and Victim are the identities hosted as real stacks. Zero
 	// values default to WorkbenchStations(1).
 	Gateway, Victim Station
-	// Monitor overrides the synthetic appliance identity (rarely needed).
-	Monitor Station
 	// Workers sets the ingest width: ≤1 replays inline on the caller's
 	// goroutine; above 1, parsing runs on min(Workers, GOMAXPROCS)
 	// goroutines, the caller's included, while the caller injects. Output
@@ -149,9 +148,6 @@ func New(cfg Config) (*Engine, error) {
 			cfg.Victim = v
 		}
 	}
-	if cfg.Monitor == (Station{}) {
-		cfg.Monitor = Station{IP: defaultMonitorIP, MAC: defaultMonitorMAC}
-	}
 	if cfg.Drain <= 0 {
 		cfg.Drain = 10 * time.Second
 	}
@@ -209,10 +205,10 @@ func New(cfg Config) (*Engine, error) {
 	gwHost, gwPort := hosted("gateway", cfg.Gateway)
 	vHost, vPort := hosted("victim", cfg.Victim)
 
-	monNIC := netsim.NewNIC(s, cfg.Monitor.MAC)
+	monNIC := netsim.NewNIC(s, monitorMAC)
 	monPort := sw.AddPort()
 	monPort.Attach(monNIC, netsim.WithLatency(0))
-	mon := stack.NewHost(s, "monitor", monNIC, cfg.Monitor.IP, opts...)
+	mon := stack.NewHost(s, "monitor", monNIC, monitorIP, opts...)
 	monNIC.SetPromiscuous(true)
 	sw.MirrorAllTo(monPort)
 	e.addNIC(monNIC)

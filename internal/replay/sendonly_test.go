@@ -52,7 +52,7 @@ func TestInjectorsReceiveNothing(t *testing.T) {
 	injectors := 0
 	for _, nic := range eng.nics {
 		mac := nic.MAC()
-		if mac == eng.cfg.Gateway.MAC || mac == eng.cfg.Victim.MAC || mac == eng.cfg.Monitor.MAC {
+		if mac == eng.cfg.Gateway.MAC || mac == eng.cfg.Victim.MAC || mac == monitorMAC {
 			continue
 		}
 		injectors++

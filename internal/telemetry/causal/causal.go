@@ -118,9 +118,9 @@ type Context interface {
 	SetCause(id uint64) (prev uint64)
 }
 
-// traceMapLimit bounds the ID→trace index. Entries beyond it are evicted
-// oldest-first (deterministically); a span whose parent's entry was evicted
-// starts a fresh trace, which only matters for runs holding millions of
+// traceMapLimit bounds the ID→trace index to the most recent IDs: a span
+// whose parent is more than traceMapLimit IDs older than itself starts a
+// fresh trace, which only matters for runs holding millions of
 // concurrently-referenced spans.
 const traceMapLimit = 1 << 16
 
@@ -129,17 +129,19 @@ const traceMapLimit = 1 << 16
 // parallel trials that each own a recorder stay byte-identical regardless
 // of interleaving. The nil Recorder is a valid no-op.
 type Recorder struct {
-	ctx       Context
-	limit     int
-	nextID    uint64
-	ring      []Span
-	head      int
-	n         int
-	started   uint64
-	dropped   uint64
-	traceOf   map[uint64]uint64
-	traceFIFO []uint64
-	onFinish  func(Span)
+	ctx     Context
+	limit   int
+	nextID  uint64
+	ring    []Span
+	head    int
+	n       int
+	started uint64
+	dropped uint64
+	// traces maps span ID id to its trace at traces[(id-1)%traceMapLimit].
+	// IDs are sequential, so the slots hold exactly the latest
+	// traceMapLimit IDs; it grows by append up to that bound.
+	traces   []uint64
+	onFinish func(Span)
 }
 
 // DefaultLimit is the span-ring bound used when New is given a
@@ -152,7 +154,7 @@ func New(ctx Context, limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Recorder{ctx: ctx, limit: limit, traceOf: make(map[uint64]uint64)}
+	return &Recorder{ctx: ctx, limit: limit}
 }
 
 // OnFinish registers a hook invoked with every finished span (NDJSON
@@ -202,10 +204,8 @@ func (r *Recorder) Begin(kind, name string) *ActiveSpan {
 	id := r.nextID
 	parent := r.ctx.Cause()
 	trace := id
-	if parent != 0 {
-		if t, ok := r.traceOf[parent]; ok {
-			trace = t
-		}
+	if parent != 0 && parent < id && id-parent <= traceMapLimit {
+		trace = r.traces[(parent-1)%traceMapLimit]
 	}
 	r.indexTrace(id, trace)
 	prev := r.ctx.SetCause(id)
@@ -218,14 +218,14 @@ func (r *Recorder) Begin(kind, name string) *ActiveSpan {
 	}
 }
 
-// indexTrace records id→trace, evicting the oldest entry past the bound.
+// indexTrace records id→trace, overwriting the slot of the ID
+// traceMapLimit older once the index is full.
 func (r *Recorder) indexTrace(id, trace uint64) {
-	if len(r.traceFIFO) >= traceMapLimit {
-		delete(r.traceOf, r.traceFIFO[0])
-		r.traceFIFO = r.traceFIFO[1:]
+	if len(r.traces) < traceMapLimit {
+		r.traces = append(r.traces, trace)
+		return
 	}
-	r.traceOf[id] = trace
-	r.traceFIFO = append(r.traceFIFO, id)
+	r.traces[(id-1)%traceMapLimit] = trace
 }
 
 // Attr annotates the span; it returns the span for chaining.

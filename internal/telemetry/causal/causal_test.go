@@ -140,6 +140,42 @@ func TestRingBoundAndDropCount(t *testing.T) {
 	}
 }
 
+// TestTraceIndexBoundary pins the trace index's horizon: a parent exactly
+// traceMapLimit IDs back still lends its trace, through the slot the new
+// span then overwrites; one ID further back starts a fresh trace.
+func TestTraceIndexBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		back      int // IDs between the root and the child
+		wantTrace ID
+	}{
+		{"at the limit", traceMapLimit, 1},
+		{"one past the limit", traceMapLimit + 1, traceMapLimit + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &fakeCtx{}
+			r := New(ctx, 1)
+			root := r.Begin("root", "r")
+			root.End()
+			for i := 1; i < tc.back; i++ {
+				r.Begin("k", "filler").End()
+			}
+			ctx.cause = uint64(root.ID())
+			child := r.Begin("child", "c")
+			if child.ID() != root.ID()+ID(tc.back) {
+				t.Fatalf("child ID %d, want %d", child.ID(), root.ID()+ID(tc.back))
+			}
+			if child.span.Trace != tc.wantTrace {
+				t.Fatalf("child trace %d, want %d", child.span.Trace, tc.wantTrace)
+			}
+			grandchild := r.Begin("grandchild", "g")
+			if grandchild.span.Trace != tc.wantTrace {
+				t.Fatalf("grandchild trace %d, want %d", grandchild.span.Trace, tc.wantTrace)
+			}
+		})
+	}
+}
+
 // buildAttackTrace assembles the canonical poisoning chain by hand:
 // attack → tx → link → switch → {scheme → alert, cache}.
 func buildAttackTrace(t *testing.T, ctx *fakeCtx, r *Recorder) (alert ID) {

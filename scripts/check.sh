@@ -130,7 +130,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/arpbench" ./cmd/arpbench
 "$tmpdir/arpbench" -list |
 	awk '$1 ~ /^(table|figure)[0-9]/ { print $1 }' | sort >"$tmpdir/listed"
-"$tmpdir/arpbench" -trials 1 -cache >"$tmpdir/full.txt"
+"$tmpdir/arpbench" -trials 1 >"$tmpdir/full.txt"
 grep -E '^(Table|Figure) [0-9]+b?:' "$tmpdir/full.txt" |
 	awk '{ id = tolower($1) $2; sub(/:$/, "", id); print id }' | sort >"$tmpdir/rendered"
 if ! diff -u "$tmpdir/listed" "$tmpdir/rendered"; then
@@ -146,7 +146,7 @@ echo "==> evaluation golden (-trials 10 vs evaluation_output.txt, host-timed Tab
 mask_host_timed() {
 	awk '/^(Table|Figure) [0-9]+b?:/ { skip = /^(Table 4|Figure 3):/; print; next } !skip' "$1"
 }
-"$tmpdir/arpbench" -trials 10 -cache >"$tmpdir/eval.txt"
+"$tmpdir/arpbench" -trials 10 >"$tmpdir/eval.txt"
 mask_host_timed evaluation_output.txt >"$tmpdir/eval.want"
 mask_host_timed "$tmpdir/eval.txt" >"$tmpdir/eval.got"
 if ! diff -u "$tmpdir/eval.want" "$tmpdir/eval.got"; then
