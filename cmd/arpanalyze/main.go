@@ -66,6 +66,11 @@ func run(w io.Writer, args []string) error {
 	if *scheme == "" {
 		return fmt.Errorf("-scheme is required (try -list)")
 	}
+	if *drain <= 0 {
+		// replay.Config reads a zero Drain as its default, so a silent
+		// pass-through would drain 10s whatever was asked for.
+		return fmt.Errorf("-drain %v: must be positive", *drain)
+	}
 
 	st, err := registry.ParseStack(*scheme)
 	if err != nil {

@@ -139,6 +139,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveDrain: a -drain of zero or below fails with an
+// error naming the flag instead of silently draining the 10s default.
+func TestRunRejectsNonPositiveDrain(t *testing.T) {
+	for _, d := range []string{"0", "-3s"} {
+		var buf bytes.Buffer
+		err := run(&buf, []string{"-in", replayTestdata(t, "mitm.pcap"), "-scheme", "arpwatch", "-out", os.DevNull, "-drain", d})
+		if err == nil || !strings.Contains(err.Error(), "-drain") {
+			t.Errorf("-drain %s: err = %v, want an error naming -drain", d, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-drain %s: printed %q before failing", d, buf.String())
+		}
+	}
+}
+
 // TestParseStation pins the ip=mac flag grammar.
 func TestParseStation(t *testing.T) {
 	st, err := parseStation("192.168.88.254=02:42:ac:00:00:01")

@@ -33,9 +33,13 @@ func main() {
 	}
 }
 
+// maxHosts is the most stations the /24 holds: host i sits at .i+1 for
+// i ≥ 1, so host 253 would take the gateway's .254.
+const maxHosts = 253
+
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("arpsim", flag.ContinueOnError)
-	hosts := fs.Int("hosts", 4, "number of stations")
+	hosts := fs.Int("hosts", 4, "number of stations, gateway included (1 to 253)")
 	duration := fs.Duration("duration", 30*time.Second, "simulated time to run")
 	useDHCP := fs.Bool("dhcp", false, "assign addresses via a simulated DHCP server")
 	jsonPath := fs.String("json", "", "write the packet capture to this file as JSON")
@@ -47,6 +51,9 @@ func run(w io.Writer, args []string) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *hosts < 1 || *hosts > maxHosts {
+		return fmt.Errorf("-hosts %d: want 1 to %d (host i sits at .i+1 of the /24, the gateway at .254)", *hosts, maxHosts)
 	}
 	if *ndjsonPath == "-" {
 		// The capture stream owns stdout; keep the human summary legible

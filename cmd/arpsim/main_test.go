@@ -61,6 +61,28 @@ func TestRunWritesPCAP(t *testing.T) {
 	}
 }
 
+// TestRunHostBounds: -hosts outside [1, 253] fails naming the flag, where
+// it used to panic (-1 with -dhcp) or hand a host the gateway's address
+// (254 and up); 253 hosts fit, with .254 the gateway's alone.
+func TestRunHostBounds(t *testing.T) {
+	for _, n := range []string{"-1", "0", "254", "300"} {
+		var buf bytes.Buffer
+		if err := run(&buf, []string{"-hosts", n, "-dhcp", "-duration", "1s"}); err == nil || !strings.Contains(err.Error(), "-hosts "+n) {
+			t.Errorf("-hosts %s: err = %v, want an error naming -hosts", n, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"-hosts", "253", "-duration", "1s"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "192.168.88.254 "); n != 1 {
+		t.Fatalf("253 hosts: .254 appears %d times, want once (the gateway)", n)
+	}
+	if strings.Contains(buf.String(), "192.168.89.") {
+		t.Fatal("253 hosts: a host left the /24")
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-no-such-flag"}); err == nil {

@@ -31,7 +31,7 @@ func main() {
 	// DAI inline on the switch; only the DHCP server's port is trusted.
 	sink := schemes.NewSink()
 	inspector := dai.New(lan.Sched, sink, table, dai.WithTrustedPorts(lan.Ports[0].ID()))
-	lan.Switch.SetFilter(inspector.Filter())
+	lan.Switch.AddFilter(inspector.Filter())
 
 	// Clients acquire addresses through DORA.
 	clients := lan.Hosts[1:]

@@ -42,7 +42,7 @@ func main() {
 	}
 	opts = append(opts, portsec.WithSticky(lan.AtkPort.ID(), lan.Attacker.MAC()))
 	enforcer := portsec.New(lan.Sched, sink, opts...)
-	lan.Switch.SetFilter(enforcer.Filter())
+	lan.Switch.AddFilter(enforcer.Filter())
 
 	// Rate anomaly detection on the mirror.
 	rate := flooddetect.New(lan.Sched, sink)

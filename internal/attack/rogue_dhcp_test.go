@@ -90,7 +90,7 @@ func TestDHCPGuardBlocksRogue(t *testing.T) {
 	insp := dai.New(n.s, sink, table,
 		dai.WithTrustedPorts(n.srvPort.ID()),
 		dai.WithDHCPGuard())
-	n.sw.SetFilter(insp.Filter())
+	n.sw.AddFilter(insp.Filter())
 
 	n.attacker.StartRogueDHCP(ethaddr.MustParseSubnet("10.0.0.0/24"), 200, 10)
 	n.client.Acquire()
@@ -118,7 +118,7 @@ func TestDHCPGuardPassesGenuineServer(t *testing.T) {
 	insp := dai.New(n.s, sink, dai.NewBindingTable(),
 		dai.WithTrustedPorts(n.srvPort.ID()),
 		dai.WithDHCPGuard())
-	n.sw.SetFilter(insp.Filter())
+	n.sw.AddFilter(insp.Filter())
 
 	n.client.Acquire()
 	if err := n.s.RunUntil(10 * time.Second); err != nil {

@@ -26,12 +26,10 @@ func faultPlanForIntensity(x float64, attackAt time.Duration) *faults.Plan {
 		// Host 3's link flaps and host 4 power-cycles while the MITM is
 		// live; neither is the gateway or the victim, so any alert they
 		// draw is a false positive.
-		{Type: faults.TypeLinkFlap, AtSeconds: atk + 5, DurationSeconds: 10, Link: intPtr(3)},
-		{Type: faults.TypeHostChurn, AtSeconds: atk + 15, DurationSeconds: 3, Host: intPtr(4)},
+		{Type: faults.TypeLinkFlap, AtSeconds: atk + 5, DurationSeconds: 10, LinkAt: "lan:0/link:3"},
+		{Type: faults.TypeHostChurn, AtSeconds: atk + 15, DurationSeconds: 3, HostAt: "lan:0/host:4"},
 	}}
 }
-
-func intPtr(i int) *int { return &i }
 
 // table8Intensities is Table 8's fault-intensity sweep: the endpoints and
 // the midpoint. Figure 8 sweeps a finer grid of its own.

@@ -1,6 +1,6 @@
-// Hierarchical fault addressing. Flat-LAN plans target objects by bare
-// index ("link": 3); routed topologies need to say *which* segment's link 3,
-// and campus-wide plans want wildcards. The grammar is deliberately tiny:
+// Hierarchical fault addressing. A routed topology needs to say *which*
+// segment's link 3, and campus-wide plans want wildcards. The grammar is
+// deliberately tiny:
 //
 //	lan:3/link:7    link 7 on LAN 3
 //	lan:*/link:7    link 7 on every LAN
@@ -12,8 +12,8 @@
 //	trunk:2-*       every edge leaving LAN 2
 //	trunk:*         every backbone edge
 //
-// A flat LAN is the single-site topology "lan 0", so "lan:0/link:3" is
-// exactly `"link": 3` — the property the equivalence tests pin.
+// A flat LAN is the single-site topology "lan 0", so its link 3 is
+// "lan:0/link:3".
 package faults
 
 import (

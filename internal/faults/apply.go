@@ -16,9 +16,9 @@ import (
 // targeting an absent object is an Apply-time error, never a silent no-op.
 //
 // Every topology is a list of sites: a flat LAN is the single site "lan 0",
-// which is why a plan saying "lan:0/link:3" behaves byte-identically to one
-// saying "link": 3, and a routed campus is one site per LAN (each with its
-// own shard scheduler) plus the trunks between them.
+// so a plan names its link 3 "lan:0/link:3", and a routed campus is one
+// site per LAN (each with its own shard scheduler) plus the trunks between
+// them.
 type Env struct {
 	// Sched arms the topology-wide events (dhcp-outage).
 	Sched *sim.Scheduler
@@ -33,7 +33,7 @@ type Env struct {
 	// Sites exposes the topology segment by segment. Every event callback
 	// for a site's objects is armed on that site's own scheduler, so
 	// injection stays race-free and byte-identical at any shard-worker
-	// width. Bare indices ("link": 3, "host": 4) address site 0.
+	// width.
 	Sites []SiteEnv
 	// Trunks are the backbone edges, targets for trunk-partition.
 	Trunks []TrunkEnv
@@ -272,12 +272,6 @@ func (c *Controller) linkTargets(i int, e *Event) ([]siteLink, error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("fault event %d (%s): %s", i, e.Type, fmt.Sprintf(format, args...))
 	}
-	if e.Link != nil {
-		if *e.Link < 0 || *e.Link >= len(c.sites[0].Links) {
-			return nil, fail("link %d out of range [0, %d)", *e.Link, len(c.sites[0].Links))
-		}
-		return []siteLink{{site: 0, link: *e.Link}}, nil
-	}
 	addr := linkAddr{lan: wildcard, link: wildcard}
 	if e.LinkAt != "" {
 		addr, _ = parseLinkAddr(e.LinkAt) // validated
@@ -315,14 +309,6 @@ func (c *Controller) linkTargets(i int, e *Event) ([]siteLink, error) {
 
 // hostTargets resolves an event's station selector (host-churn).
 func (c *Controller) hostTargets(i int, e *Event) ([]siteHost, error) {
-	if e.Host != nil {
-		hi := *e.Host
-		if hi < 0 || hi >= len(c.sites[0].Hosts) {
-			return nil, fmt.Errorf("fault event %d (%s): host %d out of range [0, %d)",
-				i, e.Type, hi, len(c.sites[0].Hosts))
-		}
-		return []siteHost{{site: 0, host: hi}}, nil
-	}
 	addr, _ := parseHostAddr(e.HostAt) // validated; validate guarantees one selector
 	siteIdx := make([]int, 0, len(c.sites))
 	if addr.lan == wildcard {

@@ -96,22 +96,13 @@ type Event struct {
 	// churn require an explicit positive duration (a flap that never ends is
 	// a misconfiguration, not a fault model).
 	DurationSeconds float64 `json:"durationSeconds,omitempty"`
-	// Link targets one of site 0's links by index (see SiteEnv.Links);
-	// nil targets every link in the environment. Ignored by
-	// host/switch/DHCP faults. On a routed topology site 0 is LAN 0; use
-	// LinkAt to reach other segments.
-	Link *int `json:"link,omitempty"`
-	// LinkAt targets links hierarchically on any topology: "lan:3/link:7",
-	// "lan:*/link:0", "lan:2/link:*", or "lan:*". A flat LAN is the
-	// single-site topology lan 0, so "lan:0/link:3" means exactly
-	// `"link": 3`. Mutually exclusive with Link.
+	// LinkAt targets links on any topology: "lan:3/link:7", "lan:*/link:0",
+	// "lan:2/link:*", or "lan:*". A flat LAN is the single-site topology
+	// lan 0, so its link 3 is "lan:0/link:3". Empty targets every link in
+	// the environment. Ignored by host/switch/DHCP faults.
 	LinkAt string `json:"linkAt,omitempty"`
-	// Host targets one station by index for host-churn (LAN 0 on a routed
-	// topology).
-	Host *int `json:"host,omitempty"`
-	// HostAt targets one station hierarchically for host-churn:
-	// "lan:3/host:2", or "lan:*/host:2" for that index on every segment.
-	// Mutually exclusive with Host.
+	// HostAt targets one station for host-churn: "lan:3/host:2", or
+	// "lan:*/host:2" for that index on every segment.
 	HostAt string `json:"hostAt,omitempty"`
 	// Trunk selects backbone edges for trunk-partition: "trunk:2-5",
 	// "trunk:2-*", "trunk:*-5", or "trunk:*". Empty partitions every edge.
@@ -185,16 +176,10 @@ func (e *Event) validate(i int) error {
 		}
 		return nil
 	}
-	if e.Link != nil && e.LinkAt != "" {
-		return fail("link and linkAt are mutually exclusive")
-	}
 	if e.LinkAt != "" {
 		if _, err := parseLinkAddr(e.LinkAt); err != nil {
 			return fail("%v", err)
 		}
-	}
-	if e.Host != nil && e.HostAt != "" {
-		return fail("host and hostAt are mutually exclusive")
 	}
 	if e.HostAt != "" {
 		if _, err := parseHostAddr(e.HostAt); err != nil {
@@ -238,8 +223,8 @@ func (e *Event) validate(i int) error {
 		if e.DurationSeconds <= 0 {
 			return fail("requires a positive durationSeconds")
 		}
-		if e.Type == TypeHostChurn && e.Host == nil && e.HostAt == "" {
-			return fail("requires a host index (host or hostAt)")
+		if e.Type == TypeHostChurn && e.HostAt == "" {
+			return fail("requires a host index (hostAt)")
 		}
 	case TypeCAMFlush, TypeDHCPOutage, TypeRouterFlush:
 		// No extra fields.

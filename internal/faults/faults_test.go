@@ -22,14 +22,17 @@ func chatter(l *labnet.LAN, period time.Duration) {
 	}
 }
 
-func intp(i int) *int { return &i }
-
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := faults.Load(strings.NewReader(`{"events":[{"bogus":1}]}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 	if _, err := faults.Load(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	for _, bare := range []string{`"link":3`, `"host":4`} {
+		if _, err := faults.Load(strings.NewReader(`{"events":[{"type":"link-flap",` + bare + `}]}`)); err == nil {
+			t.Fatalf("bare index %s accepted; targets are named by linkAt/hostAt", bare)
+		}
 	}
 	p, err := faults.Load(strings.NewReader(`{"events":[{"type":"cam-flush","atSeconds":5}]}`))
 	if err != nil {
@@ -53,10 +56,10 @@ func TestApplyValidation(t *testing.T) {
 		{"inert channel", faults.Event{Type: faults.TypeGilbertElliott}, "never lose"},
 		{"bad prob", faults.Event{Type: faults.TypeGilbertElliott, PGoodBad: 1.5}, "outside [0, 1]"},
 		{"zero prob", faults.Event{Type: faults.TypeReorder}, "prob is zero"},
-		{"flap no window", faults.Event{Type: faults.TypeLinkFlap, Link: intp(0)}, "positive durationSeconds"},
+		{"flap no window", faults.Event{Type: faults.TypeLinkFlap, LinkAt: "lan:0/link:0"}, "positive durationSeconds"},
 		{"churn no host", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1}, "requires a host index"},
-		{"churn bad host", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1, Host: intp(99)}, "out of range"},
-		{"link out of range", faults.Event{Type: faults.TypeLinkFlap, DurationSeconds: 1, Link: intp(99)}, "out of range"},
+		{"churn bad host", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1, HostAt: "lan:0/host:99"}, "out of range"},
+		{"link out of range", faults.Event{Type: faults.TypeLinkFlap, DurationSeconds: 1, LinkAt: "lan:0/link:99"}, "out of range"},
 		{"no dhcp", faults.Event{Type: faults.TypeDHCPOutage}, "no DHCP server"},
 	}
 	for _, tc := range cases {
@@ -133,7 +136,7 @@ func TestLinkFlapWindow(t *testing.T) {
 	l.SeedMutualCaches()
 	chatter(l, 100*time.Millisecond)
 	ctl, err := faults.Apply(&faults.Plan{Events: []faults.Event{{
-		Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 5, Link: intp(1),
+		Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 5, LinkAt: "lan:0/link:1",
 	}}}, l.FaultEnv())
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestHostChurnWipesCacheAndReannounces(t *testing.T) {
 	l.SeedMutualCaches()
 	target := l.Hosts[2]
 	ctl, err := faults.Apply(&faults.Plan{Events: []faults.Event{{
-		Type: faults.TypeHostChurn, AtSeconds: 5, DurationSeconds: 2, Host: intp(2),
+		Type: faults.TypeHostChurn, AtSeconds: 5, DurationSeconds: 2, HostAt: "lan:0/host:2",
 	}}}, l.FaultEnv())
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +247,8 @@ func TestPlanIsDeterministic(t *testing.T) {
 			{Type: faults.TypeGilbertElliott, AtSeconds: 2, DurationSeconds: 30, PGoodBad: 0.05, PBadGood: 0.2, LossBad: 0.8},
 			{Type: faults.TypeReorder, Prob: 0.1, MaxDelayMillis: 3},
 			{Type: faults.TypeDuplicate, Prob: 0.05},
-			{Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 3, Link: intp(2)},
-			{Type: faults.TypeHostChurn, AtSeconds: 20, DurationSeconds: 2, Host: intp(3)},
+			{Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 3, LinkAt: "lan:0/link:2"},
+			{Type: faults.TypeHostChurn, AtSeconds: 20, DurationSeconds: 2, HostAt: "lan:0/host:3"},
 			{Type: faults.TypeCAMFlush, AtSeconds: 25},
 		}}, l.FaultEnv())
 		if err != nil {
@@ -362,10 +365,8 @@ func TestHierarchicalAddressValidation(t *testing.T) {
 		{"bad linkAt", faults.Event{Type: faults.TypeLinkFlap, DurationSeconds: 1, LinkAt: "lan:0/port:3"}, "bad selector part"},
 		{"garbage linkAt", faults.Event{Type: faults.TypeReorder, Prob: 0.5, LinkAt: "everything"}, `link address "everything"`},
 		{"negative lan", faults.Event{Type: faults.TypeReorder, Prob: 0.5, LinkAt: "lan:-2/link:0"}, "non-negative"},
-		{"link and linkAt", faults.Event{Type: faults.TypeLinkFlap, DurationSeconds: 1, Link: intp(0), LinkAt: "lan:0"}, "mutually exclusive"},
 		{"bad hostAt", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1, HostAt: "lan:0"}, "want lan:<i>/host:<j>"},
 		{"wildcard host", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1, HostAt: "lan:*/host:*"}, "concrete"},
-		{"host and hostAt", faults.Event{Type: faults.TypeHostChurn, DurationSeconds: 1, Host: intp(1), HostAt: "lan:0/host:1"}, "mutually exclusive"},
 		{"bad trunk", faults.Event{Type: faults.TypeTrunkPartition, DurationSeconds: 1, Trunk: "trunk:2"}, "want trunk:<from>-<to>"},
 		{"bad lan", faults.Event{Type: faults.TypeCAMFlush, Lan: "site:3"}, "bad selector part"},
 		{"linkAt lan out of range", faults.Event{Type: faults.TypeReorder, Prob: 0.5, LinkAt: "lan:7/link:0"}, "lan 7 out of range"},
@@ -384,50 +385,5 @@ func TestHierarchicalAddressValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "valid types") ||
 		!strings.Contains(err.Error(), faults.TypeTrunkPartition) {
 		t.Fatalf("unknown-type error should list valid types, got: %v", err)
-	}
-}
-
-// TestFlatPlanEqualsLanZeroPlan pins the single-site equivalence at the
-// faults layer: on the same flat LAN, a plan addressing "link": i behaves
-// byte-identically to one addressing "lan:0/link:<i>" (same injector
-// streams, same targets), and a bare-index host-churn matches its
-// "lan:0/host:<i>" spelling.
-func TestFlatPlanEqualsLanZeroPlan(t *testing.T) {
-	run := func(p *faults.Plan) (faults.Stats, uint64) {
-		l := labnet.New(labnet.Config{Seed: 21, Hosts: 5, WithAttacker: false, WithMonitor: false})
-		l.SeedMutualCaches()
-		chatter(l, 50*time.Millisecond)
-		ctl, err := faults.Apply(p, l.FaultEnv())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Run(40 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		var rx uint64
-		for _, h := range l.Hosts {
-			rx += h.Stats().IPv4Rx
-		}
-		return ctl.Stats(), rx
-	}
-	flat := &faults.Plan{Events: []faults.Event{
-		{Type: faults.TypeGilbertElliott, AtSeconds: 2, DurationSeconds: 20, PGoodBad: 0.1, PBadGood: 0.2, LossBad: 0.9, Link: intp(1)},
-		{Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 3, Link: intp(2)},
-		{Type: faults.TypeHostChurn, AtSeconds: 20, DurationSeconds: 2, Host: intp(3)},
-		{Type: faults.TypeReorder, Prob: 0.2, MaxDelayMillis: 4},
-	}}
-	prefixed := &faults.Plan{Events: []faults.Event{
-		{Type: faults.TypeGilbertElliott, AtSeconds: 2, DurationSeconds: 20, PGoodBad: 0.1, PBadGood: 0.2, LossBad: 0.9, LinkAt: "lan:0/link:1"},
-		{Type: faults.TypeLinkFlap, AtSeconds: 10, DurationSeconds: 3, LinkAt: "lan:0/link:2"},
-		{Type: faults.TypeHostChurn, AtSeconds: 20, DurationSeconds: 2, HostAt: "lan:0/host:3"},
-		{Type: faults.TypeReorder, Prob: 0.2, MaxDelayMillis: 4, LinkAt: "lan:*"},
-	}}
-	s1, rx1 := run(flat)
-	s2, rx2 := run(prefixed)
-	if !reflect.DeepEqual(s1, s2) || rx1 != rx2 {
-		t.Fatalf("flat plan and lan:0-prefixed plan diverged:\n%+v (rx %d)\n%+v (rx %d)", s1, rx1, s2, rx2)
-	}
-	if s1.Total() == 0 {
-		t.Fatal("plan injected nothing")
 	}
 }

@@ -71,7 +71,7 @@ func TestEnterpriseDay(t *testing.T) {
 	daiSink := schemes.NewSink()
 	inspector := dai.New(s, daiSink, bindings,
 		dai.WithTrustedPorts(srvPort.ID(), monPort.ID()))
-	sw.SetFilter(inspector.Filter())
+	sw.AddFilter(inspector.Filter())
 
 	// Six workstations boot over DHCP.
 	const nClients = 6

@@ -1,7 +1,9 @@
 // Package ipv4pkt implements the minimal slice of IPv4, ICMP, and UDP needed
 // by the framework: enough to carry workload traffic whose interception the
-// eavesdropping experiments measure, the ICMP echo probes the active
-// detection schemes send, and the UDP datagrams DHCP rides on.
+// eavesdropping experiments measure, the ICMP echoes hosts exchange (the
+// pinned replay capture is built from pings), and the UDP datagrams DHCP
+// rides on. No detection scheme sends ICMP: active probing uses RFC 5227
+// ARP probes.
 //
 // Headers are encoded in real wire format with real checksums, so byte
 // counts and validation behaviour match physical networks.

@@ -273,10 +273,10 @@ func TestRecycledCampusTrialAllocFree(t *testing.T) {
 	fresh := m1.Mallocs - m0.Mallocs
 	allocs := testing.AllocsPerRun(5, trial)
 	t.Logf("campus trial: %v allocs on recycled storage, %d on fresh", allocs, fresh)
-	// 840 measured (Go 1.24, amd64), and 847 under the race detector; a
+	// 836 measured (Go 1.24, amd64), and 843 under the race detector; a
 	// per-frame or per-entry allocation on the routed path would add
 	// thousands.
-	const ceiling = 850
+	const ceiling = 846
 	if allocs > ceiling {
 		t.Fatalf("campus trial on recycled storage: %v allocs, want at most %d", allocs, ceiling)
 	}

@@ -82,10 +82,9 @@ type Topology interface {
 	Recycle()
 }
 
-// Single wraps a flat LAN as the one-site topology "lan 0". Hierarchical
-// fault addresses like "lan:0/link:3" resolve to exactly the objects their
-// bare-index spellings target, and scheme deployment lands on the LAN's
-// single site.
+// Single wraps a flat LAN as the one-site topology "lan 0": the fault
+// address "lan:0/link:3" is the LAN's Links[3], and scheme deployment lands
+// on the LAN's single site.
 type Single struct {
 	LAN      *LAN
 	Sink     *schemes.Sink

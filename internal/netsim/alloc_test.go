@@ -157,9 +157,9 @@ func TestRecycledCAMRelearnAllocFree(t *testing.T) {
 			sw.learn(0, 1, mac(i), 0)
 		}
 	})
-	// A NewSwitch with nothing parked allocates the switch, its mirror map
-	// and an empty index; with a parked table the index comes for free and
-	// refilling it adds nothing.
+	// A NewSwitch with nothing parked allocates the switch and an empty
+	// index; with a parked table the index comes for free and refilling it
+	// adds nothing.
 	s2 := sim.NewScheduler(2)
 	fresh := testing.AllocsPerRun(20, func() { _ = NewSwitch(s2) })
 	if allocs >= fresh {

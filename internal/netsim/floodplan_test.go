@@ -42,9 +42,6 @@ func refFlood(sw *Switch, ingress int, f *frame.Frame) bool {
 			break
 		}
 		ld := l.params.latency
-		if l.params.bps > 0 {
-			ld += time.Duration(int64(wire) * 8 * int64(time.Second) / l.params.bps)
-		}
 		if n == 0 {
 			d = ld
 		} else if ld != d {
@@ -127,8 +124,7 @@ func (w *floodWorld) broadcast(in, id int) {
 	sw := w.sw
 	f := &frame.Frame{Dst: ethaddr.BroadcastMAC, Src: ethaddr.MAC{0x02, 0xff, 0, 0, 0, 1},
 		Type: frame.TypeARP, Payload: []byte{byte(id >> 8), byte(id), 0, 0}}
-	mirrorWanted := sw.mirror != nil && sw.mirror.nic != nil &&
-		(sw.mirrSrc == nil || sw.mirrSrc[in]) && sw.mirror.id != in
+	mirrorWanted := sw.mirror != nil && sw.mirror.nic != nil && sw.mirror.id != in
 	reached := w.flood(in, f)
 	w.reached = append(w.reached, reached)
 	if mirrorWanted && !reached {
@@ -169,11 +165,9 @@ func randomFloodOp(r *rand.Rand, ports, nics, links int) (string, floodOp) {
 		case 2:
 			opts = append(opts, WithLoss(0.3))
 		case 3:
-			opts = append(opts, WithBandwidth(100_000_000))
-		case 4: // a different link with the default link's delay for a
-			// minimum frame, the size every test broadcast is
-			serial := time.Duration(frame.MinFrameLen * 8 * int64(time.Second) / 1_000_000_000)
-			opts = append(opts, WithLatency(50*time.Microsecond-serial), WithBandwidth(1_000_000_000))
+			opts = append(opts, WithLatency(35*time.Microsecond))
+		case 4: // a different link with the default link's delay
+			opts = append(opts, WithLatency(50*time.Microsecond))
 		}
 		if r.Intn(3) == 0 {
 			opts = append(opts, SendOnly())
@@ -229,24 +223,9 @@ func randomFloodOp(r *rand.Rand, ports, nics, links int) (string, floodOp) {
 				w.links[l].SetImpairment(nil)
 			}
 		}
-	case k == 17:
+	case k == 17 || k == 18:
 		dst := r.Intn(ports)
 		return fmt.Sprintf("mirror all to port %d", dst), func(w *floodWorld) { w.sw.MirrorAllTo(w.sw.ports[dst]) }
-	case k == 18:
-		dst := r.Intn(ports)
-		var src []int
-		for p := 0; p < ports; p++ {
-			if r.Intn(3) == 0 {
-				src = append(src, p)
-			}
-		}
-		return fmt.Sprintf("mirror ports %v to port %d", src, dst), func(w *floodWorld) {
-			var ps []*Port
-			for _, p := range src {
-				ps = append(ps, w.sw.ports[p])
-			}
-			w.sw.MirrorPortsTo(w.sw.ports[dst], ps...)
-		}
 	}
 	return "nothing", func(*floodWorld) {}
 }

@@ -55,7 +55,7 @@ func TestSwitchInstrumentFilterAndCAMPressure(t *testing.T) {
 	s.Instrument(reg)
 	sw.Instrument(reg)
 	st := newLAN(t, s, sw, 2)
-	sw.SetFilter(func(port int, f *frame.Frame) FilterVerdict {
+	sw.AddFilter(func(port int, f *frame.Frame) FilterVerdict {
 		if port == 1 {
 			return VerdictDrop
 		}

@@ -168,7 +168,6 @@ type linkParams struct {
 	latency time.Duration
 	jitter  time.Duration
 	loss    float64
-	bps     int64 // serialization rate; 0 = infinite (no per-byte delay)
 	// sendOnly makes the attachment transmit-only; see SendOnly.
 	sendOnly bool
 }
@@ -192,14 +191,6 @@ func WithLoss(prob float64) LinkOption {
 	return func(p *linkParams) { p.loss = prob }
 }
 
-// WithBandwidth adds serialization delay: each frame takes wirelen·8/bps
-// on top of the propagation latency, so a 1514-octet frame on Fast
-// Ethernet costs ≈121µs where a minimum frame costs ≈5µs. Zero (the
-// default) models an infinitely fast line.
-func WithBandwidth(bitsPerSecond int64) LinkOption {
-	return func(p *linkParams) { p.bps = bitsPerSecond }
-}
-
 // SendOnly makes the attachment transmit-only: the port still carries
 // the station's frames into the fabric — learned into the CAM, seen by
 // taps, mirrored, counted as ingress — but the fabric never delivers a
@@ -212,15 +203,6 @@ func WithBandwidth(bitsPerSecond int64) LinkOption {
 // would otherwise.
 func SendOnly() LinkOption {
 	return func(p *linkParams) { p.sendOnly = true }
-}
-
-// fixedDelay is a link's delay for a frame of wireLen octets before jitter
-// and faults: propagation plus serialization at bps (none when zero).
-func fixedDelay(latency time.Duration, bps int64, wireLen int) time.Duration {
-	if bps > 0 {
-		latency += time.Duration(int64(wireLen) * 8 * int64(time.Second) / bps)
-	}
-	return latency
 }
 
 // defaultLink returns the default attachment parameters.
@@ -387,7 +369,7 @@ func (l *Link) Stats() LinkStats { return l.stats }
 
 // transmit schedules delivery of f toward nic (link egress) or port
 // (fabric ingress) after the link's delay, honouring the administrative
-// state, any installed impairment, serialization rate, jitter, and loss.
+// state, any installed impairment, jitter, and loss.
 // The frame is carried by a pooled transit task, so a transmission costs no
 // allocation.
 func (l *Link) transmit(f *frame.Frame, nic *NIC, port *Port) {
@@ -400,10 +382,9 @@ func (l *Link) transmit(f *frame.Frame, nic *NIC, port *Port) {
 		sp.Attr("drop", "down").End()
 		return
 	}
-	wireLen := f.WireLen()
 	var v Verdict
 	if l.impair != nil {
-		v = l.impair.Judge(wireLen)
+		v = l.impair.Judge(f.WireLen())
 		if v.Drop {
 			l.stats.FaultDropped++
 			sp.Attr("drop", "fault").End()
@@ -416,7 +397,7 @@ func (l *Link) transmit(f *frame.Frame, nic *NIC, port *Port) {
 		sp.Attr("drop", "loss").End()
 		return
 	}
-	d := fixedDelay(p.latency, p.bps, wireLen)
+	d := p.latency
 	if p.jitter > 0 {
 		d += time.Duration(l.sched.Int63n(int64(p.jitter)))
 	}

@@ -160,7 +160,8 @@ func TestCAMCapacityFailOpen(t *testing.T) {
 
 func TestCAMAgingReclaimsSpace(t *testing.T) {
 	s := sim.NewScheduler(1)
-	sw := NewSwitch(s, WithCAMCapacity(1), WithCAMTTL(100*time.Millisecond))
+	sw := NewSwitch(s, WithCAMCapacity(1))
+	sw.camTTL = 100 * time.Millisecond
 	st := newLAN(t, s, sw, 3)
 
 	st[0].nic.Send(uni(st[0].nic.MAC(), ethaddr.BroadcastMAC))
@@ -188,12 +189,13 @@ func TestCAMAgingReclaimsSpace(t *testing.T) {
 
 func TestInlineFilterDrops(t *testing.T) {
 	s := sim.NewScheduler(1)
-	sw := NewSwitch(s, WithFilter(func(port int, f *frame.Frame) FilterVerdict {
+	sw := NewSwitch(s)
+	sw.AddFilter(func(port int, f *frame.Frame) FilterVerdict {
 		if f.Type == frame.TypeARP {
 			return VerdictDrop
 		}
 		return VerdictAllow
-	}))
+	})
 	st := newLAN(t, s, sw, 2)
 	arp := &frame.Frame{Dst: ethaddr.BroadcastMAC, Src: st[0].nic.MAC(), Type: frame.TypeARP}
 	st[0].nic.Send(arp)
@@ -236,50 +238,10 @@ func TestMirrorAll(t *testing.T) {
 	}
 }
 
-func TestMirrorSelectedPorts(t *testing.T) {
-	s := sim.NewScheduler(1)
-	sw := NewSwitch(s)
-	gen := ethaddr.NewGen(5)
-	mk := func() (*station, *Port) {
-		st := &station{nic: NewNIC(s, gen.SeqMAC())}
-		st.nic.SetHandler(func(f *frame.Frame) { st.got = append(st.got, f) })
-		p := sw.AddPort()
-		p.Attach(st.nic)
-		return st, p
-	}
-	a, pa := mk()
-	b, _ := mk()
-	c, _ := mk()
-	mon, pm := mk()
-	mon.nic.SetPromiscuous(true)
-	sw.MirrorPortsTo(pm, pa)
-
-	a.nic.Send(uni(a.nic.MAC(), ethaddr.BroadcastMAC)) // mirrored (port a)
-	b.nic.Send(uni(b.nic.MAC(), ethaddr.BroadcastMAC)) // not mirrored
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Monitor receives each broadcast exactly once: flooding already
-	// delivers both, so no duplicate SPAN copy is generated for a's.
-	if len(mon.got) != 2 {
-		t.Fatalf("monitor got %d frames, want 2", len(mon.got))
-	}
-	// A learned unicast c→a does not egress the mirror port naturally, so
-	// the SPAN copy must appear (port a is mirrored... c's ingress is not).
-	mon.got = nil
-	c.nic.Send(uni(c.nic.MAC(), a.nic.MAC())) // ingress on unmirrored port
-	a.nic.Send(uni(a.nic.MAC(), c.nic.MAC())) // ingress on mirrored port
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(mon.got) != 1 {
-		t.Fatalf("monitor got %d frames, want only the mirrored port's unicast", len(mon.got))
-	}
-}
-
 func TestTapSeesEverything(t *testing.T) {
 	s := sim.NewScheduler(1)
-	sw := NewSwitch(s, WithFilter(func(int, *frame.Frame) FilterVerdict { return VerdictDrop }))
+	sw := NewSwitch(s)
+	sw.AddFilter(func(int, *frame.Frame) FilterVerdict { return VerdictDrop })
 	st := newLAN(t, s, sw, 2)
 	var events []TapEvent
 	sw.AddTap(func(ev TapEvent) { events = append(events, ev) })
@@ -312,42 +274,6 @@ func TestLinkLatency(t *testing.T) {
 	}
 	if arrival != 3*time.Millisecond {
 		t.Fatalf("arrival = %v, want 3ms", arrival)
-	}
-}
-
-func TestLinkBandwidthSerializationDelay(t *testing.T) {
-	s := sim.NewScheduler(1)
-	sw := NewSwitch(s)
-	gen := ethaddr.NewGen(5)
-	a := NewNIC(s, gen.SeqMAC())
-	b := NewNIC(s, gen.SeqMAC())
-	var arrival time.Duration
-	b.SetHandler(func(*frame.Frame) { arrival = s.Now() })
-	// 100 Mbit/s, zero propagation latency: a 1514-octet frame costs
-	// 121.12µs per hop, two hops through the switch.
-	sw.AddPort().Attach(a, WithLatency(0), WithBandwidth(100_000_000))
-	sw.AddPort().Attach(b, WithLatency(0), WithBandwidth(100_000_000))
-	a.Send(&frame.Frame{
-		Dst: ethaddr.BroadcastMAC, Src: a.MAC(),
-		Type: frame.TypeIPv4, Payload: make([]byte, 1500),
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * time.Duration(1514*8*int64(time.Second)/100_000_000)
-	if arrival != want {
-		t.Fatalf("arrival = %v, want %v", arrival, want)
-	}
-
-	// A minimum-size frame is ~25× cheaper.
-	var small time.Duration
-	b.SetHandler(func(*frame.Frame) { small = s.Now() - arrival })
-	a.Send(&frame.Frame{Dst: ethaddr.BroadcastMAC, Src: a.MAC(), Type: frame.TypeIPv4})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if small >= want/20 {
-		t.Fatalf("small frame took %v, want far below %v", small, want)
 	}
 }
 

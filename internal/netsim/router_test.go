@@ -48,7 +48,6 @@ func buildTwoLAN(seed int64, workers int) *twoLAN {
 		hostNIC := netsim.NewNIC(sh, gen.SeqMAC())
 		sw.AddPort().Attach(hostNIC)
 		tl.hosts[i] = stack.NewHost(sh, fmt.Sprintf("h%d", i), hostNIC, subnets[i].Host(1))
-		tl.hosts[i].Start()
 
 		rtrNIC := netsim.NewNIC(sh, gen.SeqMAC())
 		sw.AddPort().Attach(rtrNIC)

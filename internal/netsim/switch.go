@@ -60,17 +60,6 @@ func WithCAMCapacity(n int) SwitchOption {
 	return func(sw *Switch) { sw.camCap = n }
 }
 
-// WithCAMTTL sets the aging time for CAM entries (default 300s, the common
-// switch default).
-func WithCAMTTL(d time.Duration) SwitchOption {
-	return func(sw *Switch) { sw.camTTL = d }
-}
-
-// WithFilter installs an inline filter in the forwarding path.
-func WithFilter(f FilterFunc) SwitchOption {
-	return func(sw *Switch) { sw.filter = f }
-}
-
 // WithCAMEvictRandom makes a full CAM table evict a random victim entry to
 // admit a new station, modelling the hash-bucket collisions of real CAM
 // hardware. Without it a full table simply refuses to learn. Random
@@ -92,11 +81,10 @@ type Switch struct {
 	cam         []camEntry
 	camIndex    denseidx.Index
 	camCap      int
-	camTTL      time.Duration
+	camTTL      time.Duration // CAM aging time, 300 s (the common switch default)
 	filter      FilterFunc
 	taps        []TapFunc
 	mirror      *Port // destination for mirrored traffic, nil when disabled
-	mirrSrc     map[int]bool
 	evictRandom bool
 	stats       SwitchStats // BytesByType/BytesOutByType live in bytesIn/bytesOut
 	bytesIn     typeOctets
@@ -122,12 +110,11 @@ type Switch struct {
 // NewSwitch creates a switch with no ports; add them with AddPort.
 func NewSwitch(s *sim.Scheduler, opts ...SwitchOption) *Switch {
 	sw := &Switch{
-		sched:   s,
-		rec:     causal.Of(s),
-		cache:   cacheOf(s),
-		camCap:  1024,
-		camTTL:  300 * time.Second,
-		mirrSrc: make(map[int]bool),
+		sched:  s,
+		rec:    causal.Of(s),
+		cache:  cacheOf(s),
+		camCap: 1024,
+		camTTL: 300 * time.Second,
 	}
 	for _, opt := range opts {
 		opt(sw)
@@ -250,10 +237,6 @@ func (sw *Switch) Instrument(reg *telemetry.Registry) {
 // regardless of filtering outcome. This models a passive inline tap.
 func (sw *Switch) AddTap(fn TapFunc) { sw.taps = append(sw.taps, fn) }
 
-// SetFilter installs or replaces the inline filter, discarding any chain
-// built with AddFilter.
-func (sw *Switch) SetFilter(f FilterFunc) { sw.filter = f }
-
 // AddFilter appends an inline filter to the forwarding path. Filters run in
 // installation order and drop wins: a frame dropped by an earlier filter
 // never reaches later ones, modelling serially cascaded inline enforcement
@@ -279,17 +262,6 @@ func (sw *Switch) AddFilter(f FilterFunc) {
 // configuration used to feed a detector appliance.
 func (sw *Switch) MirrorAllTo(dst *Port) {
 	sw.mirror = dst
-	sw.mirrSrc = nil // nil means "all ports"
-	sw.plans = nil
-}
-
-// MirrorPortsTo copies the ingress traffic of the given ports to dst.
-func (sw *Switch) MirrorPortsTo(dst *Port, src ...*Port) {
-	sw.mirror = dst
-	sw.mirrSrc = make(map[int]bool, len(src))
-	for _, p := range src {
-		sw.mirrSrc[p.id] = true
-	}
 	sw.plans = nil
 }
 
@@ -395,8 +367,7 @@ func (sw *Switch) forward(id int, f *frame.Frame) {
 	for _, tap := range sw.taps {
 		tap(ev)
 	}
-	mirrorWanted := sw.mirror != nil && sw.mirror.nic != nil &&
-		(sw.mirrSrc == nil || sw.mirrSrc[id]) && sw.mirror.id != id
+	mirrorWanted := sw.mirror != nil && sw.mirror.nic != nil && sw.mirror.id != id
 
 	if sw.filter != nil && sw.filter(id, f) == VerdictDrop {
 		sw.stats.Filtered++
@@ -484,7 +455,7 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 // VLAN's egress ports in port order, flattened out of the Port→NIC→Link
 // chain so a flood decides batching and schedules delivery from contiguous
 // data. It is current while gen equals the scheduler's topology generation
-// (transitCache.gen); AddPort and the mirror setters drop a switch's plans
+// (transitCache.gen); AddPort and MirrorAllTo drop a switch's plans
 // outright. A send-only port is no egress of any plan unless it is the
 // mirror port. A plan's slices are never written after it is built, and a
 // rebuild allocates fresh ones, so a floodTransit in flight shares nics
@@ -501,15 +472,14 @@ type floodPlan struct {
 	// mirror is the mirror port's index in the plan, -1 when it is not an
 	// egress of this VLAN.
 	mirror int
-	// uniform: every pipe is plain with one latency and rate, so any subset
-	// of the egresses batches at one delay.
+	// uniform: every pipe is plain with one latency, so any subset of the
+	// egresses batches at one delay.
 	uniform bool
 }
 
 // floodPipe is what the batching rule reads of one egress link.
 type floodPipe struct {
 	latency time.Duration
-	bps     int64
 	// plain: up, no impairment, loss or jitter, untraced. Loss, jitter and
 	// tracing are fixed at Attach; the rest change only through setters
 	// that bump the topology generation.
@@ -553,7 +523,6 @@ func (sw *Switch) buildFloodPlan(vlan uint16) *floodPlan {
 		l := p.nic.link
 		pipe := floodPipe{
 			latency: l.params.latency,
-			bps:     l.params.bps,
 			plain:   !l.down && l.impair == nil && l.lossRng == nil && l.params.jitter == 0 && l.rec == nil,
 		}
 		if !pipe.plain || (len(pl.pipes) > 0 && pipe != pl.pipes[0]) {
@@ -572,12 +541,11 @@ func (sw *Switch) buildFloodPlan(vlan uint16) *floodPlan {
 }
 
 // batchDelay applies the batching rule to every egress but skip: each must
-// be a plain pipe, and all must deliver a frame of wire octets after one
-// common delay, which it returns. The caller checks that such an egress
-// exists.
-func (pl *floodPlan) batchDelay(skip, wire int) (time.Duration, bool) {
+// be a plain pipe, and all must share one latency, which it returns. The
+// caller checks that such an egress exists.
+func (pl *floodPlan) batchDelay(skip int) (time.Duration, bool) {
 	if pl.uniform && len(pl.pipes) > 0 {
-		return fixedDelay(pl.pipes[0].latency, pl.pipes[0].bps, wire), true
+		return pl.pipes[0].latency, true
 	}
 	var d time.Duration
 	first := true
@@ -589,11 +557,10 @@ func (pl *floodPlan) batchDelay(skip, wire int) (time.Duration, bool) {
 		if !p.plain {
 			return 0, false
 		}
-		ld := fixedDelay(p.latency, p.bps, wire)
-		if !first && ld != d {
+		if !first && p.latency != d {
 			return 0, false
 		}
-		d, first = ld, false
+		d, first = p.latency, false
 	}
 	return d, true
 }
@@ -621,7 +588,7 @@ func (sw *Switch) flood(ingress int, f *frame.Frame) bool {
 	if skip >= 0 {
 		replicas--
 	}
-	if d, ok := pl.batchDelay(skip, wire); ok && replicas > 0 {
+	if d, ok := pl.batchDelay(skip); ok && replicas > 0 {
 		c := sw.cache
 		ft := c.flood
 		if ft != nil {

@@ -109,12 +109,13 @@ func TestPropertyCAMMatchesMapModel(t *testing.T) {
 	evictions := 0
 	for seed := int64(1); seed <= 16; seed++ {
 		s := sim.NewScheduler(seed)
-		opts := []SwitchOption{WithCAMCapacity(capacity), WithCAMTTL(time.Second)}
+		opts := []SwitchOption{WithCAMCapacity(capacity)}
 		evict := seed%2 == 0
 		if evict {
 			opts = append(opts, WithCAMEvictRandom())
 		}
 		sw := NewSwitch(s, opts...)
+		sw.camTTL = time.Second
 		m := &camModel{
 			m: make(map[modelKey]modelEntry), cap: capacity, ttl: time.Second,
 			evict: evict, rng: sim.NewScheduler(seed).Rand(), // same stream as s.Rand()

@@ -48,11 +48,12 @@ func opMAC(i uint8) ethaddr.MAC {
 func TestPropertyCAMNeverExceedsCapacity(t *testing.T) {
 	run := func(ops []wireOp, evict bool) bool {
 		s := sim.NewScheduler(1)
-		swOpts := []SwitchOption{WithCAMCapacity(8), WithCAMTTL(time.Second)}
+		swOpts := []SwitchOption{WithCAMCapacity(8)}
 		if evict {
 			swOpts = append(swOpts, WithCAMEvictRandom())
 		}
 		sw := NewSwitch(s, swOpts...)
+		sw.camTTL = time.Second
 		nics := make([]*NIC, 4)
 		gen := ethaddr.NewGen(1)
 		for i := range nics {

@@ -7,8 +7,9 @@
 // Every CLI wires it the same way, with no branch on the flag: Flag, then
 // Start (nil without -http; every method is a no-op on nil), Watch on the
 // scheduler that owns the registry, and a deferred Finish. That is one
-// publish policy: /metrics every virtual second, a flight dump on each
-// alert of a watched sink, and both once more at the end.
+// publish policy: /metrics every virtual second, a flight dump at the
+// first alert of a watched sink, and /metrics once more at the end, with a
+// final flight dump when no alert took one.
 //
 // The simulation is single-threaded and its telemetry registry is owned by
 // that one goroutine, so HTTP handlers never touch the registry. Instead
@@ -123,19 +124,26 @@ func Start(addr string, reg *telemetry.Registry) (*Server, error) {
 }
 
 // Watch republishes /metrics every virtual second of sched and, when sink
-// is non-nil, dumps a flight with reason "alert" on each alert, taking the
-// sink's one OnAlert slot. Call it before the run, on the scheduler whose
-// goroutine owns the registry. The tick is a scheduler event, so a watched
-// run executes one more event per virtual second and its queue can run one
-// deeper: sim_events_executed_total and sim_queue_depth_highwater are the
-// only metrics -http moves.
+// is non-nil, dumps a flight with reason "alert" at the sink's first alert,
+// taking the sink's one OnAlert slot. Later alerts dump nothing: each dump
+// marshals the whole event ring, and on an alert-heavy run one dump per
+// alert cost far more than the run itself. Call it before the run, on the
+// scheduler whose goroutine owns the registry. The tick is a scheduler
+// event, so a watched run executes one more event per virtual second and
+// its queue can run one deeper: sim_events_executed_total and
+// sim_queue_depth_highwater are the only metrics -http moves.
 func (s *Server) Watch(sched *sim.Scheduler, sink *schemes.Sink) {
 	if s == nil {
 		return
 	}
 	sched.Every(time.Second, func() { s.Publish(s.reg) })
 	if sink != nil {
+		dumped := false
 		sink.OnAlert(func(a schemes.Alert) {
+			if dumped {
+				return
+			}
+			dumped = true
 			s.PublishFlight(s.reg, sched.Now(), "alert", a.Scheme+": "+a.Detail)
 		})
 	}

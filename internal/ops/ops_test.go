@@ -349,6 +349,48 @@ func TestWatchPublishesMidRun(t *testing.T) {
 	}
 }
 
+// TestWatchDumpsFirstAlertOnly: in a run whose alerts fall at several
+// instants, /debug/flight serves the dump taken at the first alert, and
+// Finish keeps it.
+func TestWatchDumpsFirstAlertOnly(t *testing.T) {
+	spec, err := scenario.Load(strings.NewReader(`{
+		"seed": 1, "hosts": 4, "durationSeconds": 5,
+		"schemes": [{"name": "port-security"}],
+		"attacks": [{"atSeconds": 2, "type": "port-steal", "periodSeconds": 0.5}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	s := New()
+	s.reg = reg
+	var alerts []schemes.Alert
+	var end time.Duration
+	_, err = scenario.Run(spec, scenario.WithRegistry(reg), scenario.WithHook(func(d *scenario.Deployment) func() {
+		site := d.Sites[0]
+		s.Watch(site.LAN.Sched, site.Sink)
+		return func() { alerts, end = site.Sink.Alerts(), site.LAN.Sched.Now() }
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alerts) < 2 || alerts[len(alerts)-1].At == alerts[0].At {
+		t.Fatalf("run raised %d alerts, want alerts at two instants at least", len(alerts))
+	}
+	first := alerts[0]
+	want := FlightDump{Reason: "alert", At: first.At, Note: first.Scheme + ": " + first.Detail}
+	check := func(when string) {
+		t.Helper()
+		if got := flight(t, s); got.Reason != want.Reason || got.At != want.At || got.Note != want.Note {
+			t.Fatalf("%s: flight %s at %v (%q), want %s at %v (%q)",
+				when, got.Reason, got.At, got.Note, want.Reason, want.At, want.Note)
+		}
+	}
+	check("after the run")
+	s.Finish(end, "scenario complete")
+	check("after Finish")
+}
+
 // TestWatchCampusShardParity watches site 0 of a two-LAN campus while the
 // shards run on two workers: under -race this pins that the publish tick
 // and the alert dump only touch the registry from LAN 0's time domain, and

@@ -36,7 +36,8 @@ type Spec struct {
 	// Seed drives all randomness (default 1).
 	Seed int64 `json:"seed"`
 	// Hosts is the number of stations, gateway included (default 4,
-	// minimum 2 — the gateway and the victim).
+	// minimum 2 — the gateway and the victim — and maximum 65: host i sits
+	// at .i+1, and every scenario attaches the attacker at .66).
 	Hosts int `json:"hosts"`
 	// Policy names the hosts' cache policy profile (default "naive").
 	Policy string `json:"policy"`
@@ -53,10 +54,10 @@ type Spec struct {
 	// Faults is the optional network-failure timeline, injected beneath the
 	// schemes (burst loss, duplication, reordering, link flaps, host churn,
 	// CAM flushes — plus trunk partitions and router flushes on a campus).
-	// Link index i targets host i's attachment (0 = gateway); the monitor's
-	// link, when deployed, is index hosts. On a campus, hierarchical
-	// addresses ("lan:3/link:7", "lan:*", "trunk:2-5") reach any segment;
-	// bare indices keep addressing LAN 0. The dhcp-outage fault is not
+	// A flat LAN is segment 0: "lan:0/link:i" targets host i's attachment
+	// (0 = gateway), the monitor's link, when deployed, is index hosts, and
+	// "lan:0/host:i" is host i. On a campus the same addresses ("lan:3/link:7",
+	// "lan:*", "trunk:2-5") reach any segment. The dhcp-outage fault is not
 	// available here — scenarios deploy no DHCP server.
 	Faults *faults.Plan `json:"faults,omitempty"`
 	// Campus, when present, replaces the single flat LAN with a routed
@@ -165,6 +166,11 @@ type SchemeSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
+// maxFlatHosts is the most stations a flat scenario LAN holds: labnet puts
+// host i at .i+1 and the attacker at .66, so a 66th host would share the
+// attacker's address.
+const maxFlatHosts = 65
+
 // Attack timeline bounds: every flooding action schedules its whole burst
 // up front, and a sub-millisecond period would drown the run in re-arms.
 const (
@@ -216,6 +222,9 @@ func (spec *Spec) Validate() error {
 	}
 	if spec.Campus == nil && spec.Hosts != 0 && spec.Hosts < 2 {
 		return fmt.Errorf("hosts %d: need at least 2 (the gateway and the victim)", spec.Hosts)
+	}
+	if spec.Campus == nil && spec.Hosts > maxFlatHosts {
+		return fmt.Errorf("hosts %d: a flat LAN holds at most %d (host i sits at .i+1 and the attacker at .66)", spec.Hosts, maxFlatHosts)
 	}
 	for i, a := range spec.Attacks {
 		switch {

@@ -26,6 +26,12 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	for _, bare := range []string{`"link": 3`, `"host": 4`} {
+		js := `{"faults": {"events": [{"type": "host-churn", "durationSeconds": 3, ` + bare + `}]}}`
+		if _, err := Load(strings.NewReader(js)); err == nil {
+			t.Fatalf("fault target %s accepted; faults name targets with linkAt/hostAt", bare)
+		}
+	}
 }
 
 func TestGuardScenarioDetectsMITM(t *testing.T) {
@@ -161,8 +167,10 @@ func TestUnknownNamesRejected(t *testing.T) {
 	// field, instead of panicking (or never finishing) inside Run.
 	for js, want := range map[string]string{
 		`{"hosts": -1}`: "hosts -1",
-		`{"hosts": 1, "attacks": [{"atSeconds": 1, "type": "mitm"}]}`:               "hosts 1",
-		`{"durationSeconds": -5}`:                                                   "durationSeconds -5",
+		`{"hosts": 1, "attacks": [{"atSeconds": 1, "type": "mitm"}]}`: "hosts 1",
+		`{"hosts": 66}`:           "hosts 66",
+		`{"hosts": 300}`:          "hosts 300",
+		`{"durationSeconds": -5}`: "durationSeconds -5",
 		`{"attacks": [{"atSeconds": -1, "type": "mitm"}]}`:                          "attack 0: atSeconds",
 		`{"attacks": [{"atSeconds": 1, "type": "mitm", "periodSeconds": 1e-9}]}`:    "periodSeconds 1e-09",
 		`{"attacks": [{"atSeconds": 1, "type": "cam-flood", "count": 1000000000}]}`: "count 1000000000",
@@ -170,6 +178,10 @@ func TestUnknownNamesRejected(t *testing.T) {
 		if _, err := Load(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want substring %q", js, err, want)
 		}
+	}
+	// 65 flat hosts fill .1 to .65 and leave the attacker's .66 free.
+	if _, err := Load(strings.NewReader(`{"hosts": 65}`)); err != nil {
+		t.Fatalf("hosts 65 rejected: %v", err)
 	}
 	// Attack names still fail at run time.
 	if _, err := Run(load(t, `{"attacks": [{"type": "nope"}]}`)); err == nil {

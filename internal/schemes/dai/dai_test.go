@@ -28,7 +28,7 @@ func daiLAN(opts ...Option) (*labnet.LAN, *Inspector, *schemes.Sink, *BindingTab
 	table.AddStatic(l.Monitor.IP(), l.Monitor.MAC())
 	table.AddStatic(l.Attacker.IP(), l.Attacker.MAC()) // its real identity is legitimate
 	insp := New(l.Sched, sink, table, opts...)
-	l.Switch.SetFilter(insp.Filter())
+	l.Switch.AddFilter(insp.Filter())
 	return l, insp, sink, table
 }
 
@@ -114,7 +114,7 @@ func TestTrustedPortBypasses(t *testing.T) {
 	sink := schemes.NewSink()
 	table := NewBindingTable() // empty: everything untrusted would drop
 	insp := New(l.Sched, sink, table, WithTrustedPorts(l.AtkPort.ID()))
-	l.Switch.SetFilter(insp.Filter())
+	l.Switch.AddFilter(insp.Filter())
 
 	gw := l.Gateway()
 	l.Attacker.Poison(attack.VariantGratuitous, gw.IP(), l.Attacker.MAC(), l.Victim().MAC(), l.Victim().IP())
@@ -164,7 +164,7 @@ func TestSnoopingFollowsDHCPLeases(t *testing.T) {
 	table.AddStatic(srvHost.IP(), srvHost.MAC())
 
 	insp := New(s, sink, table, WithTrustedPorts(srvPort.ID()))
-	sw.SetFilter(insp.Filter())
+	sw.AddFilter(insp.Filter())
 
 	// A client acquires a lease, then ARPs: DAI must accept it.
 	cliNIC := netsim.NewNIC(s, gen.SeqMAC())

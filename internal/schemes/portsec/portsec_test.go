@@ -29,7 +29,7 @@ func secLAN(opts ...Option) (*labnet.LAN, *Enforcer, *schemes.Sink) {
 	l := labnet.Default()
 	sink := schemes.NewSink()
 	e := New(l.Sched, sink, opts...)
-	l.Switch.SetFilter(e.Filter())
+	l.Switch.AddFilter(e.Filter())
 	return l, e, sink
 }
 
@@ -119,7 +119,7 @@ func TestStickyPinning(t *testing.T) {
 	e := New(l.Sched, sink,
 		WithSticky(l.Ports[1].ID(), l.Victim().MAC()),
 		WithTrustedPorts(l0MonitorPort))
-	l.Switch.SetFilter(e.Filter())
+	l.Switch.AddFilter(e.Filter())
 
 	// The victim's pinned MAC passes.
 	l.Victim().SendGratuitous()

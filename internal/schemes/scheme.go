@@ -227,17 +227,6 @@ func (s *Sink) ByKind(k AlertKind) []Alert {
 	return out
 }
 
-// FirstFor returns the earliest alert naming ip, which the detection-latency
-// experiments use as "time of detection".
-func (s *Sink) FirstFor(ip ethaddr.IPv4) (Alert, bool) {
-	for _, a := range s.alerts {
-		if a.IP == ip {
-			return a, true
-		}
-	}
-	return Alert{}, false
-}
-
 // CausalTap wraps a detector's tap callback so each inspection runs inside
 // a "scheme" span naming the scheme — the hop that lets detection-latency
 // attribution separate inspection (and any probe round-trip a scheme

@@ -27,7 +27,7 @@ func TestSinkCollectsAndCopies(t *testing.T) {
 	}
 }
 
-func TestSinkByKindAndFirstFor(t *testing.T) {
+func TestSinkByKind(t *testing.T) {
 	s := NewSink()
 	ipA := ethaddr.MustParseIPv4("10.0.0.1")
 	ipB := ethaddr.MustParseIPv4("10.0.0.2")
@@ -35,15 +35,8 @@ func TestSinkByKindAndFirstFor(t *testing.T) {
 	s.Report(Alert{At: 2 * time.Second, Kind: AlertFlipFlop, IP: ipA})
 	s.Report(Alert{At: 3 * time.Second, Kind: AlertFlipFlop, IP: ipA})
 
-	if got := len(s.ByKind(AlertFlipFlop)); got != 2 {
-		t.Fatalf("ByKind = %d", got)
-	}
-	first, ok := s.FirstFor(ipA)
-	if !ok || first.At != 2*time.Second {
-		t.Fatalf("FirstFor = %+v ok=%v", first, ok)
-	}
-	if _, ok := s.FirstFor(ethaddr.MustParseIPv4("10.0.0.9")); ok {
-		t.Fatal("FirstFor hit for unknown IP")
+	if got := s.ByKind(AlertFlipFlop); len(got) != 2 || got[0].At != 2*time.Second {
+		t.Fatalf("ByKind = %+v, want both flip-flops in report order", got)
 	}
 	s.Reset()
 	if s.Len() != 0 {

@@ -110,7 +110,7 @@ func TestProcessARPWithPendingAllocFree(t *testing.T) {
 func TestHandleIPv4NotOursAllocFree(t *testing.T) {
 	s := sim.NewScheduler(1)
 	h := NewHost(s, "mon", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 250})
-	h.OnIPv4(func(*ipv4pkt.Packet, *frame.Frame) { t.Fatal("dispatched a packet addressed elsewhere") })
+	h.HandleUDP(40000, func(ethaddr.IPv4, uint16, []byte) { t.Fatal("dispatched a packet addressed elsewhere") })
 	u := ipv4pkt.UDP{SrcPort: 40000, DstPort: 40000, Payload: []byte("bgtraffc")}
 	p := ipv4pkt.Packet{TTL: 64, Proto: ipv4pkt.ProtoUDP, Src: ethaddr.IPv4{10, 0, 4, 1}, Dst: ethaddr.IPv4{10, 0, 0, 254}, Payload: u.Encode()}
 	f := &frame.Frame{Dst: ethaddr.MAC{0x02, 0, 0, 0, 0, 0xfe}, Src: ethaddr.MAC{0x02, 0, 0, 0, 4, 1}, Type: frame.TypeIPv4, Payload: p.Encode()}
@@ -152,9 +152,8 @@ func TestSendUDPFrameOnlyAllocFree(t *testing.T) {
 	}
 }
 
-// TestDeliverUDPAllocFree: a datagram addressed to the host, with no OnIPv4
-// observer attached, is parsed and dispatched to its port handler without
-// allocating.
+// TestDeliverUDPAllocFree: a datagram addressed to the host is parsed and
+// dispatched to its port handler without allocating.
 func TestDeliverUDPAllocFree(t *testing.T) {
 	s := sim.NewScheduler(1)
 	h := NewHost(s, "h", netsim.NewNIC(s, ethaddr.MAC{0x02, 0, 0, 0, 0, 1}), ethaddr.IPv4{10, 0, 0, 1})

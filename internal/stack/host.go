@@ -147,14 +147,9 @@ func WithResolveRetry(retries int, interval time.Duration) Option {
 	}
 }
 
-// WithAnnounce makes the host broadcast a gratuitous ARP when started.
-func WithAnnounce() Option {
-	return func(h *Host) { h.announce = true }
-}
-
 // WithEchoResponder controls whether the host answers ICMP echo requests
-// (default on; victims of probe-based schemes must answer for the scheme to
-// work, which the paper notes as a limitation).
+// (default on, as real stacks do). A replay monitor turns it off: it
+// reproduces a capture's traffic and must add no frames of its own.
 func WithEchoResponder(v bool) Option {
 	return func(h *Host) { h.echoResponder = v }
 }
@@ -187,14 +182,12 @@ type Host struct {
 	cacheCap        int
 	resolveRetries  int
 	resolveInterval time.Duration
-	announce        bool
 	echoResponder   bool
 
 	pendings       []*pending     // in-flight resolutions in start order; nil = finished
 	pendingIndex   denseidx.Index // IP → position in pendings
 	arpHook        ARPHook
 	onARP          func(*arppkt.Packet, *frame.Frame) // passive observer
-	onIPv4         func(*ipv4pkt.Packet, *frame.Frame)
 	udpPorts       map[uint16]func(src ethaddr.IPv4, srcPort uint16, payload []byte)
 	onEcho         map[uint16]func(seq uint16, from ethaddr.IPv4, fromMAC ethaddr.MAC)
 	extra          map[frame.EtherType]func(*frame.Frame)
@@ -204,7 +197,6 @@ type Host struct {
 	lastDefense    time.Duration
 	defendedOnce   bool
 	stats          Stats
-	started        bool
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
 	events       *telemetry.EventLog
@@ -216,7 +208,7 @@ type Host struct {
 }
 
 // NewHost creates a host bound to a NIC and address and registers its frame
-// handler. Call Start to (optionally) announce.
+// handler.
 func NewHost(s *sim.Scheduler, name string, nic *netsim.NIC, ip ethaddr.IPv4, opts ...Option) *Host {
 	h := &Host{
 		name:            name,
@@ -291,24 +283,9 @@ func (h *Host) SetARPHook(fn ARPHook) { h.arpHook = fn }
 // OnARP installs a passive observer of inbound ARP packets.
 func (h *Host) OnARP(fn func(*arppkt.Packet, *frame.Frame)) { h.onARP = fn }
 
-// OnIPv4 installs a fallback observer for inbound IPv4 packets addressed to
-// this host (after protocol-specific dispatch).
-func (h *Host) OnIPv4(fn func(*ipv4pkt.Packet, *frame.Frame)) { h.onIPv4 = fn }
-
 // HandleUDP registers a datagram handler for a local port.
 func (h *Host) HandleUDP(port uint16, fn func(src ethaddr.IPv4, srcPort uint16, payload []byte)) {
 	h.udpPorts[port] = fn
-}
-
-// Start performs boot-time behaviour (gratuitous announcement if enabled).
-func (h *Host) Start() {
-	if h.started {
-		return
-	}
-	h.started = true
-	if h.announce {
-		h.SendGratuitous()
-	}
 }
 
 // Restart models the host coming back from a power cycle: the ARP cache is
@@ -396,8 +373,8 @@ func (h *Host) SendUDPTo(dstMAC ethaddr.MAC, dst ethaddr.IPv4, srcPort, dstPort 
 }
 
 // Ping sends an ICMP echo request and registers a reply callback keyed on
-// the identifier. The callback fires for every matching reply (probe schemes
-// care whether *more than one* station answers).
+// the identifier. The callback fires for every matching reply, so a caller
+// sees each station that answers.
 func (h *Host) Ping(dst ethaddr.IPv4, ident, seq uint16, reply func(seq uint16, from ethaddr.IPv4, fromMAC ethaddr.MAC)) {
 	if reply != nil {
 		h.onEcho[ident] = reply
@@ -405,19 +382,6 @@ func (h *Host) Ping(dst ethaddr.IPv4, ident, seq uint16, reply func(seq uint16, 
 	h.stats.EchoSent++
 	h.sendIPv4(dst, echoSegment(ipv4pkt.ICMPEchoRequest, ident, seq, nil))
 }
-
-// PingVia is Ping with an explicit destination MAC, used by probe schemes to
-// test a specific claimed binding rather than whatever the cache holds.
-func (h *Host) PingVia(dstMAC ethaddr.MAC, dst ethaddr.IPv4, ident, seq uint16, reply func(seq uint16, from ethaddr.IPv4, fromMAC ethaddr.MAC)) {
-	if reply != nil {
-		h.onEcho[ident] = reply
-	}
-	h.stats.EchoSent++
-	h.transmitIPv4(dstMAC, dst, echoSegment(ipv4pkt.ICMPEchoRequest, ident, seq, nil))
-}
-
-// ClearEchoHandler removes a Ping callback registration.
-func (h *Host) ClearEchoHandler(ident uint16) { delete(h.onEcho, ident) }
 
 // transmitIPv4 encapsulates seg for dst and sends it to a known MAC. Every
 // IPv4 datagram a host sends is built here, in one allocation when it fits
@@ -644,14 +608,13 @@ func (h *Host) ProcessARP(p *arppkt.Packet) {
 // before anything else: a promiscuous monitor sees every datagram on its
 // LAN, and one addressed elsewhere is dropped without verifying its header
 // checksum (decoding could only drop it too). The rest parses into a
-// stack-held Packet; only an OnIPv4 observer gets a heap copy, in
-// deliverIPv4.
+// stack-held Packet that deliverIPv4 dispatches without a heap copy.
 func (h *Host) handleIPv4(f *frame.Frame) {
 	if len(f.Payload) < ipv4pkt.HeaderLen {
 		return
 	}
 	if dst := ethaddr.IPv4(f.Payload[16:20]); dst != h.ip && !dst.IsBroadcast() {
-		return // not ours (promiscuous captures use OnIPv4 via NIC handler wrapping)
+		return // not ours
 	}
 	var pkt ipv4pkt.Packet
 	if ipv4pkt.DecodeInto(&pkt, f.Payload) != nil {
@@ -668,10 +631,6 @@ func (h *Host) deliverIPv4(pkt *ipv4pkt.Packet, f *frame.Frame) {
 		h.handleICMP(pkt, f)
 	case ipv4pkt.ProtoUDP:
 		h.handleUDP(pkt)
-	}
-	if h.onIPv4 != nil {
-		cp := *pkt // the observer may keep it; pkt dies with the caller's frame
-		h.onIPv4(&cp, f)
 	}
 }
 

@@ -13,17 +13,19 @@ import (
 // FuzzPCAPReader feeds arbitrary bytes to the pcap reader, which must
 // return errors rather than panic, never hand out a record buffer larger
 // than maxPCAPRecord, and never report more records than the input has
-// room for. The same bytes also describe a capture (see fuzzCapture),
-// which must survive WritePCAP and a read back unchanged. The seed corpus
-// lives in testdata/fuzz/FuzzPCAPReader.
+// room for. It reads through ReadAppend, the call replay.PCAPSource makes.
+// The same bytes also describe a capture (see fuzzCapture), which must
+// survive WritePCAP and a read back unchanged. The seed corpus lives in
+// testdata/fuzz/FuzzPCAPReader.
 func FuzzPCAPReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := NewPCAPReader(bytes.NewReader(data)); err == nil {
-			var rec WireRecord
+			var buf []byte
 			for n := 0; ; n++ {
-				err := r.Next(&rec)
-				if cap(rec.Wire) > maxPCAPRecord {
-					t.Fatalf("record %d: buffer of %d bytes, past the %d cap", n, cap(rec.Wire), maxPCAPRecord)
+				var err error
+				buf, _, err = r.ReadAppend(buf[:0])
+				if cap(buf) > maxPCAPRecord {
+					t.Fatalf("record %d: buffer of %d bytes, past the %d cap", n, cap(buf), maxPCAPRecord)
 				}
 				if err != nil {
 					break
@@ -43,23 +45,25 @@ func FuzzPCAPReader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewPCAPReader on WritePCAP output: %v", err)
 		}
-		var rec WireRecord
+		var got []byte
 		for i, want := range c.Records() {
-			if err := r.Next(&rec); err != nil {
+			off := len(got)
+			var at time.Duration
+			if got, at, err = r.ReadAppend(got); err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
-			if wantAt := want.At.Truncate(time.Microsecond); rec.At != wantAt {
-				t.Fatalf("record %d: at %v, want %v", i, rec.At, wantAt)
+			if wantAt := want.At.Truncate(time.Microsecond); at != wantAt {
+				t.Fatalf("record %d: at %v, want %v", i, at, wantAt)
 			}
 			wire, err := want.Frame.Encode()
 			if err != nil {
 				t.Fatalf("encode record %d: %v", i, err)
 			}
-			if !bytes.Equal(rec.Wire, wire) {
-				t.Fatalf("record %d: wire bytes differ\ngot  %x\nwant %x", i, rec.Wire, wire)
+			if !bytes.Equal(got[off:], wire) {
+				t.Fatalf("record %d: wire bytes differ\ngot  %x\nwant %x", i, got[off:], wire)
 			}
 		}
-		if err := r.Next(&rec); err != io.EOF {
+		if _, _, err := r.ReadAppend(got); err != io.EOF {
 			t.Fatalf("after the last record: %v, want io.EOF", err)
 		}
 	})

@@ -84,10 +84,9 @@ var errLineTooLong = fmt.Errorf("line of %d bytes or more", maxNDJSONLine)
 // itself on a 64 KiB bufio.Reader, so AppendLine copies a line once, from
 // the reader's window into the caller's buffer.
 type NDJSONReader struct {
-	r    *bufio.Reader
-	n    int    // lines returned so far, for error positions
-	err  error  // the read error that ended the stream, io.EOF included
-	line []byte // Next's line buffer
+	r   *bufio.Reader
+	n   int   // lines returned so far, for error positions
+	err error // the read error that ended the stream, io.EOF included
 }
 
 // NewNDJSONReader wraps r; lines of maxNDJSONLine bytes or more fail the
@@ -96,19 +95,10 @@ func NewNDJSONReader(r io.Reader) *NDJSONReader {
 	return &NDJSONReader{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// Next fills rec from the next non-blank line. io.EOF marks the end.
-func (r *NDJSONReader) Next(rec *WireRecord) error {
-	var err error
-	if r.line, err = r.AppendLine(r.line[:0]); err != nil {
-		return err
-	}
-	return ParseNDJSONLine(r.line, rec)
-}
-
 // AppendLine appends the next non-blank line to buf and returns the
-// extended slice, for callers that parse lines elsewhere: the replay
-// engine reads lines straight into its rounds and calls ParseNDJSONLine on
-// whichever goroutine claims them. io.EOF marks the end.
+// extended slice; ParseNDJSONLine turns the line into a record. The replay
+// engine reads lines straight into its rounds and parses them on whichever
+// goroutine claims them. io.EOF marks the end.
 //
 // A line ends at LF, and one CR before the LF is dropped. A line holding
 // only spaces, tabs and CRs is skipped; a final line without an LF is

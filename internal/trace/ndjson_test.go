@@ -22,9 +22,14 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		t.Fatalf("WriteNDJSON: %v", err)
 	}
 	r := NewNDJSONReader(bytes.NewReader(buf.Bytes()))
+	var line []byte
 	var rec WireRecord
 	for i, want := range c.Records() {
-		if err := r.Next(&rec); err != nil {
+		var err error
+		if line, err = r.AppendLine(line[:0]); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if err := ParseNDJSONLine(line, &rec); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if rec.At != want.At {
@@ -38,7 +43,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 			t.Errorf("record %d: wire bytes differ", i)
 		}
 	}
-	if err := r.Next(&rec); err != io.EOF {
+	if _, err := r.AppendLine(nil); err != io.EOF {
 		t.Fatalf("after last record: %v, want io.EOF", err)
 	}
 }

@@ -11,8 +11,7 @@ import (
 
 // WireRecord is one undecoded capture record: a timestamp and the raw
 // Ethernet frame bytes. It is the normalized unit the replay engine
-// consumes; readers fill a caller-provided record so steady-state reads
-// reuse one buffer.
+// consumes.
 type WireRecord struct {
 	At   time.Duration
 	Wire []byte
@@ -68,18 +67,10 @@ func NewPCAPReader(r io.Reader) (*PCAPReader, error) {
 	return p, nil
 }
 
-// Next fills rec with the next record, reusing rec.Wire's backing array
-// when it is large enough. It returns io.EOF at a clean end of capture.
-func (p *PCAPReader) Next(rec *WireRecord) error {
-	var err error
-	rec.Wire, rec.At, err = p.ReadAppend(rec.Wire[:0])
-	return err
-}
-
 // ReadAppend reads the next record, appending its frame bytes to buf and
 // returning the extended slice plus the record timestamp. This is the
 // zero-copy seam for batched readers that pack many records into one
-// arena buffer; Next is a convenience over it. io.EOF marks a clean end;
+// arena buffer. io.EOF marks a clean end;
 // a record truncated mid-header or mid-frame is an ErrUnexpectedEOF.
 //
 // A record is copied once, from the bufio.Reader's window into buf. A

@@ -56,7 +56,7 @@ func TestPCAPRoundTrip(t *testing.T) {
 	recs := c.Records()
 	var rec WireRecord
 	for i, want := range recs {
-		if err := r.Next(&rec); err != nil {
+		if rec.Wire, rec.At, err = r.ReadAppend(rec.Wire[:0]); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		wantAt := want.At.Truncate(time.Microsecond)
@@ -71,7 +71,7 @@ func TestPCAPRoundTrip(t *testing.T) {
 			t.Errorf("record %d: wire bytes differ\ngot  %x\nwant %x", i, rec.Wire, wire)
 		}
 	}
-	if err := r.Next(&rec); err != io.EOF {
+	if _, _, err := r.ReadAppend(nil); err != io.EOF {
 		t.Fatalf("after last record: %v, want io.EOF", err)
 	}
 }
@@ -105,14 +105,14 @@ func TestPCAPReaderBigEndianNanos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPCAPReader: %v", err)
 	}
-	var rec WireRecord
-	if err := r.Next(&rec); err != nil {
-		t.Fatalf("Next: %v", err)
+	got, at, err := r.ReadAppend(nil)
+	if err != nil {
+		t.Fatalf("ReadAppend: %v", err)
 	}
-	if want := 7*time.Second + 123456789*time.Nanosecond; rec.At != want {
-		t.Errorf("at = %v, want %v", rec.At, want)
+	if want := 7*time.Second + 123456789*time.Nanosecond; at != want {
+		t.Errorf("at = %v, want %v", at, want)
 	}
-	if !bytes.Equal(rec.Wire, wire) {
+	if !bytes.Equal(got, wire) {
 		t.Errorf("wire bytes differ")
 	}
 }
@@ -135,10 +135,10 @@ func TestPCAPReaderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec WireRecord
+	var wire []byte
 	var last error
 	for {
-		if last = r.Next(&rec); last != nil {
+		if wire, _, last = r.ReadAppend(wire[:0]); last != nil {
 			break
 		}
 	}
@@ -160,13 +160,13 @@ func TestPCAPReaderReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := WireRecord{Wire: make([]byte, 0, frame.MaxFrameLen)}
-	p0 := &rec.Wire[:1][0]
+	wire := make([]byte, 0, frame.MaxFrameLen)
+	p0 := &wire[:1][0]
 	for {
-		if err := r.Next(&rec); err != nil {
+		if wire, _, err = r.ReadAppend(wire[:0]); err != nil {
 			break
 		}
-		if &rec.Wire[0] != p0 {
+		if &wire[0] != p0 {
 			t.Fatal("reader reallocated a sufficient buffer")
 		}
 	}
@@ -196,7 +196,7 @@ func readAllPCAP(t *testing.T, data []byte, wrap func(io.Reader) io.Reader) ([]W
 	var recs []WireRecord
 	for {
 		var rec WireRecord
-		if err := r.Next(&rec); err != nil {
+		if rec.Wire, rec.At, err = r.ReadAppend(nil); err != nil {
 			return recs, cap(rec.Wire), err
 		}
 		recs = append(recs, rec)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's CI gate, runnable locally.
 #
-# Runs, in order: formatting check, vet, build, the full test suite, vet
+# Runs, in order: formatting check, vet, build, the full test suite, each
+# examples/ program once (README's onboarding; each must exit 0), vet
 # and tests of the nested bench/ module (root ./... skips it, so an API
 # change that breaks the benchmark driver would otherwise pass), a
 # race-detector pass over the packages that exercise the whole stack at
@@ -42,6 +43,17 @@ go build ./...
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> examples (each examples/* program runs once and must exit 0)"
+for dir in examples/*/; do
+	dir=${dir%/}
+	echo "--> go run ./$dir"
+	if ! out=$(go run "./$dir" 2>&1); then
+		echo "$out" >&2
+		echo "example $dir failed" >&2
+		exit 1
+	fi
+done
 
 echo "==> bench module: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
@@ -99,9 +111,10 @@ echo "$gates" | grep -E '^(--- |ok|FAIL)'
 #                 spec, shortened and size-capped, must Run without panicking;
 #   FuzzIPv4      DecodeInto/AppendEncode against Decode/Encode, and
 #                 decode-encode round trips, for IPv4 and UDP;
-#   FuzzPCAPReader arbitrary bytes through the pcap reader (errors, never a
-#                 panic or a record buffer past the 256 KiB cap), and
-#                 WritePCAP captures must read back unchanged;
+#   FuzzPCAPReader arbitrary bytes through the pcap reader's ReadAppend, the
+#                 call replay makes (errors, never a panic or a record
+#                 buffer past the 256 KiB cap), and WritePCAP captures
+#                 must read back unchanged;
 #   FuzzNDJSONLine ParseNDJSONLine, byte-scan fast path included, against
 #                 encoding/json: same at and wire bytes, same rejections;
 #   FuzzNDJSONSplit NDJSONReader's line splitter against bufio.Scanner
