@@ -6,7 +6,7 @@ package repro
 // the Table 3 worker-pool pair check.sh runs, and the Figure 9 campus
 // scaling points. Each whole experiment is timed by the repository
 // benchmark (bench/run.sh, eval-suite's eval.<id>_ms) and by
-// `arpbench -table N` / `arpbench -figure N`.
+// `arpbench -run <id>`.
 //
 // Run:
 //

@@ -42,7 +42,6 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("arpanalyze", flag.ContinueOnError)
 	in := fs.String("in", "-", "capture to replay (\"-\" reads stdin)")
-	format := fs.String("format", "auto", "capture format: pcap, ndjson, or auto (sniff the pcap magic)")
 	scheme := fs.String("scheme", "", "scheme or a+b+c stack to deploy (required; see -list)")
 	params := fs.String("params", "", "JSON parameter overrides for a single-scheme deployment")
 	workers := fs.Int("workers", 1, "ingest shard width; output is byte-identical at any width")
@@ -65,6 +64,10 @@ func run(w io.Writer, args []string) error {
 	}
 	if *scheme == "" {
 		return fmt.Errorf("-scheme is required (try -list)")
+	}
+	if *workers < 1 {
+		// replay.Config reads a width below 1 as 1.
+		return fmt.Errorf("-workers %d: must be at least 1", *workers)
 	}
 	if *drain <= 0 {
 		// replay.Config reads a zero Drain as its default, so a silent
@@ -137,7 +140,7 @@ func run(w io.Writer, args []string) error {
 	defer func() { srv.Finish(eng.Scheduler().Now(), "end of replay") }()
 	srv.Watch(eng.Scheduler(), nil)
 
-	src, err := openSource(*in, *format)
+	src, err := openSource(*in)
 	if err != nil {
 		return err
 	}
@@ -176,10 +179,11 @@ func parseStation(s string) (replay.Station, error) {
 	return st, nil
 }
 
-// openSource opens the capture path and picks the reader. Auto-detection
-// sniffs the pcap magic (any of the four classic variants) and otherwise
-// assumes NDJSON — which conveniently makes piped sim firehoses just work.
-func openSource(path, format string) (replay.Source, error) {
+// openSource opens the capture path and picks the reader: it sniffs the
+// pcap magic (any of the four classic variants) and otherwise reads NDJSON
+// — which conveniently makes piped sim firehoses just work. An input
+// shorter than the magic is not pcap, so it is read as NDJSON too.
+func openSource(path string) (replay.Source, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -189,24 +193,15 @@ func openSource(path, format string) (replay.Source, error) {
 		// Leaked until exit: the process replays one capture and quits.
 		r = f
 	}
-	switch format {
-	case "pcap":
-		return replay.NewPCAPSource(r)
-	case "ndjson":
-		return replay.NewNDJSONSource(r), nil
-	case "auto":
-		br := bufio.NewReaderSize(r, 64<<10)
-		magic, err := br.Peek(4)
-		if err != nil {
-			return nil, fmt.Errorf("sniff %s: %w", path, err)
-		}
-		if isPCAPMagic(magic) {
-			return replay.NewPCAPSource(br)
-		}
-		return replay.NewNDJSONSource(br), nil
-	default:
-		return nil, fmt.Errorf("unknown -format %q (want pcap, ndjson, or auto)", format)
+	br := bufio.NewReaderSize(r, 64<<10)
+	magic, err := br.Peek(4)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("sniff %s: %w", path, err)
 	}
+	if isPCAPMagic(magic) {
+		return replay.NewPCAPSource(br)
+	}
+	return replay.NewNDJSONSource(br), nil
 }
 
 // isPCAPMagic recognizes the classic pcap magic in either byte order and

@@ -20,9 +20,9 @@ func replayTestdata(t *testing.T, name string) string {
 	return p
 }
 
-// TestRunGoldenReplay drives the CLI end-to-end: the checked-in MITM pcap
-// through arpwatch must reproduce the engine's alert golden byte-for-byte,
-// via both explicit -format and auto-sniffing, at several shard widths.
+// TestRunGoldenReplay drives the CLI end-to-end: the checked-in MITM
+// capture through arpwatch must reproduce the engine's alert golden
+// byte-for-byte, as sniffed pcap and as NDJSON, at several shard widths.
 func TestRunGoldenReplay(t *testing.T) {
 	want, err := os.ReadFile(replayTestdata(t, "alerts_arpwatch.golden"))
 	if err != nil {
@@ -33,10 +33,10 @@ func TestRunGoldenReplay(t *testing.T) {
 		in   string
 		args []string
 	}{
-		{name: "pcap", in: "mitm.pcap", args: []string{"-format", "pcap"}},
 		{name: "pcap-auto", in: "mitm.pcap", args: nil},
 		{name: "ndjson-auto", in: "mitm.ndjson", args: nil},
 		{name: "pcap-sharded", in: "mitm.pcap", args: []string{"-workers", "4"}},
+		{name: "ndjson-sharded", in: "mitm.ndjson", args: []string{"-workers", "8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "alerts.ndjson")
@@ -128,7 +128,6 @@ func TestRunErrors(t *testing.T) {
 		{name: "no-scheme", args: []string{"-in", "x.pcap"}},
 		{name: "bad-scheme", args: []string{"-scheme", "nope", "-in", "x.pcap"}},
 		{name: "missing-input", args: []string{"-scheme", "arpwatch", "-in", "does-not-exist.pcap"}},
-		{name: "bad-format", args: []string{"-scheme", "arpwatch", "-format", "pcapng", "-in", "x"}},
 		{name: "bad-gateway", args: []string{"-scheme", "arpwatch", "-gateway", "not-an-identity"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,6 +149,36 @@ func TestRunRejectsNonPositiveDrain(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("-drain %s: printed %q before failing", d, buf.String())
+		}
+	}
+}
+
+// TestRunRejectsWorkersBelowOne: a -workers below 1 fails with an error
+// naming the flag instead of silently replaying at width 1.
+func TestRunRejectsWorkersBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-4"} {
+		var buf bytes.Buffer
+		err := run(&buf, []string{"-in", replayTestdata(t, "mitm.pcap"), "-scheme", "arpwatch", "-out", os.DevNull, "-workers", n})
+		if err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %s: err = %v, want an error naming -workers", n, err)
+		}
+	}
+}
+
+// TestRunShortInput: an input shorter than the pcap magic — empty, or a
+// lone newline — is read as NDJSON and replays 0 frames.
+func TestRunShortInput(t *testing.T) {
+	for _, blob := range []string{"", "\n"} {
+		in := filepath.Join(t.TempDir(), "capture")
+		if err := os.WriteFile(in, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var summary bytes.Buffer
+		if err := run(&summary, []string{"-in", in, "-scheme", "arpwatch", "-out", os.DevNull}); err != nil {
+			t.Fatalf("input %q: %v", blob, err)
+		}
+		if !strings.HasPrefix(summary.String(), "replayed 0 frames ") {
+			t.Errorf("input %q: summary %q, want 0 frames replayed", blob, summary.String())
 		}
 	}
 }

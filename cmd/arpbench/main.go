@@ -7,8 +7,6 @@
 //	arpbench -list                # enumerate the experiment and scheme catalogues
 //	arpbench -run table3          # one experiment by ID
 //	arpbench -run table3,figure2  # several, in the order given
-//	arpbench -table 3             # numeric alias for -run table3
-//	arpbench -figure 2            # numeric alias for -run figure2
 //	arpbench -run figure3 -params '{"sizes":[4,8],"horizonSeconds":30}'
 //	arpbench -trials 20           # more trials per experiment
 //	arpbench -csv                 # machine-readable output
@@ -125,25 +123,14 @@ func main() {
 	}
 }
 
-// selection resolves the -run/-table/-figure flags to descriptors, keeping
-// the order the user gave.
-func selection(runIDs string, table, figure int) ([]*experiments.Descriptor, error) {
-	var ids []string
-	if runIDs != "" {
-		for _, id := range strings.Split(runIDs, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
+// selection resolves the -run flag to descriptors, keeping the order the
+// user gave.
+func selection(runIDs string) ([]*experiments.Descriptor, error) {
+	var out []*experiments.Descriptor
+	for _, id := range strings.Split(runIDs, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
 		}
-	}
-	if table != 0 {
-		ids = append(ids, fmt.Sprintf("table%d", table))
-	}
-	if figure != 0 {
-		ids = append(ids, fmt.Sprintf("figure%d", figure))
-	}
-	out := make([]*experiments.Descriptor, 0, len(ids))
-	for _, id := range ids {
 		d, ok := experiments.Lookup(id)
 		if !ok {
 			return nil, experiments.UnknownExperimentError(id)
@@ -156,8 +143,6 @@ func selection(runIDs string, table, figure int) ([]*experiments.Descriptor, err
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("arpbench", flag.ContinueOnError)
 	runIDs := fs.String("run", "", "comma-separated experiment IDs to render (see -list), e.g. table3,figure2")
-	table := fs.Int("table", 0, "render only this table (alias for -run tableN)")
-	figure := fs.Int("figure", 0, "render only this figure (alias for -run figureN)")
 	params := fs.String("params", "", "JSON object overriding the selected experiment's default parameters (single experiment only)")
 	list := fs.Bool("list", false, "list the experiment and scheme catalogues, then exit")
 	trials := fs.Int("trials", 5, "trials per stochastic experiment")
@@ -207,6 +192,14 @@ func run(w io.Writer, args []string) error {
 	if *csv && *jsonOut {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
+	// The experiments read a count below 1 as their own default (-trials)
+	// or GOMAXPROCS (-parallel), so neither may pass through silently.
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: must be at least 1", *trials)
+	}
+	if *parallel < 1 {
+		return fmt.Errorf("-parallel %d: must be at least 1", *parallel)
+	}
 	eval.SetParallelism(*parallel)
 
 	// Trial registries are per-trial and private, so the harness's own
@@ -218,7 +211,7 @@ func run(w io.Writer, args []string) error {
 	}
 	defer srv.Finish(0, "all experiments rendered")
 
-	selected, err := selection(*runIDs, *table, *figure)
+	selected, err := selection(*runIDs)
 	if err != nil {
 		return err
 	}

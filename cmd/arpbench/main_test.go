@@ -11,7 +11,7 @@ import (
 
 func TestSingleTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-table", "1"}); err != nil {
+	if err := run(&buf, []string{"-run", "table1"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Table 1:") {
@@ -21,7 +21,7 @@ func TestSingleTable(t *testing.T) {
 
 func TestSingleFigureCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-figure", "2", "-trials", "1", "-csv"}); err != nil {
+	if err := run(&buf, []string{"-run", "figure2", "-trials", "1", "-csv"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -35,7 +35,7 @@ func TestSingleFigureCSV(t *testing.T) {
 
 func TestStochasticTableSmall(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-table", "5", "-trials", "1"}); err != nil {
+	if err := run(&buf, []string{"-run", "table5", "-trials", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "host protection") {
@@ -45,7 +45,7 @@ func TestStochasticTableSmall(t *testing.T) {
 
 func TestRunFlag(t *testing.T) {
 	// -run accepts a comma-separated ID list and renders in the order given,
-	// including suffixed companions that have no numeric alias.
+	// including suffixed companions.
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-run", "table1b,table2", "-trials", "1"}); err != nil {
 		t.Fatal(err)
@@ -112,13 +112,40 @@ func TestRecommendFlag(t *testing.T) {
 	}
 }
 
+// TestUnknownIDs: -run takes full IDs only, and the numeric -table and
+// -figure selectors are not flags.
 func TestUnknownIDs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-table", "42"}); err == nil {
-		t.Fatal("unknown table accepted")
+	for _, args := range [][]string{
+		{"-run", "figure42"},
+		{"-run", "3"},
+		{"-table", "3"},
+		{"-figure", "2"},
+	} {
+		if err := run(&buf, args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
-	if err := run(&buf, []string{"-figure", "42"}); err == nil {
-		t.Fatal("unknown figure accepted")
+}
+
+// TestCountsBelowOneRejected: a -trials or -parallel below 1 fails with
+// an error naming the flag instead of running at the experiment default
+// or at GOMAXPROCS.
+func TestCountsBelowOneRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trials", "0"},
+		{"-trials", "-3"},
+		{"-parallel", "0"},
+		{"-parallel", "-5"},
+	} {
+		var buf bytes.Buffer
+		err := run(&buf, append([]string{"-run", "table5"}, args...))
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err = %v, want an error naming %s", args, err, args[0])
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, buf.String())
+		}
 	}
 }
 
@@ -160,10 +187,10 @@ func TestCatalogMatchesRegisteredExperiments(t *testing.T) {
 
 func TestTable8ParallelByteIdentical(t *testing.T) {
 	var seq, par bytes.Buffer
-	if err := run(&seq, []string{"-table", "8", "-trials", "2", "-parallel", "1"}); err != nil {
+	if err := run(&seq, []string{"-run", "table8", "-trials", "2", "-parallel", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&par, []string{"-table", "8", "-trials", "2", "-parallel", "8"}); err != nil {
+	if err := run(&par, []string{"-run", "table8", "-trials", "2", "-parallel", "8"}); err != nil {
 		t.Fatal(err)
 	}
 	if seq.String() != par.String() {
@@ -176,10 +203,10 @@ func TestTable8ParallelByteIdentical(t *testing.T) {
 
 func TestTable9ParallelByteIdentical(t *testing.T) {
 	var seq, par bytes.Buffer
-	if err := run(&seq, []string{"-table", "9", "-trials", "1", "-parallel", "1"}); err != nil {
+	if err := run(&seq, []string{"-run", "table9", "-trials", "1", "-parallel", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&par, []string{"-table", "9", "-trials", "1", "-parallel", "8"}); err != nil {
+	if err := run(&par, []string{"-run", "table9", "-trials", "1", "-parallel", "8"}); err != nil {
 		t.Fatal(err)
 	}
 	if seq.String() != par.String() {

@@ -7,7 +7,8 @@
 //
 //	arpsim -hosts 6 -duration 30s
 //	arpsim -dhcp            # hosts acquire addresses over DHCP first
-//	arpsim -json capture.json
+//	arpsim -pcap capture.pcap   # open in Wireshark, or replay with arpanalyze
+//	arpsim -ndjson - | arpanalyze -scheme arpwatch
 package main
 
 import (
@@ -42,7 +43,6 @@ func run(w io.Writer, args []string) error {
 	hosts := fs.Int("hosts", 4, "number of stations, gateway included (1 to 253)")
 	duration := fs.Duration("duration", 30*time.Second, "simulated time to run")
 	useDHCP := fs.Bool("dhcp", false, "assign addresses via a simulated DHCP server")
-	jsonPath := fs.String("json", "", "write the packet capture to this file as JSON")
 	pcapPath := fs.String("pcap", "", "write the packet capture to this file as a Wireshark-compatible pcap")
 	ndjsonPath := fs.String("ndjson", "", "write the packet capture as an NDJSON stream (\"-\" for stdout, pipeable into arpanalyze)")
 	metricsPath := fs.String("metrics", "", "write the telemetry snapshot to this file (JSON, or Prometheus text with a .prom suffix)")
@@ -123,17 +123,6 @@ func run(w io.Writer, args []string) error {
 	cs := cap.Stats()
 	fmt.Fprintf(w, "wire: %d frames, %d bytes (%v)\n", cs.Frames, cs.Bytes, cs.ByType)
 
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *jsonPath, err)
-		}
-		defer f.Close()
-		if err := cap.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "capture written to %s\n", *jsonPath)
-	}
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {

@@ -35,17 +35,6 @@ func TestRunWithDHCP(t *testing.T) {
 	}
 }
 
-func TestRunWritesJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cap.json")
-	var buf bytes.Buffer
-	if err := run(&buf, []string{"-duration", "2s", "-json", path}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "capture written") {
-		t.Fatal("json confirmation missing")
-	}
-}
-
 func TestRunWritesPCAP(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cap.pcap")
 	var buf bytes.Buffer

@@ -35,7 +35,7 @@ const (
 type Descriptor struct {
 	// ID is the stable experiment identifier: the kind, the number, and an
 	// optional suffix ("table1", "table1b", "figure8"). Every -run flag,
-	// cache scope, metrics record, and catalogue line uses this ID.
+	// metrics record, and catalogue line uses this ID.
 	ID string
 	// Kind is the artifact family.
 	Kind Kind
@@ -93,13 +93,6 @@ func Lookup(id string) (*Descriptor, bool) {
 	defer regMu.RUnlock()
 	d, ok := byID[id]
 	return d, ok
-}
-
-// LookupNumeric resolves the legacy numeric selectors (-table 3, -figure 2)
-// to their canonical ID. Suffixed companions (table1b) are not numeric
-// aliases; they are reachable only by full ID.
-func LookupNumeric(kind Kind, num int) (*Descriptor, bool) {
-	return Lookup(fmt.Sprintf("%s%d", kind, num))
 }
 
 // List returns every registered experiment in render order: tables before

@@ -32,23 +32,21 @@ func TestRegistryCoversEvaluationOutput(t *testing.T) {
 	}
 }
 
-// TestLookupAndNumericAliases: full-ID lookup, the numeric -table/-figure
-// aliases, and the suffixed companion's exclusion from numeric aliasing.
+// TestLookupAndNumericAliases: full-ID lookup, and no numeric alias: an
+// experiment is found by its full ID only.
 func TestLookupAndNumericAliases(t *testing.T) {
 	d, ok := Lookup("table1b")
 	if !ok || d.ID != "table1b" || d.Num != 1 || d.Kind != KindTable {
 		t.Fatalf("Lookup(table1b) = %+v, %v", d, ok)
 	}
-	d, ok = LookupNumeric(KindTable, 1)
-	if !ok || d.ID != "table1" {
-		t.Fatalf("LookupNumeric(table, 1) = %+v, %v; want table1", d, ok)
+	d, ok = Lookup("figure8")
+	if !ok || d.ID != "figure8" || d.Num != 8 || d.Kind != KindFigure {
+		t.Fatalf("Lookup(figure8) = %+v, %v", d, ok)
 	}
-	d, ok = LookupNumeric(KindFigure, 8)
-	if !ok || d.ID != "figure8" {
-		t.Fatalf("LookupNumeric(figure, 8) = %+v, %v; want figure8", d, ok)
-	}
-	if _, ok := Lookup("table42"); ok {
-		t.Fatal("Lookup(table42) succeeded")
+	for _, id := range []string{"table42", "1", "8"} {
+		if _, ok := Lookup(id); ok {
+			t.Fatalf("Lookup(%q) succeeded", id)
+		}
 	}
 	if err := UnknownExperimentError("table42"); !strings.Contains(err.Error(), "table1b") {
 		t.Fatalf("unknown-experiment error does not list valid IDs: %v", err)

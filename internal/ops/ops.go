@@ -13,8 +13,8 @@
 //
 // The simulation is single-threaded and its telemetry registry is owned by
 // that one goroutine, so HTTP handlers never touch the registry. Instead
-// the owning goroutine renders the state to bytes (Publish, PublishFlight)
-// and swaps them into an atomic cell the handlers serve. Readers always get
+// the owning goroutine renders the state to bytes (Watch's tick and alert
+// hook, Finish) and swaps them into an atomic cell the handlers serve. Readers always get
 // a complete, consistent document; the simulation never blocks on a scrape.
 //
 // Endpoints:
@@ -58,9 +58,9 @@ type FlightDump struct {
 }
 
 // Server is the ops HTTP server. The zero value is not usable; construct
-// with Start (bound listener) or New (handler only).
+// with Start.
 type Server struct {
-	reg     *telemetry.Registry // what Watch and Finish publish (Start)
+	reg     *telemetry.Registry // what Watch and Finish publish
 	mux     *http.ServeMux
 	metrics atomic.Value // []byte: last published Prometheus exposition
 	flight  atomic.Value // []byte: last published flight dump (JSON)
@@ -68,10 +68,10 @@ type Server struct {
 	ln      net.Listener
 }
 
-// New builds a Server with no listener: the handler is served by tests via
-// httptest or mounted by a caller that owns its own listener.
-func New() *Server {
-	s := &Server{mux: http.NewServeMux()}
+// newServer builds a Server publishing reg, with its handlers and no
+// listener.
+func newServer(reg *telemetry.Registry) *Server {
+	s := &Server{reg: reg, mux: http.NewServeMux()}
 	s.metrics.Store([]byte(nil))
 	s.flight.Store([]byte(nil))
 
@@ -115,8 +115,8 @@ func Start(addr string, reg *telemetry.Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ops: listen %s: %w", addr, err)
 	}
-	s := New()
-	s.reg, s.ln = reg, ln
+	s := newServer(reg)
+	s.ln = ln
 	s.httpSrv = &http.Server{Handler: s.mux}
 	go s.httpSrv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "ops: serving http://%s\n", s.Addr())
@@ -136,7 +136,7 @@ func (s *Server) Watch(sched *sim.Scheduler, sink *schemes.Sink) {
 	if s == nil {
 		return
 	}
-	sched.Every(time.Second, func() { s.Publish(s.reg) })
+	sched.Every(time.Second, s.publish)
 	if sink != nil {
 		dumped := false
 		sink.OnAlert(func(a schemes.Alert) {
@@ -144,22 +144,21 @@ func (s *Server) Watch(sched *sim.Scheduler, sink *schemes.Sink) {
 				return
 			}
 			dumped = true
-			s.PublishFlight(s.reg, sched.Now(), "alert", a.Scheme+": "+a.Detail)
+			s.publishFlight(sched.Now(), "alert", a.Scheme+": "+a.Detail)
 		})
 	}
 }
 
 // Finish publishes /metrics once more, dumps a flight with reason "final"
 // at virtual time now unless one was already dumped, and stops the
-// listener; published state stays readable through Handler. Defer it, so
-// every return path closes.
+// listener. Defer it, so every return path closes.
 func (s *Server) Finish(now time.Duration, note string) {
 	if s == nil {
 		return
 	}
-	s.Publish(s.reg)
+	s.publish()
 	if len(s.flight.Load().([]byte)) == 0 {
-		s.PublishFlight(s.reg, now, "final", note)
+		s.publishFlight(now, "final", note)
 	}
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
@@ -175,39 +174,36 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Handler returns the ops mux for mounting or for httptest.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Publish renders reg's current state to Prometheus text and makes it the
-// document /metrics serves. Call from the goroutine that owns the registry
-// — Watch's tick, Finish, or between experiments (arpbench).
-func (s *Server) Publish(reg *telemetry.Registry) {
-	if s == nil || reg == nil {
+// publish renders the registry's current state to Prometheus text and
+// makes it the document /metrics serves. It runs on the goroutine that
+// owns the registry: Watch's tick and Finish.
+func (s *Server) publish() {
+	if s.reg == nil {
 		return
 	}
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := s.reg.WritePrometheus(&buf); err != nil {
 		return // leave the previous good document in place
 	}
 	s.metrics.Store(buf.Bytes())
 }
 
-// PublishFlight captures a flight-recorder dump — the registry's retained
+// publishFlight captures a flight-recorder dump — the registry's retained
 // events plus, with tracing enabled, the causal recorder's retained spans,
 // both bounded by their rings — and makes it the document /debug/flight
-// serves. reason and note say what tripped the capture. Call from the
-// owning goroutine (Watch's alert hook, Finish).
-func (s *Server) PublishFlight(reg *telemetry.Registry, now time.Duration, reason, note string) {
-	if s == nil || reg == nil {
+// serves. reason and note say what tripped the capture. It runs on the
+// owning goroutine: Watch's alert hook and Finish.
+func (s *Server) publishFlight(now time.Duration, reason, note string) {
+	if s.reg == nil {
 		return
 	}
 	dump := FlightDump{
 		Reason: reason,
 		At:     now,
-		Events: reg.Events().Events(),
+		Events: s.reg.Events().Events(),
 		Note:   note,
 	}
-	if rec := reg.Causal(); rec != nil {
+	if rec := s.reg.Causal(); rec != nil {
 		dump.Spans = rec.Spans()
 	}
 	b, err := json.Marshal(dump)

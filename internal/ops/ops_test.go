@@ -58,24 +58,24 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 }
 
 func TestHealthz(t *testing.T) {
-	s := New()
-	resp, body := get(t, s.Handler(), "/healthz")
+	s := newServer(nil)
+	resp, body := get(t, s.mux, "/healthz")
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(body) != "ok" {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
 	}
 }
 
 func TestMetricsServesPublishedExposition(t *testing.T) {
-	s := New()
+	reg := tracedRun(t)
+	s := newServer(reg)
 	// Before any publish: valid response, empty document.
-	resp, body := get(t, s.Handler(), "/metrics")
+	resp, body := get(t, s.mux, "/metrics")
 	if resp.StatusCode != http.StatusOK || body != "" {
 		t.Fatalf("unpublished /metrics: %d %q", resp.StatusCode, body)
 	}
 
-	reg := tracedRun(t)
-	s.Publish(reg)
-	resp, body = get(t, s.Handler(), "/metrics")
+	s.publish()
+	resp, body = get(t, s.mux, "/metrics")
 	if got := resp.Header.Get("Content-Type"); got != ContentTypePrometheus {
 		t.Fatalf("content type = %q, want %q", got, ContentTypePrometheus)
 	}
@@ -87,8 +87,8 @@ func TestMetricsServesPublishedExposition(t *testing.T) {
 
 	// A later publish replaces the document.
 	reg.Counter("ops_test_counter_total").Inc()
-	s.Publish(reg)
-	_, body = get(t, s.Handler(), "/metrics")
+	s.publish()
+	_, body = get(t, s.mux, "/metrics")
 	if !strings.Contains(body, "ops_test_counter_total") {
 		t.Fatal("republished document missing new counter")
 	}
@@ -119,9 +119,9 @@ func TestMetricsExposeShardEngineFamilies(t *testing.T) {
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	s := New()
-	s.Publish(reg)
-	_, body := get(t, s.Handler(), "/metrics")
+	s := newServer(reg)
+	s.publish()
+	_, body := get(t, s.mux, "/metrics")
 
 	sawType := map[string]bool{
 		"shard_rounds_total":            false,
@@ -172,15 +172,15 @@ func TestMetricsExposeShardEngineFamilies(t *testing.T) {
 }
 
 func TestFlightDumpRoundTrips(t *testing.T) {
-	s := New()
-	resp, body := get(t, s.Handler(), "/debug/flight")
+	reg := tracedRun(t)
+	s := newServer(reg)
+	resp, body := get(t, s.mux, "/debug/flight")
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(body) != "{}" {
 		t.Fatalf("unpublished /debug/flight: %d %q", resp.StatusCode, body)
 	}
 
-	reg := tracedRun(t)
-	s.PublishFlight(reg, 5*time.Second, "alert", "test trigger")
-	resp, body = get(t, s.Handler(), "/debug/flight")
+	s.publishFlight(5*time.Second, "alert", "test trigger")
+	resp, body = get(t, s.mux, "/debug/flight")
 	if got := resp.Header.Get("Content-Type"); got != "application/json" {
 		t.Fatalf("content type = %q", got)
 	}
@@ -212,7 +212,7 @@ func TestFlightDumpRoundTrips(t *testing.T) {
 // flight decodes the flight dump s serves.
 func flight(t *testing.T, s *Server) FlightDump {
 	t.Helper()
-	_, body := get(t, s.Handler(), "/debug/flight")
+	_, body := get(t, s.mux, "/debug/flight")
 	var dump FlightDump
 	if err := json.Unmarshal([]byte(body), &dump); err != nil {
 		t.Fatalf("flight dump is not valid JSON: %v", err)
@@ -221,9 +221,9 @@ func flight(t *testing.T, s *Server) FlightDump {
 }
 
 func TestPprofEndpointsRespond(t *testing.T) {
-	s := New()
+	s := newServer(nil)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
-		resp, _ := get(t, s.Handler(), path)
+		resp, _ := get(t, s.mux, path)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %d", path, resp.StatusCode)
 		}
@@ -261,8 +261,6 @@ func TestNilServerIsNoOp(t *testing.T) {
 	if s != nil || err != nil {
 		t.Fatalf("Start without an address = %v, %v; want nil, nil", s, err)
 	}
-	s.Publish(telemetry.New())
-	s.PublishFlight(telemetry.New(), 0, "x", "")
 	if s.Addr() != "" {
 		t.Fatal("nil Addr")
 	}
@@ -310,7 +308,7 @@ func watchedRun(t *testing.T, spec *scenario.Spec, probe func(*Server)) (*scenar
 		t.Fatal(err)
 	}
 	s.Finish(end, "scenario complete")
-	_, body := get(t, s.Handler(), "/metrics")
+	_, body := get(t, s.mux, "/metrics")
 	return res, flight(t, s), body
 }
 
@@ -362,8 +360,7 @@ func TestWatchDumpsFirstAlertOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	s := New()
-	s.reg = reg
+	s := newServer(reg)
 	var alerts []schemes.Alert
 	var end time.Duration
 	_, err = scenario.Run(spec, scenario.WithRegistry(reg), scenario.WithHook(func(d *scenario.Deployment) func() {

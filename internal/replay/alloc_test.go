@@ -10,14 +10,16 @@ import (
 	_ "repro/internal/schemes/registry/all"
 )
 
-// TestReplaySteadyStateAllocFree gates the steady-state inject loop: after
-// one warmup pass has attached every injector NIC, grown the CAM, carved
-// the first arena epochs, and sized the scheme's state, replaying further
-// traffic from the same stations must stay near allocation-free. The
-// budget is the sharded gate's 0.05 allocs/frame, so both ingest paths
-// are held to one bar: it leaves room for the amortized costs inherent to
-// unbounded streaming — fresh arena slabs on rotation, the per-Run read
-// buffer — while catching any per-frame allocation outright.
+// TestReplaySteadyStateAllocFree gates the steady-state ingest pipeline
+// at width 1 on pcap: after one warmup pass has attached every injector
+// NIC, grown the CAM, carved the first arena epochs, pooled the round
+// storage and sized the scheme's state, replaying further traffic from
+// the same stations must stay near allocation-free. The budget is
+// TestReplayShardedAllocFree's 0.05 allocs/frame, so both formats and
+// both kinds of width are held to one bar: it leaves room for the
+// amortized costs inherent to unbounded streaming — fresh arena slabs on
+// rotation, per-Run pipeline state — while catching any per-frame
+// allocation outright.
 func TestReplaySteadyStateAllocFree(t *testing.T) {
 	const (
 		warmFrames = 20000
@@ -71,11 +73,12 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestReplayShardedAllocFree gates the sharded NDJSON pipeline the same
-// way at width 2: once a first Run has pooled its round storage and
-// warmed the engine, a second Run parses into the pooled rounds' wire
-// slabs and must stay within 0.05 allocations per record — per Run and
-// per round costs only, nothing per record.
+// TestReplayShardedAllocFree gates the NDJSON pipeline the same way at
+// width 2, where a helper may parse alongside the injector: once a first
+// Run has pooled its round storage and warmed the engine, a second Run
+// parses into the pooled rounds' wire slabs and must stay within 0.05
+// allocations per record — per Run and per round costs only, nothing per
+// record.
 func TestReplayShardedAllocFree(t *testing.T) {
 	const (
 		warmFrames = 20000

@@ -19,8 +19,9 @@
 // it.
 //
 // Alerts flow through the registry's correlating sink and are emitted as
-// NDJSON; the stream is byte-identical at any worker width because sharded
-// ingest parallelizes only parsing, never injection order.
+// NDJSON. Ingest is one round pipeline (shard.go) at every worker width;
+// the width only adds parsing helpers, never changes injection order, so
+// the stream is byte-identical at any width.
 package replay
 
 import (
@@ -78,10 +79,11 @@ type Config struct {
 	// Gateway and Victim are the identities hosted as real stacks. Zero
 	// values default to WorkbenchStations(1).
 	Gateway, Victim Station
-	// Workers sets the ingest width: ≤1 replays inline on the caller's
-	// goroutine; above 1, parsing runs on min(Workers, GOMAXPROCS)
-	// goroutines, the caller's included, while the caller injects. Output
-	// is byte-identical at any width.
+	// Workers sets the ingest width: parsing runs on
+	// min(max(Workers, 1), GOMAXPROCS) goroutines, the caller's included,
+	// while the caller injects. At ≤1 no goroutine is started and the
+	// caller reads, parses and injects each round itself. Output is
+	// byte-identical at any width.
 	Workers int
 	// Drain is extra virtual time appended after the last record so
 	// verification windows and correlation buckets settle (default 10s).
@@ -105,8 +107,10 @@ type Stats struct {
 	Stations  int           // injector NICs attached for unseen sources
 }
 
-// Engine is one assembled replay LAN with a deployed scheme stack. It is
-// single-use: Run consumes a source, then the engine reports and is done.
+// Engine is one assembled replay LAN with a deployed scheme stack. Run
+// consumes a source; a second Run on the same engine continues the first:
+// the virtual clock, the stations and Stats carry over, and a record
+// stamped before the last injected one is clamped to it.
 type Engine struct {
 	cfg   Config
 	sched *sim.Scheduler
@@ -280,16 +284,10 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Run replays src to completion: every record is injected in capture order
 // at its capture timestamp, then the clock runs Drain past the final record
 // so outstanding verification windows and correlation buckets settle.
-// Workers >1 shards record parsing (see runSharded); injection stays
-// sequential, so output is byte-identical at any width.
+// Workers sets how many goroutines share record parsing (see ingest);
+// injection stays sequential, so output is byte-identical at any width.
 func (e *Engine) Run(src Source) (Stats, error) {
-	var err error
-	if e.cfg.Workers > 1 {
-		err = e.runSharded(src, e.cfg.Workers)
-	} else {
-		err = e.runInline(src)
-	}
-	if err != nil {
+	if err := e.ingest(src, e.cfg.Workers); err != nil {
 		return e.stats, err
 	}
 	e.stats.LastAt = e.lastAt
@@ -303,30 +301,6 @@ func (e *Engine) Run(src Source) (Stats, error) {
 		}
 	}
 	return e.stats, nil
-}
-
-// runInline is the single-threaded path: read, parse, inject, one record
-// at a time. It composes the same ReadRaw/Parse methods the sharded path
-// fans out, so the two paths cannot diverge.
-func (e *Engine) runInline(src Source) error {
-	var rec trace.WireRecord
-	var buf []byte
-	for {
-		item, at, err := src.ReadRaw(buf[:0])
-		buf = item
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := src.Parse(item, at, &rec); err != nil {
-			e.stats.Malformed++
-			e.mMalformed.Inc()
-			continue
-		}
-		e.inject(&rec)
-	}
 }
 
 // flushEvery bounds how many injections may sit between scheduler flushes;

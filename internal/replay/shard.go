@@ -9,9 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Sharded ingest. Injection order is sacred — the virtual clock and every
-// scheme's state machine depend on it — so only parsing is parallel, and
-// the pipeline never runs more goroutines than there are cores to run them:
+// Ingest: the one loop from a Source to the switch, at every worker
+// width. Injection order is sacred — the virtual clock and every scheme's
+// state machine depend on it — so only parsing is parallel, and the
+// pipeline never runs more goroutines than there are cores to run them:
 //
 //	stream ──fill──▶ round k ──claim chunks──▶ parse ──in order──▶ inject
 //
@@ -25,10 +26,12 @@ import (
 // from the oldest filled round, and read further ahead when none are
 // left. Whoever holds the single fill turn reads; the injector fills too
 // when its round is not read yet and nobody is reading, which is all of
-// ingest at GOMAXPROCS 1.
+// ingest at width 1 or GOMAXPROCS 1: there are no helpers, and the
+// injector reads, parses and injects each round itself. A record is thus
+// injected only once its whole round has been read.
 //
 // A claim names its round by sequence number (the round's generation):
-// round k lives in slot k mod roundsDepth until it is injected, and only
+// round k lives in slot k mod depth until it is injected, and only
 // rounds in [injected, filled) can be claimed from, so a helper can never
 // take a chunk of a slot's next fill. Output is byte-identical at any
 // width and any GOMAXPROCS: they change who parses a chunk, never what is
@@ -123,7 +126,7 @@ func putRound(r *round) {
 	}
 }
 
-// pipeline is one sharded Run's shared state. Everything below mu is
+// pipeline is one Run's shared state. Everything below mu is
 // guarded by it; a round's items, recs and slab are written only by the
 // goroutine holding its fill turn or a claim on the chunk, and read by the
 // injector after the chunk is marked parsed.
@@ -135,6 +138,7 @@ type pipeline struct {
 	ready sync.Cond // the injector parks here for a fill or a helper's chunk
 
 	slots    [roundsDepth]*round
+	depth    uint64 // slots in use: roundsDepth, or 1 without helpers
 	filled   uint64 // rounds read: round k is readable for k < filled
 	injected uint64 // rounds injected and released for refill
 	filling  bool   // someone holds the fill turn
@@ -146,20 +150,31 @@ type pipeline struct {
 	// carry is a read item that would have pushed its round past
 	// roundBytes: it opens the next round. It aliases the tail of the
 	// previous fill's buffer, which nothing writes until that slot's next
-	// fill, roundsDepth fills later.
+	// fill, depth fills later; at depth 1 that is the fill that copies the
+	// carry to the buffer's head (an overlap-safe copy) before reading on.
 	carry   []byte
 	carryAt time.Duration
 
 	helpers sync.WaitGroup
 }
 
-// runSharded drives the pipeline. Injection runs on the caller's
-// goroutine, which is the engine's, so inject stays single-threaded.
-func (e *Engine) runSharded(src Source, workers int) error {
+// ingest drives the pipeline with min(max(workers, 1), GOMAXPROCS) − 1
+// helpers. Injection runs on the caller's goroutine, which is the
+// engine's, so inject stays single-threaded.
+func (e *Engine) ingest(src Source, workers int) error {
 	p := &pipeline{src: src}
 	p.work.L = &p.mu
 	p.ready.L = &p.mu
-	helpers := min(workers, runtime.GOMAXPROCS(0)) - 1
+	helpers := min(max(workers, 1), runtime.GOMAXPROCS(0)) - 1
+	// Without helpers the injector fills each round only once it has
+	// injected the one before, so one slot holds the one round in flight
+	// and a cold Run takes a quarter of the round storage from the heap.
+	// The carry then aliases the tail of the slot's own buffer, which the
+	// next fill copies to its head before reading past it.
+	p.depth = roundsDepth
+	if helpers == 0 {
+		p.depth = 1
+	}
 	p.helpers.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		go p.help()
@@ -197,7 +212,7 @@ func (p *pipeline) run(e *Engine) error {
 				p.ready.Wait()
 			}
 		}
-		r := p.slots[k%roundsDepth]
+		r := p.slots[k%p.depth]
 		for next := 0; next < len(r.chunks); {
 			switch {
 			case r.parsed[next]:
@@ -254,7 +269,7 @@ func (p *pipeline) help() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for !p.quit {
-		canFill := !p.filling && !p.end && p.filled-p.injected < roundsDepth
+		canFill := !p.filling && !p.end && p.filled-p.injected < p.depth
 		if canFill && p.filled-p.injected < fillAhead {
 			p.fill()
 			continue
@@ -280,7 +295,7 @@ func (p *pipeline) help() {
 // claim hands out the first unclaimed chunk of the oldest filled round.
 func (p *pipeline) claim() (*round, int) {
 	for k := p.injected; k < p.filled; k++ {
-		r := p.slots[k%roundsDepth]
+		r := p.slots[k%p.depth]
 		if r.claimed < len(r.chunks) {
 			r.claimed++
 			return r, r.claimed - 1
@@ -301,7 +316,7 @@ func (p *pipeline) wakeInjector() {
 // ended, and the round's slot is released.
 func (p *pipeline) fill() {
 	p.filling = true
-	slot := &p.slots[p.filled%roundsDepth]
+	slot := &p.slots[p.filled%p.depth]
 	if *slot == nil {
 		*slot = getRound()
 	}

@@ -114,6 +114,12 @@ type replayResult struct {
 
 func replayStream(tb testing.TB, r io.Reader, workers int) replayResult {
 	tb.Helper()
+	return replayWith(tb, r, workers, (*Engine).Run)
+}
+
+// replayWith replays r through a fresh engine at the given width, by run.
+func replayWith(tb testing.TB, r io.Reader, workers int, run func(*Engine, Source) (Stats, error)) replayResult {
+	tb.Helper()
 	st, err := registry.ParseStack(parityStack)
 	if err != nil {
 		tb.Fatal(err)
@@ -123,7 +129,7 @@ func replayStream(tb testing.TB, r io.Reader, workers int) replayResult {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stats, err := eng.Run(NewNDJSONSource(r))
+	stats, err := run(eng, NewNDJSONSource(r))
 	res := replayResult{alerts: alerts.String(), stats: stats}
 	if err != nil {
 		res.err = err.Error()
@@ -131,23 +137,59 @@ func replayStream(tb testing.TB, r io.Reader, workers int) replayResult {
 	return res
 }
 
-// checkParity replays a fresh stream from reader inline, then at widths
-// 2, 3 and 8 under GOMAXPROCS 1 and 2, and requires the same alerts,
-// stats and error from every run. It returns the inline result.
+// emptySource is a stream with no records.
+type emptySource struct{}
+
+func (emptySource) ReadRaw(buf []byte) ([]byte, time.Duration, error) { return buf, 0, io.EOF }
+
+func (emptySource) Parse([]byte, time.Duration, *trace.WireRecord) error { return nil }
+
+// referenceRun is the roundless ingest loop the parity tests hold the
+// pipeline to: read, parse and inject one record at a time on the
+// caller's goroutine, through the same ReadRaw, Parse and inject the
+// pipeline composes, with no rounds or chunks to cut. After the stream
+// ends it drains and flushes by running the engine over an empty source,
+// exactly as Run finishes; a read error returns before the drain, as Run's
+// does.
+func referenceRun(e *Engine, src Source) (Stats, error) {
+	var rec trace.WireRecord
+	var buf []byte
+	for {
+		item, at, err := src.ReadRaw(buf[:0])
+		buf = item
+		if err == io.EOF {
+			return e.Run(emptySource{})
+		}
+		if err != nil {
+			return e.stats, err
+		}
+		if err := src.Parse(item, at, &rec); err != nil {
+			e.stats.Malformed++
+			e.mMalformed.Inc()
+			continue
+		}
+		e.inject(&rec)
+	}
+}
+
+// checkParity replays a fresh stream from reader through referenceRun,
+// then through the pipeline at widths 0, 1, 2, 3 and 8 under GOMAXPROCS 1
+// and 2, and requires the same alerts, stats and error from every run. It
+// returns the reference result.
 func checkParity(t *testing.T, name string, reader func() io.Reader) replayResult {
 	t.Helper()
-	want := replayStream(t, reader(), 1)
+	want := replayWith(t, reader(), 1, referenceRun)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{0, 1, 2, 3, 8} {
 			got := replayStream(t, reader(), workers)
 			if got.alerts != want.alerts {
-				t.Errorf("%s GOMAXPROCS=%d workers=%d: alert stream differs from inline\ngot:\n%s\nwant:\n%s",
+				t.Errorf("%s GOMAXPROCS=%d workers=%d: alert stream differs from the reference loop\ngot:\n%s\nwant:\n%s",
 					name, procs, workers, got.alerts, want.alerts)
 			}
 			if got.stats != want.stats || got.err != want.err {
-				t.Errorf("%s GOMAXPROCS=%d workers=%d: stats %+v, error %q; inline %+v, %q",
+				t.Errorf("%s GOMAXPROCS=%d workers=%d: stats %+v, error %q; reference %+v, %q",
 					name, procs, workers, got.stats, got.err, want.stats, want.err)
 			}
 		}
@@ -155,7 +197,7 @@ func checkParity(t *testing.T, name string, reader func() io.Reader) replayResul
 	return want
 }
 
-// TestShardedParity pins the pipeline to the inline path byte for byte
+// TestShardedParity pins the pipeline to the reference loop byte for byte
 // on a stream that spans several rounds, with malformed lines on chunk
 // and round edges and long lines that close rounds on their byte bound.
 func TestShardedParity(t *testing.T) {
@@ -183,20 +225,20 @@ func (f *failAfter) Read(p []byte) (int, error) {
 
 // TestShardedReadErrorMidRound pins that a read failure in the middle of
 // a round surfaces from every width with the records before it injected,
-// exactly as inline.
+// exactly as from the reference loop.
 func TestShardedReadErrorMidRound(t *testing.T) {
 	lines := paritySynth(t, roundItems+roundItems/2, 0)
 	blob := []byte(strings.Join(lines[:roundItems+roundItems/3], ""))
 	boom := errors.New("capture truncated")
 	want := checkParity(t, "read error", func() io.Reader { return &failAfter{data: blob, err: boom} })
 	if !strings.Contains(want.err, boom.Error()) || want.stats.Frames == 0 {
-		t.Fatalf("inline replay: stats %+v, error %q", want.stats, want.err)
+		t.Fatalf("reference replay: stats %+v, error %q", want.stats, want.err)
 	}
 }
 
-// TestShardedRecycledRounds runs sharded replays back to back, each
-// picking up the rounds the previous one left on the pool, and pins each
-// to the inline path: a long-line stream, then a short stream whose
+// TestShardedRecycledRounds runs replays back to back, each picking up
+// the rounds the previous one left on the pool, and pins each to the
+// reference loop: a long-line stream, then a short stream whose
 // malformed lines land where the previous fill held valid records.
 func TestShardedRecycledRounds(t *testing.T) {
 	streams := [][]byte{
@@ -211,7 +253,7 @@ func TestShardedRecycledRounds(t *testing.T) {
 	pooled := len(roundPool.free)
 	roundPool.mu.Unlock()
 	if pooled == 0 {
-		t.Fatal("no round storage left on the pool after sharded runs")
+		t.Fatal("no round storage left on the pool after pipeline runs")
 	}
 }
 

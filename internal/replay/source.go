@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Source is a capture stream split at the seam sharded ingest needs: a
+// Source is a capture stream split at the seam the ingest pipeline needs: a
 // strictly sequential raw read (one item = one undecoded record) and a
 // pure, concurrency-safe parse. ReadRaw is called by one goroutine at a
 // time, in stream order — whichever holds the pipeline's fill turn; Parse
@@ -22,7 +22,7 @@ type Source interface {
 	ReadRaw(buf []byte) ([]byte, time.Duration, error)
 	// Parse decodes one raw item (as returned by ReadRaw) into rec,
 	// reusing rec.Wire. It must not retain item or touch Source state.
-	// The sharded pipeline hands it a rec.Wire with room for len(item)
+	// The pipeline hands it a rec.Wire with room for len(item)
 	// bytes, so a Parse whose output is no longer than its input
 	// allocates nothing.
 	Parse(item []byte, at time.Duration, rec *trace.WireRecord) error
@@ -30,9 +30,10 @@ type Source interface {
 
 // PCAPSource adapts a classic pcap stream. The raw item is the frame bytes
 // (the 16-octet record header is consumed by ReadRaw, which is where the
-// timestamp lives), so Parse is a copy and sharding only buys overlap of
-// that copy with injection. Reading is not free: in CPU profiles of the
-// benchmark's inline replay (200k records), ReadRaw and Parse took 20% of
+// timestamp lives), so Parse is a copy and parsing helpers only buy
+// overlap of that copy with injection. Reading is not free: in CPU
+// profiles of the benchmark's width-1 replay (200k records, before ingest
+// was one round pipeline at every width), ReadRaw and Parse took 20% of
 // the Run when the reader made three io.ReadFull calls per record and 11%
 // when it reads records out of its buffered window; injection takes the
 // rest.

@@ -311,8 +311,7 @@ type P map[string]any
 
 // ResolveParams materializes the parameter struct a deployment will use:
 // nil keeps the defaults; a P overlay or json.RawMessage is decoded over
-// them (unknown fields are errors); a pointer of the factory's own
-// parameter type passes through unchanged.
+// them (unknown fields are errors). Any other type is an error.
 func ResolveParams(f *Factory, params any) (any, error) {
 	if f.DefaultParams == nil {
 		if params != nil {
@@ -335,16 +334,8 @@ func ResolveParams(f *Factory, params any) (any, error) {
 			return base, nil
 		}
 		return overlay(f.Name, base, p)
-	case []byte:
-		if len(p) == 0 {
-			return base, nil
-		}
-		return overlay(f.Name, base, p)
 	default:
-		if fmt.Sprintf("%T", p) != fmt.Sprintf("%T", base) {
-			return nil, fmt.Errorf("scheme %q params: got %T, want %T, a P overlay, or raw JSON", f.Name, p, base)
-		}
-		return p, nil
+		return nil, fmt.Errorf("scheme %q params: got %T, want a registry.P overlay or a json.RawMessage", f.Name, p)
 	}
 }
 
@@ -371,7 +362,7 @@ func ValidateParams(name string, raw json.RawMessage) error {
 }
 
 // Deploy installs one scheme into env. params may be nil (defaults), a P
-// overlay, raw JSON, or the factory's own parameter struct.
+// overlay, or a json.RawMessage (see ResolveParams).
 func Deploy(env *Env, name string, params any) (*Instance, error) {
 	f, err := mustLookup(name)
 	if err != nil {

@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -87,6 +88,27 @@ func TestParamRoundTrip(t *testing.T) {
 		// Unknown keys must be rejected, not dropped.
 		if err := registry.ValidateParams(f.Name, json.RawMessage(`{"noSuchKnob": 1}`)); err == nil {
 			t.Errorf("scheme %q accepted an unknown parameter", f.Name)
+		}
+	}
+}
+
+// TestResolveParamsForms pins the three parameter forms — nil, a P
+// overlay, a json.RawMessage — and that any other type, raw []byte and
+// the factory's own parameter struct included, is an error.
+func TestResolveParamsForms(t *testing.T) {
+	f, ok := registry.Lookup(registry.NameArpwatch)
+	if !ok {
+		t.Fatal("arpwatch not registered")
+	}
+	for _, params := range []any{nil, registry.P{"seedVictim": true}, json.RawMessage(`{"seedVictim":true}`), json.RawMessage(nil)} {
+		if _, err := registry.ResolveParams(f, params); err != nil {
+			t.Errorf("ResolveParams(%T) = %v", params, err)
+		}
+	}
+	for _, params := range []any{[]byte(`{"seedVictim":true}`), f.DefaultParams(), `{}`, 3} {
+		_, err := registry.ResolveParams(f, params)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %T", params)) {
+			t.Errorf("ResolveParams(%T): err = %v, want a rejection naming the type", params, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // NDJSON capture stream: one JSON object per line, newline-delimited — the
-// structured twin of the pcap export. Unlike WriteJSON's single indented
-// document, the stream is consumable incrementally (tail -f, a pipe from
-// arpsim, an S3 multipart upload), which is what the replay service ingests.
+// structured twin of the pcap export. The stream is consumable
+// incrementally (tail -f, a pipe from arpsim, an S3 multipart upload),
+// which is what the replay service ingests.
 //
 // The line schema is pinned by testdata/capture.ndjson.golden: changing a
 // field name, dropping a field, or altering an encoding breaks downstream
@@ -24,7 +24,7 @@ import (
 
 // NDJSONRecord is the wire schema of one capture stream line. Wire carries
 // the full frame bytes (standard JSON base64); the remaining fields are the
-// same decoded summaries WriteJSON exports, kept so the stream is greppable
+// capture Record's decoded summaries, kept so the stream is greppable
 // without decoding frames.
 type NDJSONRecord struct {
 	At      time.Duration `json:"at"`

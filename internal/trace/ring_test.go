@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,35 +53,36 @@ func TestWritePCAPGolden(t *testing.T) {
 	}
 }
 
-// TestWriteJSONAfterOverflow checks the export goes through the snapshot
-// path: dropped counts are reported and the records come out oldest-first
-// even when the ring head has wrapped.
-func TestWriteJSONAfterOverflow(t *testing.T) {
+// TestWriteNDJSONAfterOverflow checks the export goes through the snapshot
+// path: the records come out oldest-first even when the ring head has
+// wrapped, and Stats reports the dropped count.
+func TestWriteNDJSONAfterOverflow(t *testing.T) {
 	c := NewCapture(2)
 	tap := c.Tap()
 	for i := 0; i < 5; i++ {
 		tap(tapEvent(&frame.Frame{Dst: macB, Src: macA, Type: frame.TypeIPv4}, i))
 	}
 	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
+	if err := c.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Stats   Stats    `json:"stats"`
-		Dropped uint64   `json:"dropped"`
-		Records []Record `json:"records"`
+	var ports []int
+	for _, line := range strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var rec NDJSONRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		ports = append(ports, rec.Port)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	if len(ports) != 2 || ports[0] != 3 || ports[1] != 4 {
+		t.Fatalf("records not oldest-first after wrap: ports %v", ports)
 	}
-	if doc.Dropped != 3 || doc.Stats.Dropped != 3 {
-		t.Fatalf("dropped = %d, stats.dropped = %d", doc.Dropped, doc.Stats.Dropped)
+	st := c.Stats()
+	if st.Dropped != 3 || c.Dropped() != 3 {
+		t.Fatalf("stats.dropped = %d, Dropped() = %d", st.Dropped, c.Dropped())
 	}
-	if doc.Stats.Frames != 5 {
-		t.Fatalf("frames = %d", doc.Stats.Frames)
-	}
-	if len(doc.Records) != 2 || doc.Records[0].Port != 3 || doc.Records[1].Port != 4 {
-		t.Fatalf("records not oldest-first after wrap: %+v", doc.Records)
+	if st.Frames != 5 {
+		t.Fatalf("frames = %d", st.Frames)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package trace records frames observed at taps into an in-memory capture
-// that can be filtered, summarized, and exported as JSON — the framework's
-// equivalent of a pcap file plus the first page of Wireshark statistics.
+// that can be filtered, summarized, and exported as pcap or an NDJSON
+// stream — the framework's equivalent of a pcap file plus the first page
+// of Wireshark statistics.
 package trace
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -18,15 +18,15 @@ import (
 
 // Record is one captured frame with decoded summaries.
 type Record struct {
-	At      time.Duration  `json:"at"`
-	Port    int            `json:"port"`
-	Src     string         `json:"src"`
-	Dst     string         `json:"dst"`
-	Type    string         `json:"type"`
-	WireLen int            `json:"wireLen"`
-	Info    string         `json:"info,omitempty"`
-	ARP     *arppkt.Packet `json:"-"`
-	Frame   *frame.Frame   `json:"-"`
+	At      time.Duration
+	Port    int
+	Src     string
+	Dst     string
+	Type    string
+	WireLen int
+	Info    string
+	ARP     *arppkt.Packet
+	Frame   *frame.Frame
 }
 
 // Capture accumulates records from one or more taps. Captures are bounded:
@@ -250,23 +250,6 @@ func (c *Capture) Filter(pred func(Record) bool) []Record {
 // ARPOnly returns only records carrying decodable ARP packets.
 func (c *Capture) ARPOnly() []Record {
 	return c.Filter(func(r Record) bool { return r.ARP != nil })
-}
-
-// WriteJSON exports records and stats as a single JSON document. It goes
-// through the Stats/Records snapshot path, so the document is ordered
-// oldest-first and safe against later capture activity.
-func (c *Capture) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Stats   Stats    `json:"stats"`
-		Dropped uint64   `json:"dropped"`
-		Records []Record `json:"records"`
-	}{Stats: c.Stats(), Dropped: c.dropped, Records: c.Records()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("encode capture: %w", err)
-	}
-	return nil
 }
 
 // pcap constants (libpcap classic format, microsecond timestamps).

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -91,28 +90,6 @@ func TestFilterAndARPOnly(t *testing.T) {
 	big := c.Filter(func(r Record) bool { return r.Port == 1 })
 	if len(big) != 1 || big[0].Type != "IPv4" {
 		t.Fatalf("Filter = %+v", big)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	c := NewCapture(0)
-	c.Tap()(tapEvent(arpFrame(arppkt.NewReply(macB, ipB, macA, ipA), macB, macA), 0))
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Stats   Stats            `json:"stats"`
-		Records []map[string]any `json:"records"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Stats.Frames != 1 || len(doc.Records) != 1 {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if doc.Records[0]["info"] == "" {
-		t.Fatal("ARP info missing from JSON")
 	}
 }
 

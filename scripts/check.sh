@@ -16,7 +16,10 @@
 # loop over the native fuzz
 # targets (4 to 10 seconds each, 50 in all), an experiment-registry
 # completeness leg (a small-trial pass of every
-# experiment, diffed against the arpbench -list catalogue), and an
+# experiment, diffed against the arpbench -list catalogue), README's
+# capture pipeline (arpsim's NDJSON piped into arpanalyze, and an arpsim
+# pcap file replayed; each must exit 0 and replay a nonzero frame
+# count), and an
 # evaluation golden leg (a -trials 10 pass diffed against the committed
 # evaluation_output.txt with the host-timed Table 4 and Figure 3 masked).
 # Any failure stops the run with a non-zero exit.
@@ -150,6 +153,40 @@ if ! diff -u "$tmpdir/listed" "$tmpdir/rendered"; then
 	echo "arpbench -list catalogue and rendered artifacts disagree" >&2
 	exit 1
 fi
+
+echo "==> capture pipeline (arpsim -ndjson - | arpanalyze, and arpanalyze over an arpsim -pcap file)"
+go build -o "$tmpdir/arpsim" ./cmd/arpsim
+go build -o "$tmpdir/arpanalyze" ./cmd/arpanalyze
+# replayed_frames prints the N of arpanalyze's "replayed N frames" line.
+replayed_frames() {
+	awk '$1 == "replayed" && $3 == "frames" { print $2 }' "$1"
+}
+# The pipe's status is arpanalyze's; -o pipefail is not POSIX, so arpsim's
+# exit status comes back through a file.
+{ "$tmpdir/arpsim" -duration 5s -ndjson - 2>/dev/null; echo $? >"$tmpdir/arpsim.status"; } |
+	"$tmpdir/arpanalyze" -scheme arpwatch -out /dev/null >"$tmpdir/pipe.log" 2>&1 || {
+	cat "$tmpdir/pipe.log" >&2
+	echo "arpanalyze failed on arpsim's NDJSON stream" >&2
+	exit 1
+}
+if [ "$(cat "$tmpdir/arpsim.status")" != "0" ]; then
+	echo "arpsim -ndjson - exited $(cat "$tmpdir/arpsim.status")" >&2
+	exit 1
+fi
+"$tmpdir/arpsim" -duration 5s -pcap "$tmpdir/cap.pcap" >/dev/null
+"$tmpdir/arpanalyze" -in "$tmpdir/cap.pcap" -scheme arpwatch -out /dev/null >"$tmpdir/pcap.log" 2>&1 || {
+	cat "$tmpdir/pcap.log" >&2
+	echo "arpanalyze failed on arpsim's pcap file" >&2
+	exit 1
+}
+for log in pipe pcap; do
+	frames=$(replayed_frames "$tmpdir/$log.log")
+	cat "$tmpdir/$log.log"
+	if [ -z "$frames" ] || [ "$frames" -eq 0 ]; then
+		echo "capture pipeline ($log) replayed ${frames:-no} frames" >&2
+		exit 1
+	fi
+done
 
 echo "==> evaluation golden (-trials 10 vs evaluation_output.txt, host-timed Table 4 / Figure 3 masked)"
 # Table 4 and Figure 3 embed host CPU timings and real ECDSA signature
